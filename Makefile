@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check bench bench-serve bench-cpu bench-multi bench-alloc bench-auto
+.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check bench benchmark
 
 all: check
 
@@ -83,46 +83,10 @@ check: build vet race fuzz-smoke smoke
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Fused vs unfused serving throughput on the simulator: 64 GPU-only jobs at
-# three sizes through a plain and a fusing server, timed in deterministic
-# virtual seconds and written to BENCH_serve.json. Exits nonzero if any
-# per-job result differs between the two or the small-job speedup falls
-# below the 1.5x acceptance floor.
-bench-serve:
-	$(GO) run ./cmd/hpuserve --bench-fusion --bench-out BENCH_serve.json
-
-# Breadth-first CPU executor: legacy channel pool vs work-stealing engine vs
-# engine with automatic leaf coarsening, for mergesort/dcsum/scan at three
-# sizes (every run verified bit-identical against the sequential baseline),
-# plus the saturated-dispatch comparison where the engine's 2x acceptance
-# floor is enforced. Writes BENCH_cpu.json and a markdown table for the CI
-# job summary.
-bench-cpu:
-	$(GO) run ./cmd/hpuserve --bench-cpu --bench-cpu-out BENCH_cpu.json --bench-cpu-summary BENCH_cpu.md
-
-# Multi-device serving throughput on the simulator: the same GPU-bound
-# 64-job mix through pools of 1, 2 and 4 devices, timed in deterministic
-# virtual seconds (pool makespan = slowest device's clock). Writes
-# BENCH_multidev.json; exits nonzero if any result diverges from the
-# single-device run or the 2-device pool misses the 1.6x speedup floor.
-bench-multi:
-	$(GO) run ./cmd/hpuserve --bench-multi --bench-multi-out BENCH_multidev.json
-
-# Allocation-regression gate for the zero-copy hot path: -benchmem profiles
-# of the served submit path and the fused GPU executor with the buffer pool
-# disabled vs enabled, plus the JSON vs binary API round trip at 1M
-# elements over real TCP. Writes BENCH_alloc.json; exits nonzero if pooling
-# regresses submit allocs/op, the fused path's bytes/op are not at least
-# halved, the binary wire is below 2x, or the two wire formats disagree.
-bench-alloc:
-	$(GO) run ./cmd/hpuserve --bench-alloc --bench-alloc-out BENCH_alloc.json
-
-# Strategy Auto vs every fixed strategy on the simulated HPU1, across a
-# mergesort size sweep spanning the CPU/GPU crossover. The auto server's
-# calibrator is warmed with fixed-strategy training traffic, then each size
-# is measured once in deterministic virtual seconds. Writes BENCH_auto.json;
-# exits nonzero if auto strays more than 10% from the best fixed strategy at
-# any size, never beats the worst fixed strategy by 1.5x, or any result is
-# not bit-identical to the plain-Go sort.
-bench-auto:
-	$(GO) run ./cmd/hpuserve --bench-auto --bench-auto-out BENCH_auto.json
+# The repository's benchmark (BENCHMARK.json, bench/README.md): one pass of
+# all five workloads through the library, the simulator and the serving
+# stack, every result verified against plain Go, written to
+# bench/out/result.json. `bash bench/run.sh --workload W --seed N --seconds S
+# --trace 0|1` runs one workload.
+benchmark:
+	bash bench/run.sh --runs 1

@@ -1,20 +1,27 @@
-// Command hpuserve is a load driver for the concurrent job server: it
-// floods one shared backend with a stream of mixed divide-and-conquer jobs
-// (mergesort, scan, sum) under random priorities and cancellations, then
-// prints the server's aggregate counters.
+// Command hpuserve is the job server's binary. It runs in one of four modes:
 //
-// With --listen it exposes live observability over HTTP while the load
-// runs: /metrics (a JSON snapshot of the metrics registry), /debug/vars
-// (the standard expvar surface), and /debug/trace (a Chrome trace-event
-// download of the most recent spans, loadable in chrome://tracing or
-// Perfetto).
+//   - load (the default): floods one shared native backend, or a pool of
+//     --devices of them, with a stream of mixed divide-and-conquer jobs
+//     (mergesort, scan, sum) under random priorities and cancellations, then
+//     prints the server's aggregate counters. --listen exposes /metrics (a
+//     JSON snapshot of the metrics registry), /debug/vars (the standard
+//     expvar surface) and /debug/trace (a Chrome trace-event download of the
+//     most recent spans) while the load runs. --smoke caps the run at 5s
+//     and exits nonzero if any job fails, any accounting invariant breaks,
+//     or goroutines leak; --obs-smoke additionally serves the HTTP endpoints
+//     on a loopback port, scrapes them itself, and exits nonzero unless the
+//     queue-depth, per-priority latency and transfer-byte metrics advanced.
+//   - --chaos: the seeded fault-injection soak. Every surviving result is
+//     verified against plain-Go ground truth, the reliability metrics must
+//     have advanced, and a fault report is written.
+//   - --api: serves the remote HTTP/JSON and binary-frame job API on
+//     --api-listen until SIGTERM, which drains gracefully.
+//   - --api-smoke: the remote-serving self-check over real TCP: concurrent
+//     clients, bit-exact results, observed 429 backpressure, /events
+//     progress, a metrics scrape and a SIGTERM drain.
 //
-// With --smoke it runs a short self-checking load test (default 5s) and
-// exits nonzero if any job fails, any accounting invariant breaks, or
-// goroutines leak. With --obs-smoke it additionally serves the HTTP
-// endpoints on a loopback port, scrapes them itself, and exits nonzero
-// unless the queue-depth, per-priority latency, and transfer-byte metrics
-// advanced under load — the CI entry points wired into the Makefile.
+// Performance is measured by the one harness in bench/ (bash bench/run.sh,
+// declared in BENCHMARK.json), not by this binary.
 package main
 
 import (
@@ -59,11 +66,6 @@ func main() {
 		fuse        = flag.Int("fuse", 0, "fuse up to this many queued same-kind GPU-only jobs into one launch (< 2 disables fusion)")
 		batchWindow = flag.Duration("batch-window", 0, "how long a dispatched fusable job waits for companions to arrive")
 		fuseBytes   = flag.Int64("fuse-bytes-cap", 0, "cap on a fused group's summed transfer bytes (0 = unbounded)")
-		benchFusion = flag.Bool("bench-fusion", false, "benchmark fused vs unfused job throughput on the simulator, write BENCH_serve.json, and exit")
-		benchOut    = flag.String("bench-out", "BENCH_serve.json", "output path for --bench-fusion results")
-
-		benchMulti    = flag.Bool("bench-multi", false, "benchmark served throughput across 1/2/4 simulated devices on a GPU-bound job mix, write BENCH_multidev.json, and exit")
-		benchMultiOut = flag.String("bench-multi-out", "BENCH_multidev.json", "output path for --bench-multi results")
 
 		chaos          = flag.Bool("chaos", false, "run the seeded fault-injection soak: verify every surviving result, assert the reliability metrics advanced, write a fault report, and exit nonzero on any anomaly")
 		chaosJobs      = flag.Int("chaos-jobs", 240, "how many jobs the --chaos soak submits")
@@ -76,17 +78,6 @@ func main() {
 		apiSmoke   = flag.Bool("api-smoke", false, "run the remote-serving self-check: concurrent clients over real TCP, bit-exact results, observed 429 backpressure, /events progress, metrics, and SIGTERM drain; exit nonzero on any anomaly")
 		apiClients = flag.Int("api-clients", 64, "concurrent remote clients for --api-smoke")
 		apiJobs    = flag.Int("api-jobs", 2, "jobs per client for --api-smoke")
-
-		benchAlloc    = flag.Bool("bench-alloc", false, "profile the serving hot paths with the buffer pool off vs on and the JSON vs binary API round trip at 1M elements, write BENCH_alloc.json, gate regressions, and exit")
-		benchAllocOut = flag.String("bench-alloc-out", "BENCH_alloc.json", "output path for --bench-alloc results")
-
-		benchAuto    = flag.Bool("bench-auto", false, "benchmark Strategy Auto vs every fixed strategy across a size sweep on the simulator, write BENCH_auto.json, gate the within-10%-of-best and beats-worst-1.5x floors, and exit")
-		benchAutoOut = flag.String("bench-auto-out", "BENCH_auto.json", "output path for --bench-auto results")
-
-		benchCPU        = flag.Bool("bench-cpu", false, "benchmark the breadth-first CPU executor (legacy pool vs stealing engine vs engine+grain), write BENCH_cpu.json, and exit")
-		benchCPUOut     = flag.String("bench-cpu-out", "BENCH_cpu.json", "output path for --bench-cpu results")
-		benchCPUSummary = flag.String("bench-cpu-summary", "", "also write --bench-cpu results as a markdown table to this path (for CI job summaries)")
-		benchCPUReps    = flag.Int("bench-cpu-reps", 5, "wall-clock repetitions per --bench-cpu configuration (best kept)")
 	)
 	flag.Parse()
 
@@ -112,26 +103,6 @@ func main() {
 			InFlight: 2,
 			QDepth:   4,
 		}, *apiClients, *apiJobs, *seed))
-		return
-	}
-	if *benchFusion {
-		check(runFusionBench(*benchOut))
-		return
-	}
-	if *benchMulti {
-		check(runMultiDeviceBench(*benchMultiOut))
-		return
-	}
-	if *benchAlloc {
-		check(runBenchAlloc(*benchAllocOut))
-		return
-	}
-	if *benchAuto {
-		check(runAutoBench(*benchAutoOut))
-		return
-	}
-	if *benchCPU {
-		check(runCPUBench(*benchCPUOut, *benchCPUSummary, *workers, *benchCPUReps))
 		return
 	}
 	if *chaos {

@@ -48,9 +48,3 @@ func BenchmarkSubmit(b *testing.B) {
 func BenchmarkSubmitMetrics(b *testing.B) {
 	benchSubmit(b, Config{CPUWorkers: 2, Metrics: metrics.NewRegistry()})
 }
-
-// BenchmarkSubmitLegacyPool is the pre-rewrite channel fan-out pool, the
-// before side of the README's before/after table.
-func BenchmarkSubmitLegacyPool(b *testing.B) {
-	benchSubmit(b, Config{CPUWorkers: 2, LegacyPool: true})
-}

@@ -67,25 +67,13 @@ type Config struct {
 	// is dropped while their completion chains still unwind). Nil disables
 	// metrics at zero cost.
 	Metrics *metrics.Registry
-	// LegacyPool selects the pre-work-stealing channel fan-out pool. It is
-	// retained solely so benchmarks (make bench-cpu) can compare the old
-	// executor against the stealing engine on the same build; it keeps the
-	// old pool's unbounded-goroutine overflow behavior and should not be
-	// used outside benchmarks.
-	LegacyPool bool
-}
-
-// executor is what a Backend pool must provide beyond core.LevelExecutor.
-type executor interface {
-	core.LevelExecutor
-	close()
 }
 
 // Backend is a real-goroutine hybrid platform.
 type Backend struct {
 	cfg     Config
-	cpu     executor
-	gpu     executor
+	cpu     *engine
+	gpu     *engine
 	start   time.Time
 	pending sync.WaitGroup
 	closed  atomic.Bool
@@ -128,15 +116,9 @@ func New(cfg Config) (*Backend, error) {
 	}
 	b.segs.SetMetrics("native", cfg.Metrics)
 	go b.transferWorker()
-	mk := func(workers int, prefix string) executor {
-		if cfg.LegacyPool {
-			return newPool(workers, &b.pending, cfg.Metrics, prefix)
-		}
-		return newEngine(workers, &b.pending, cfg.Metrics, prefix)
-	}
-	b.cpu = mk(cfg.CPUWorkers, PoolCPU)
+	b.cpu = newEngine(cfg.CPUWorkers, &b.pending, cfg.Metrics, PoolCPU)
 	if cfg.DeviceLanes > 0 {
-		b.gpu = mk(cfg.DeviceLanes, PoolGPU)
+		b.gpu = newEngine(cfg.DeviceLanes, &b.pending, cfg.Metrics, PoolGPU)
 	}
 	return b, nil
 }
@@ -196,7 +178,8 @@ func (b *Backend) Autonomous() bool { return true }
 // CPU implements core.Backend.
 func (b *Backend) CPU() core.LevelExecutor { return b.cpu }
 
-// GPU implements core.Backend.
+// GPU implements core.Backend. A CPU-only backend must return an untyped
+// nil, not an interface holding a nil *engine.
 func (b *Backend) GPU() core.LevelExecutor {
 	if b.gpu == nil {
 		return nil

@@ -12,6 +12,9 @@
 // between host and device pay the platform's λ + δ·w link cost. Work-group
 // barriers are not modeled: the framework's kernels (like the paper's) are
 // barrier-free, with one independent task per work-item.
+//
+// Kept by the ROADMAP 3(e) audit: it reproduces the paper's §3.1
+// programming model, and examples/opencl-sum is written against it.
 package opencl
 
 import (

@@ -9,6 +9,10 @@
 // that comparison concrete. It is deliberately transfer-naive — exactly the
 // cost the advanced division is designed to avoid — while still overlapping
 // CPU and GPU work within each level.
+//
+// Kept by the ROADMAP 3(e) audit: internal/exp's ablation driver and the
+// root benchmarks run it, and EXPERIMENTS.md cites its result (the "Dynamic
+// per-level scheduler" row beside "Strategy ablation", 0.60x at n=2^20).
 package sched
 
 import (

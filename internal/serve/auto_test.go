@@ -3,6 +3,8 @@ package serve_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/hpu"
+	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -33,6 +36,11 @@ var autoPropertySizes = []int{1 << 8, 1 << 12, 1 << 16}
 // Each seed submits two rounds per (algorithm, size): the first lands on
 // the cold-start analytic model, the second on fitted rates — so both the
 // fallback and the calibrated path are exercised. Run under -race in CI.
+//
+// The floor row is the payoff gate, in the simulator's virtual seconds: a
+// server warmed by fixed-strategy traffic must sort every size of
+// autoFloorSizes under Auto within 1.10x of the best fixed strategy on a
+// fresh simulator, and at one size or more 1.5x faster than the worst.
 func TestAutoStrategyProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
@@ -48,7 +56,7 @@ func TestAutoStrategyProperty(t *testing.T) {
 			for round := 0; round < 2; round++ {
 				for _, n := range autoPropertySizes {
 					data := workload.Uniform(n, rng.Int63())
-					checkAutoMergesort(ctx, t, srv, data)
+					checkMergesort(ctx, t, srv, data, serve.Job{Strategy: serve.Auto})
 					checkAutoScan(ctx, t, srv, data)
 					checkAutoSum(ctx, t, srv, data)
 				}
@@ -56,11 +64,104 @@ func TestAutoStrategyProperty(t *testing.T) {
 			checkDecisionInvariant(t, srv)
 		})
 	}
+
+	t.Run("floor", func(t *testing.T) {
+		t.Parallel()
+		ctx := context.Background()
+		// virtual runs one verified mergesort on an idle server and returns
+		// how far it advanced the simulator's clock.
+		virtual := func(srv *serve.Server, sim *hpu.Sim, data []int32, job serve.Job) float64 {
+			before := sim.Now()
+			checkMergesort(ctx, t, srv, data, job)
+			return sim.Now() - before
+		}
+		autoSim := hpu.MustSim(hpu.HPU1())
+		autoSrv, err := serve.New(autoSim, serve.WithAutoTuner(autotune.NewTuner()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer autoSrv.Close()
+
+		// Train on every fixed strategy at every size: fitted rates are
+		// EWMAs over the phase shapes that actually ran, and the calibrator
+		// learns from any metered job, whatever its strategy.
+		fixed := map[int][]serve.Job{}
+		for _, n := range autoFloorSizes {
+			fixed[n] = fixedSortJobs(t, n)
+			for round := 0; round < 3; round++ {
+				data := workload.Uniform(n, int64(1000*n+round))
+				for _, job := range fixed[n] {
+					virtual(autoSrv, autoSim, data, job)
+				}
+			}
+		}
+
+		beatsWorst := false
+		for _, n := range autoFloorSizes {
+			data := workload.Uniform(n, int64(7000+n))
+			auto := virtual(autoSrv, autoSim, data, serve.Job{Strategy: serve.Auto})
+			best, worst := math.Inf(1), 0.0
+			for _, job := range fixed[n] {
+				sim := hpu.MustSim(hpu.HPU1())
+				srv, err := serve.New(sim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				secs := virtual(srv, sim, data, job)
+				srv.Close()
+				best, worst = min(best, secs), max(worst, secs)
+			}
+			if auto > 1.10*best {
+				t.Errorf("n=%d: auto %gs is %.2fx the best fixed strategy's %gs virtual, over the 1.10x floor",
+					n, auto, auto/best, best)
+			}
+			beatsWorst = beatsWorst || worst >= 1.5*auto
+		}
+		if !beatsWorst {
+			t.Errorf("auto beats the worst fixed strategy by 1.5x at no size of %v", autoFloorSizes)
+		}
+	})
 }
 
-func submitAuto(ctx context.Context, t *testing.T, srv *serve.Server, alg core.Alg) core.Report {
+// autoFloorSizes spans the crossover on HPU1 for mergesort: at 2^12 the
+// device path drowns in launch and transfer overhead and bf-cpu is best, at
+// 2^16 a hybrid division is. Larger sizes only repeat the 2^16 verdict at
+// many times the simulation cost.
+var autoFloorSizes = []int{1 << 12, 1 << 14, 1 << 16}
+
+// fixedSortJobs returns the four fixed-strategy jobs for a mergesort of n
+// elements on HPU1, the hybrids with the paper's offline parameters: the
+// crossover minimizing the analytic basic-hybrid time, and the analytic
+// model's best (α, y).
+func fixedSortJobs(t *testing.T, n int) []serve.Job {
 	t.Helper()
-	h, err := srv.Submit(ctx, serve.Job{Alg: alg, Strategy: serve.Auto})
+	levels := bits.Len(uint(n)) - 1
+	pl := hpu.HPU1()
+	num, err := model.NewNumeric(2, 2, levels, func(s float64) float64 { return 2 * s }, 0,
+		model.Machine{P: pl.CPU.Cores, G: pl.GPU.SatThreads, Gamma: pl.GPU.Gamma})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, best := 0, math.Inf(1)
+	for l := 0; l <= levels; l++ {
+		if secs, err := num.PredictBasic(l); err == nil && secs < best {
+			x, best = l, secs
+		}
+	}
+	alpha, y, _ := num.BestAdvanced(20)
+	return []serve.Job{
+		{Strategy: serve.BreadthFirstCPU},
+		{Strategy: serve.GPUOnly},
+		{Strategy: serve.BasicHybrid, Crossover: x},
+		{Strategy: serve.AdvancedHybrid, Alpha: alpha, Y: y},
+	}
+}
+
+// submit runs job to completion on srv; an Auto job must report the strategy
+// it was given.
+func submit(ctx context.Context, t *testing.T, srv *serve.Server, job serve.Job) core.Report {
+	t.Helper()
+	h, err := srv.Submit(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +169,15 @@ func submitAuto(ctx context.Context, t *testing.T, srv *serve.Server, alg core.A
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AutoStrategy == "" {
+	if job.Strategy == serve.Auto && rep.AutoStrategy == "" {
 		t.Fatalf("auto job settled without a chosen strategy (report %+v)", rep)
 	}
 	return rep
 }
 
-func checkAutoMergesort(ctx context.Context, t *testing.T, srv *serve.Server, data []int32) {
+// checkMergesort sorts data on srv under job's strategy and parameters and
+// verifies the result against the plain-Go sort.
+func checkMergesort(ctx context.Context, t *testing.T, srv *serve.Server, data []int32, job serve.Job) {
 	t.Helper()
 	s, err := mergesort.New(data)
 	if err != nil {
@@ -82,7 +185,8 @@ func checkAutoMergesort(ctx context.Context, t *testing.T, srv *serve.Server, da
 	}
 	want := append([]int32(nil), data...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	submitAuto(ctx, t, srv, s)
+	job.Alg = s
+	submit(ctx, t, srv, job)
 	got := s.Result()
 	for i := range want {
 		if got[i] != want[i] {
@@ -98,7 +202,7 @@ func checkAutoScan(ctx context.Context, t *testing.T, srv *serve.Server, data []
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAuto(ctx, t, srv, s)
+	submit(ctx, t, srv, serve.Job{Alg: s, Strategy: serve.Auto})
 	got := s.Result()
 	run := int64(0)
 	for i, v := range data {
@@ -116,7 +220,7 @@ func checkAutoSum(ctx context.Context, t *testing.T, srv *serve.Server, data []i
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAuto(ctx, t, srv, s)
+	submit(ctx, t, srv, serve.Job{Alg: s, Strategy: serve.Auto})
 	want := int64(0)
 	for _, v := range data {
 		want += int64(v)

@@ -33,8 +33,15 @@ type fusedJob struct {
 func randomFusedJob(t *testing.T, rng *rand.Rand) fusedJob {
 	t.Helper()
 	n := 1 << (3 + rng.Intn(8)) // 8 … 1024
-	data := workload.Uniform(n, rng.Int63())
-	switch rng.Intn(3) {
+	return newFusedJob(t, rng.Intn(3), workload.Uniform(n, rng.Int63()))
+}
+
+// newFusedJob builds the job of the given kind (0 scan, 1 dcsum, else
+// mergesort) over data.
+func newFusedJob(t *testing.T, kind int, data []int32) fusedJob {
+	t.Helper()
+	n := len(data)
+	switch kind {
 	case 0:
 		want := scan.Prefix(data)
 		sc, err := scan.New(data)
@@ -97,46 +104,61 @@ func blockServer(t *testing.T, srv *serve.Server) (release func()) {
 // sizes) are queued behind a blocker so the dispatcher fuses same-kind
 // groups, and every per-job result must be bit-identical to a pure-Go
 // reference. Aggregate accounting must see every job exactly once.
+//
+// The scan rows are the fusion throughput floor: 64 same-size prefix sums
+// must finish at least 1.5x sooner, in the simulator's virtual seconds, on a
+// fusing server than on a plain one.
 func TestFusionBitIdenticalProperty(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			srv, err := serve.New(hpu.MustSim(hpu.HPU1()),
-				serve.WithQueueDepth(64), serve.WithMaxFusedJobs(64))
+	// run queues jobs behind a blocker on a fresh HPU1 simulator, releases
+	// them, checks every result, and returns the virtual seconds the
+	// simulator spent, how many reports came back fused, and the stats.
+	run := func(t *testing.T, jobs []fusedJob, opts ...serve.Option) (virtual float64, fusedReports int, st serve.Stats) {
+		t.Helper()
+		be := hpu.MustSim(hpu.HPU1())
+		srv, err := serve.New(be, append([]serve.Option{serve.WithQueueDepth(64)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := blockServer(t, srv)
+		handles := make([]*serve.Handle, len(jobs))
+		for i := range jobs {
+			handles[i], err = srv.Submit(context.Background(),
+				serve.Job{Alg: jobs[i].alg, Strategy: serve.GPUOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
-			release := blockServer(t, srv)
+		}
+		release()
+		for i, h := range handles {
+			rep, err := h.Report()
+			if err != nil {
+				t.Fatalf("job %d: %v", i, err)
+			}
+			jobs[i].check(t, i)
+			if rep.Strategy == core.FusedStrategy {
+				fusedReports++
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st = srv.Stats()
+		if st.Completed != uint64(len(jobs)+1) {
+			t.Errorf("completed = %d, want %d", st.Completed, len(jobs)+1)
+		}
+		return be.Now(), fusedReports, st
+	}
 
-			k := 4 + rng.Intn(13)
-			jobs := make([]fusedJob, k)
-			handles := make([]*serve.Handle, k)
+	for seed := int64(0); seed < 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			jobs := make([]fusedJob, 4+rng.Intn(13))
 			kinds := map[string]int{}
 			for i := range jobs {
 				jobs[i] = randomFusedJob(t, rng)
 				kinds[jobs[i].kind]++
-				handles[i], err = srv.Submit(context.Background(),
-					serve.Job{Alg: jobs[i].alg, Strategy: serve.GPUOnly})
-				if err != nil {
-					t.Fatal(err)
-				}
 			}
-			release()
-
-			fusedReports := 0
-			for i, h := range handles {
-				rep, err := h.Report()
-				if err != nil {
-					t.Fatalf("job %d: %v", i, err)
-				}
-				jobs[i].check(t, i)
-				if rep.Strategy == core.FusedStrategy {
-					fusedReports++
-				}
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
+			_, fusedReports, st := run(t, jobs, serve.WithMaxFusedJobs(64))
 
 			// Every kind with ≥ 2 members must have fused at least once:
 			// the first same-kind head absorbs all queued companions.
@@ -146,13 +168,31 @@ func TestFusionBitIdenticalProperty(t *testing.T) {
 					wantFused += c
 				}
 			}
-			st := srv.Stats()
-			if st.Completed != uint64(k+1) {
-				t.Errorf("completed = %d, want %d", st.Completed, k+1)
-			}
 			if st.FusedJobs != uint64(wantFused) || fusedReports != wantFused {
 				t.Errorf("fused jobs = %d (reports %d), want %d (kinds %v)",
 					st.FusedJobs, fusedReports, wantFused, kinds)
+			}
+		})
+	}
+
+	for _, n := range []int{1024, 4096} {
+		t.Run(fmt.Sprintf("scan-floor/n=%d", n), func(t *testing.T) {
+			const k = 64
+			scans := func() []fusedJob {
+				jobs := make([]fusedJob, k)
+				for i := range jobs {
+					jobs[i] = newFusedJob(t, 0, workload.Uniform(n, int64(1000*n+i)))
+				}
+				return jobs
+			}
+			unfused, _, _ := run(t, scans())
+			fused, fusedReports, _ := run(t, scans(), serve.WithMaxFusedJobs(k))
+			if fusedReports != k {
+				t.Errorf("fused reports = %d, want %d", fusedReports, k)
+			}
+			if unfused < 1.5*fused {
+				t.Errorf("fused %gs vs unfused %gs virtual: %.2fx, below the 1.5x floor",
+					fused, unfused, unfused/fused)
 			}
 		})
 	}

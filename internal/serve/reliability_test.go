@@ -345,7 +345,9 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 
 func TestReliabilityNoGoroutineLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
-	func() {
+	// A subtest, so newFaultyServer's cleanup closes the server and its
+	// backend before the count below, not after this test returns.
+	t.Run("load", func(t *testing.T) {
 		srv, _ := newFaultyServer(t,
 			faults.Config{KernelErrorRate: 0.3, StuckRate: 0.2, Stall: time.Millisecond},
 			serve.WithBreaker(3, 10*time.Millisecond))
@@ -365,6 +367,6 @@ func TestReliabilityNoGoroutineLeaks(t *testing.T) {
 				t.Fatalf("job %d: %v", i, err)
 			}
 		}
-	}()
+	})
 	waitGoroutines(t, base)
 }

@@ -116,11 +116,8 @@ type Job struct {
 	Fresh func() (core.Alg, error)
 }
 
-// Config describes a Server.
-//
-// Deprecated: construct servers with New(backend, options...) or
-// NewPool(backends, options...); Config remains only as the resolved form
-// of the options and for NewFromConfig-based callers.
+// Config is the resolved form of the Options passed to New or NewPool:
+// each Option sets one of its fields.
 type Config struct {
 	// Backend is the shared execution platform — device 0 of the pool.
 	// Required unless Pool is set.
@@ -479,13 +476,7 @@ type Server struct {
 // WithMetrics, WithRecorder). Call Close to stop it; Close drains
 // already-accepted jobs.
 func New(be core.Backend, opts ...Option) (*Server, error) {
-	cfg := Config{Backend: be}
-	for _, o := range opts {
-		if o != nil {
-			o(&cfg)
-		}
-	}
-	return NewFromConfig(cfg)
+	return newServer(Config{Backend: be}, opts)
 }
 
 // NewPool starts a server sharding jobs across a pool of backends — one
@@ -496,19 +487,17 @@ func NewPool(pool []core.Backend, opts ...Option) (*Server, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("serve: empty backend pool: %w", dcerr.ErrBadParam)
 	}
-	cfg := Config{Pool: pool}
+	return newServer(Config{Pool: pool}, opts)
+}
+
+// newServer resolves opts onto cfg, validates and defaults the result, and
+// starts the server's goroutines.
+func newServer(cfg Config, opts []Option) (*Server, error) {
 	for _, o := range opts {
 		if o != nil {
 			o(&cfg)
 		}
 	}
-	return NewFromConfig(cfg)
-}
-
-// NewFromConfig starts a server from a resolved Config.
-//
-// Deprecated: use New or NewPool with functional options.
-func NewFromConfig(cfg Config) (*Server, error) {
 	if len(cfg.Pool) == 0 {
 		cfg.Pool = []core.Backend{cfg.Backend}
 	}

@@ -96,14 +96,6 @@ type (
 	// WithMaxInFlight, WithServerMetrics, WithServerRecorder,
 	// WithMaxFusedJobs, WithBatchWindow, WithFusedBytesCap).
 	ServerOption = serve.Option
-	// ServerConfig is the resolved form of the ServerOptions.
-	//
-	// Deprecated: functional options are the only documented construction
-	// path — pass ServerOptions to NewServer. ServerConfig remains solely
-	// so existing NewServerFromConfig callers keep compiling; it gains no
-	// new fields' documentation and may be unexported in a future major
-	// version. See the README's "Migrating to functional options" note.
-	ServerConfig = serve.Config
 	// JobSpec describes one job for Server.Submit. Jobs carrying a
 	// re-executing reliability policy (WithRetry, WithHedge, WithFallback)
 	// must also set Fresh, the factory re-execution starts from.
@@ -185,21 +177,6 @@ func NewServer(be Backend, opts ...ServerOption) (*Server, error) {
 func NewServerPool(pool []Backend, opts ...ServerOption) (*Server, error) {
 	return serve.NewPool(pool, opts...)
 }
-
-// NewServerFromConfig starts a job server from a resolved ServerConfig.
-//
-// Deprecated: use NewServer with ServerOptions — the only documented
-// construction path. This wrapper remains for source compatibility only:
-//
-//	// before
-//	srv, err := hybriddc.NewServerFromConfig(hybriddc.ServerConfig{
-//	    Backend: be, QueueDepth: 256, Metrics: reg,
-//	})
-//	// after
-//	srv, err := hybriddc.NewServer(be,
-//	    hybriddc.WithQueueDepth(256),
-//	    hybriddc.WithServerMetrics(reg))
-func NewServerFromConfig(cfg ServerConfig) (*Server, error) { return serve.NewFromConfig(cfg) }
 
 // WithQueueDepth bounds the server's admission queue: Submit rejects with
 // ErrQueueFull once n jobs are waiting.
@@ -346,7 +323,7 @@ type (
 // injector for chaos testing.
 func NewFaultInjector(cfg FaultsConfig) (*FaultInjector, error) { return faults.New(cfg) }
 
-// TraceRecorder collects execution spans (see ServerConfig.Trace and the
+// TraceRecorder collects execution spans (see WithServerRecorder and the
 // internal/trace package).
 type TraceRecorder = trace.Recorder
 
