@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check bench benchmark
+.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check bench benchmark bench-ab
 
 all: check
 
@@ -24,13 +24,15 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# Seed-corpus replay of the wire-format fuzzers (no fuzzing engine, just the
-# checked-in testdata/fuzz crashers and edge cases as ordinary table rows).
-# Continuous fuzzing is `go test -fuzz=FuzzReadInt32Frame ./internal/api/`
-# and friends; this target is the cheap regression gate CI runs on every
-# check.
+# Seed-corpus replay of the fuzzers for input that arrives from outside the
+# process — the wire formats (internal/api) and the persisted calibration
+# (internal/autotune): no fuzzing engine, just the f.Add seeds and the
+# checked-in testdata/fuzz crashers as ordinary table rows. Continuous
+# fuzzing is `go test -fuzz=FuzzReadInt32Frame ./internal/api/`,
+# `go test -fuzz=FuzzLoad$$ ./internal/autotune/` and friends; this target is
+# the cheap regression gate CI runs on every check.
 fuzz-smoke:
-	$(GO) test -run '^Fuzz' ./internal/api/
+	$(GO) test -run '^Fuzz' ./internal/api/ ./internal/autotune/
 
 # Coverage gate. COVER_BASELINE is the recorded floor for the -short suite's
 # total statement coverage; lower it only with a PR that explains why.
@@ -90,3 +92,15 @@ bench:
 # --trace 0|1` runs one workload.
 benchmark:
 	bash bench/run.sh --runs 1
+
+# A performance claim, measured the way it has to be reported: BASE is checked
+# out into a git worktree under .bench_build/ab/, both sides are built by
+# their own bench/run.sh, WORKLOAD runs as PAIRS alternating pairs (odd pairs
+# BASE first, even pairs the working tree first, seed+i on both sides), each
+# side's runs are merged into one result file, and `bench/run.sh --compare`
+# gives the verdict after a pairs-won / medians / IQR table. Optional:
+# SECONDS, SEED, TRACE=1 (traced runs, not compared).
+PAIRS ?= 10
+bench-ab:
+	$(GO) run scripts/benchab.go -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS) \
+		$(if $(SECONDS),-seconds $(SECONDS)) $(if $(SEED),-seed $(SEED)) $(if $(TRACE),-trace $(TRACE))

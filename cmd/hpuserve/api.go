@@ -456,17 +456,39 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 		j smokeJob
 		h *hybriddc.RemoteHandle
 	}
+	// Deliberately slow, deterministic drain jobs: large single-CPU
+	// sequential sorts keep the drain window open long enough to observe
+	// admission refusal. Everything that is not the submission itself is
+	// kept off the path between the first submission and the signal, because
+	// on two cores the server sorts a job about as fast as a client can
+	// deliver the next one: the jobs (inputs and references) are built
+	// first, travel as binary frames (encoding one as JSON takes longer than
+	// sorting it), and each job's result wait starts as soon as the job is
+	// accepted, so by the last submission only the last wait is still on
+	// its way and the window is at least that job's run time.
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	var inFlight []pending
-	for len(inFlight) < cfg.InFlight+cfg.QDepth {
-		// Deliberately slow, deterministic drain jobs: large single-CPU
-		// sequential sorts keep the drain window open long enough to observe
-		// admission refusal. Fill the queue to capacity; overflow means the
-		// window is as wide as it gets.
-		j := smokeJob{kind: "mergesort", data: workload.Uniform(1<<18, rng.Int63())}
+	drainJobs := make([]smokeJob, cfg.InFlight+cfg.QDepth)
+	for i := range drainJobs {
+		j := smokeJob{kind: "mergesort", data: workload.Uniform(1<<19, rng.Int63())}
 		j.sorted = append([]int32(nil), j.data...)
 		sort.Slice(j.sorted, func(a, b int) bool { return j.sorted[a] < j.sorted[b] })
-		h, err := cli.Submit(context.Background(),
+		drainJobs[i] = j
+	}
+	drainCli := hybriddc.NewAPIClient(base, hybriddc.WithAPIBinary())
+	// The result waits ride out the drain on connections that stay served
+	// until the jobs settle. The route counter tells us when every wait is
+	// parked server-side, so the SIGTERM below cannot race them against the
+	// listener close.
+	waitBase, err := resultRequests(cli)
+	if err != nil {
+		return err
+	}
+	results := make(chan error, len(drainJobs))
+	var inFlight []pending
+	for _, j := range drainJobs {
+		// Fill the queue to capacity; overflow means the window is as wide
+		// as it gets.
+		h, err := drainCli.Submit(context.Background(),
 			hybriddc.APIJobRequest{Algorithm: j.kind, Data: j.data, Strategy: "seq-1cpu"})
 		if err != nil {
 			var apiErr *hybriddc.APIClientError
@@ -475,22 +497,9 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 			}
 			return fmt.Errorf("api-smoke drain setup: %w", err)
 		}
-		inFlight = append(inFlight, pending{j, h})
-	}
-	if len(inFlight) == 0 {
-		return fmt.Errorf("api-smoke drain setup: no jobs accepted")
-	}
-	// Start the result waits before signaling: these requests ride out the
-	// drain on connections that stay served until the jobs settle. The
-	// route counter tells us when every wait is parked server-side, so the
-	// SIGTERM below cannot race them against the listener close.
-	waitBase, err := resultRequests(cli)
-	if err != nil {
-		return err
-	}
-	results := make(chan error, len(inFlight))
-	for _, p := range inFlight {
-		go func(p pending) {
+		p := pending{j, h}
+		inFlight = append(inFlight, p)
+		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			res, err := p.h.Wait(ctx)
@@ -499,7 +508,10 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 				return
 			}
 			results <- checkSmokeResult(p.j, res)
-		}(p)
+		}()
+	}
+	if len(inFlight) == 0 {
+		return fmt.Errorf("api-smoke drain setup: no jobs accepted")
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		n, err := resultRequests(cli)

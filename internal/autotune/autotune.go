@@ -22,6 +22,10 @@
 // back to the uncalibrated analytic model (tcpu = tgpu = 1, no link cost),
 // which reduces the decision to the static §5 heuristic.
 //
+// The §5 model is evaluated once per job shape into a price table of model
+// units; a decision only re-rates that table with the current fit, because a
+// refit precedes nearly every placement and the units never change.
+//
 // Calibration state serializes with MarshalJSON and restores with Load, so
 // a warm restart skips the cold start. DESIGN.md §16.
 package autotune
@@ -170,14 +174,151 @@ type Spec struct {
 	HasGPU bool
 }
 
-// numeric builds the spec's model under its machine triple.
-func (sp Spec) numeric() (model.Numeric, error) {
-	g, gamma := sp.G, sp.Gamma
+// shape is everything a price table is a function of: the recurrence, the
+// cost hooks and the machine triple. Alg stands in for F (an algorithm exports
+// one cost function). N and Bytes are absent on purpose: the table holds
+// model units, N only selects the rate bucket, and the link term is applied
+// to Bytes when the table is re-rated.
+type shape struct {
+	alg          string
+	a, b, levels int
+	leaf         float64
+	p, g         int
+	gamma        float64
+	hasGPU       bool
+}
+
+func (sp Spec) shape() shape {
+	sh := shape{alg: sp.Alg, a: sp.A, b: sp.B, levels: sp.Levels, leaf: sp.Leaf,
+		p: sp.P, g: sp.G, gamma: sp.Gamma, hasGPU: sp.HasGPU}
 	if !sp.HasGPU {
-		g, gamma = 1, 0.5 // unused: CPU-only pricing never calls gpuLevel
+		sh.g, sh.gamma = 1, 0.5 // unused: CPU-only pricing never calls gpuLevel
 	}
-	return model.NewNumeric(sp.A, sp.B, sp.Levels, sp.F, sp.Leaf,
-		model.Machine{P: sp.P, G: g, Gamma: gamma})
+	return sh
+}
+
+// priceTable is one shape's candidates priced in model units, in the order
+// Decide considers them: bf-cpu, gpu-only, every basic crossover, the (α, y)
+// grid. It is immutable once built, so a re-rate reads it without the lock.
+type priceTable struct {
+	// num is the shape's model, kept for UnitsFor (a fixed-strategy run's α
+	// need not lie on the grid).
+	num          model.Numeric
+	hasGPU       bool
+	cpu, gpuOnly float64
+	basic        []basicPrice
+	advanced     []advancedPrice
+}
+
+type basicPrice struct {
+	crossover int
+	cpu, gpu  float64
+}
+
+type advancedPrice struct {
+	alpha          float64
+	y              int
+	cpu, gpu, tail float64
+}
+
+// alphaSteps is the advanced-hybrid grid resolution: α ∈ {1/20, …, 19/20}.
+const alphaSteps = 20
+
+// newPriceTable evaluates the §5 model once for every candidate.
+func newPriceTable(sp Spec) (*priceTable, error) {
+	sh := sp.shape()
+	num, err := model.NewNumeric(sp.A, sp.B, sp.Levels, sp.F, sp.Leaf,
+		model.Machine{P: sh.p, G: sh.g, Gamma: sh.gamma})
+	if err != nil {
+		return nil, err
+	}
+	t := &priceTable{num: num, hasGPU: sp.HasGPU, cpu: num.PredictBreadthFirstCPU()}
+	if !sp.HasGPU {
+		return t, nil
+	}
+	t.gpuOnly = num.PredictGPUOnly()
+	// Basic: every crossover x — the headline the paper computes once,
+	// offline, from the static machine triple.
+	t.basic = make([]basicPrice, 0, sp.Levels+1)
+	for x := 0; x <= sp.Levels; x++ {
+		cpu, gpu, perr := num.PredictBasicParts(x)
+		if perr != nil {
+			continue
+		}
+		t.basic = append(t.basic, basicPrice{crossover: x, cpu: cpu, gpu: gpu})
+	}
+	// Advanced: an (α, y) grid with the split at its default, kept per phase
+	// so the max() overlap uses the fitted rates.
+	t.advanced = make([]advancedPrice, 0, (sp.Levels+1)*(alphaSteps-1))
+	for y := 0; y <= sp.Levels; y++ {
+		for i := 1; i < alphaSteps; i++ {
+			a := float64(i) / float64(alphaSteps)
+			pr, perr := num.PredictAdvanced(a, y, num.DefaultSplit(a, y))
+			if perr != nil {
+				continue
+			}
+			t.advanced = append(t.advanced, advancedPrice{alpha: a, y: y,
+				cpu: pr.CPUPhase, gpu: pr.GPUPhase, tail: pr.Tail})
+		}
+	}
+	return t, nil
+}
+
+// The strategies in pricing order, and their names by that index.
+const (
+	cpuChoice = iota
+	gpuOnlyChoice
+	basicChoice
+	advancedChoice
+)
+
+var choices = [...]string{ChoiceCPU, ChoiceGPUOnly, ChoiceBasic, ChoiceAdvanced}
+
+// rate applies fitted rates and the link fit to the table and returns the
+// argmin: the first candidate, in table order, with the strictly lowest cost.
+func (t *priceTable) rate(bytes int64, tcpu, tgpu, lambda, delta float64, calibrated bool) Decision {
+	dec := Decision{Calibrated: calibrated}
+	best := math.Inf(1)
+	var low [len(choices)]float64
+	var priced [len(choices)]bool
+	consider := func(choice int, cost float64, crossover int, alpha float64, y int) {
+		if !priced[choice] || cost < low[choice] {
+			low[choice], priced[choice] = cost, true
+		}
+		if cost < best {
+			best = cost
+			dec.Strategy, dec.Predicted = choices[choice], cost
+			dec.Crossover, dec.Alpha, dec.Y = crossover, alpha, y
+		}
+	}
+
+	consider(cpuChoice, tcpu*t.cpu, 0, 0, 0)
+	if t.hasGPU {
+		link := func(b float64) float64 {
+			if b <= 0 {
+				return 0
+			}
+			return 2 * (lambda + delta*b)
+		}
+		whole := link(float64(bytes))
+		consider(gpuOnlyChoice, tgpu*t.gpuOnly+whole, 0, 0, 0)
+		for _, b := range t.basic {
+			consider(basicChoice, tcpu*b.cpu+tgpu*b.gpu+whole, b.crossover, 0, 0)
+		}
+		for _, a := range t.advanced {
+			gb := (1 - a.alpha) * float64(bytes)
+			cost := math.Max(tcpu*a.cpu, tgpu*a.gpu+link(gb)) + tcpu*a.tail
+			consider(advancedChoice, cost, 0, a.alpha, a.y)
+		}
+	}
+
+	dec.Costs = make(map[string]float64, len(choices))
+	for i, ok := range priced {
+		if ok {
+			dec.Costs[choices[i]] = low[i]
+		}
+	}
+	return dec
 }
 
 // Calibration is one device's fitted state: per-(algorithm, size-class)
@@ -191,23 +332,14 @@ type Calibration struct {
 	// errSq is the decayed mean squared relative prediction error; errW its
 	// decayed weight. RMSE = sqrt(errSq/errW).
 	errSq, errW float64
-	// gen increments on every refit, invalidating cached decisions.
-	gen   uint64
-	cache map[cacheKey]cachedDecision
+	// tables holds one price table per job shape seen on this device.
+	tables map[shape]*priceTable
 }
 
-// cacheKey includes HasGPU: the serving layer prices CPU-restricted
-// decisions while a device's breaker is open, and those must not shadow
-// (or be shadowed by) full-device pricing for the same bucket.
-type cacheKey struct {
-	Key
-	hasGPU bool
-}
-
-type cachedDecision struct {
-	gen uint64
-	dec Decision
-}
+// maxTables bounds the retained price tables; past it the set is dropped and
+// rebuilt on demand (a server sees a handful of shapes per device, but an
+// any-size algorithm under hostile leaf costs could mint them without end).
+const maxTables = 128
 
 // Defaults for NewCalibration.
 const (
@@ -230,7 +362,7 @@ func NewCalibration(minObs int, decay float64) *Calibration {
 		decay = DefaultDecay
 	}
 	return &Calibration{minObs: minObs, decay: decay,
-		entries: map[Key]*entry{}, cache: map[cacheKey]cachedDecision{}}
+		entries: map[Key]*entry{}, tables: map[shape]*priceTable{}}
 }
 
 // Observe folds one finished run into the fitted state and reports whether
@@ -267,9 +399,6 @@ func (c *Calibration) Observe(obs Observation) bool {
 		rel := (obs.PredictedSeconds - obs.Seconds) / obs.Seconds
 		c.errSq = c.decay*c.errSq + rel*rel
 		c.errW = c.decay*c.errW + 1
-	}
-	if refit {
-		c.gen++
 	}
 	return refit
 }
@@ -318,99 +447,63 @@ func (c *Calibration) rates(k Key, needGPU bool) (tcpu, tgpu float64, calibrated
 	return tcpu, tgpu, calibrated
 }
 
+// table returns (building on first use) the price table for the spec's shape.
+func (c *Calibration) table(sp Spec) (*priceTable, error) {
+	sh := sp.shape()
+	c.mu.Lock()
+	t := c.tables[sh]
+	c.mu.Unlock()
+	if t != nil {
+		return t, nil
+	}
+	// Built outside the lock: sp.F is caller code. Two racing builders
+	// produce equal tables and the second store wins.
+	t, err := newPriceTable(sp)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if len(c.tables) >= maxTables {
+		clear(c.tables)
+	}
+	c.tables[sh] = t
+	c.mu.Unlock()
+	return t, nil
+}
+
 // Decide prices every executable strategy for the job and returns the
-// argmin. Decisions are cached per (algorithm, size-class) and invalidated
-// by refits, so a steady stream of same-shape jobs decides in O(1).
+// argmin. The §5 model is evaluated once per shape (the price table); each
+// call only re-rates that table with the bucket's current tcpu, tgpu, λ, δ,
+// so a decision after a refit costs a few hundred multiply-adds.
 func (c *Calibration) Decide(sp Spec) (Decision, error) {
 	if sp.F == nil {
 		return Decision{}, fmt.Errorf("autotune: nil cost function for %s: %w", sp.Alg, dcerr.ErrBadParam)
 	}
-	k := Key{Alg: sp.Alg, SizeClass: SizeClass(sp.N)}
-	ck := cacheKey{Key: k, hasGPU: sp.HasGPU}
-	c.mu.Lock()
-	if cd, ok := c.cache[ck]; ok && cd.gen == c.gen {
-		c.mu.Unlock()
-		return cd.dec, nil
+	t, err := c.table(sp)
+	if err != nil {
+		return Decision{}, err
 	}
-	tcpu, tgpu, calibrated := c.rates(k, sp.HasGPU)
+	c.mu.Lock()
+	tcpu, tgpu, calibrated := c.rates(Key{Alg: sp.Alg, SizeClass: SizeClass(sp.N)}, sp.HasGPU)
 	lambda, delta := c.link.Lambda, c.link.Delta
-	gen := c.gen
 	c.mu.Unlock()
 	if !calibrated {
 		// Cold start: the pure analytic model (§5), which ignores the link.
 		tcpu, tgpu, lambda, delta = 1, 1, 0, 0
 	}
-
-	num, err := sp.numeric()
-	if err != nil {
-		return Decision{}, err
-	}
-	dec := Decision{Costs: map[string]float64{}, Calibrated: calibrated}
-	best := math.Inf(1)
-	consider := func(name string, cost float64, crossover int, alpha float64, y int) {
-		if prev, ok := dec.Costs[name]; !ok || cost < prev {
-			dec.Costs[name] = cost
-		}
-		if cost < best {
-			best = cost
-			dec.Strategy, dec.Predicted = name, cost
-			dec.Crossover, dec.Alpha, dec.Y = crossover, alpha, y
-		}
-	}
-
-	consider(ChoiceCPU, tcpu*num.PredictBreadthFirstCPU(), 0, 0, 0)
-	if sp.HasGPU {
-		link := func(bytes float64) float64 {
-			if bytes <= 0 {
-				return 0
-			}
-			return 2 * (lambda + delta*bytes)
-		}
-		consider(ChoiceGPUOnly, tgpu*num.PredictGPUOnly()+link(float64(sp.Bytes)), 0, 0, 0)
-		// Basic: every crossover x — the headline the paper computes once,
-		// offline, from the static machine triple.
-		for x := 0; x <= sp.Levels; x++ {
-			cpu, gpu, perr := num.PredictBasicParts(x)
-			if perr != nil {
-				continue
-			}
-			consider(ChoiceBasic, tcpu*cpu+tgpu*gpu+link(float64(sp.Bytes)), x, 0, 0)
-		}
-		// Advanced: an (α, y) grid with the split at its default, calibrated
-		// per phase so the max() overlap uses the fitted rates.
-		const alphaSteps = 20
-		for y := 0; y <= sp.Levels; y++ {
-			for i := 1; i < alphaSteps; i++ {
-				a := float64(i) / float64(alphaSteps)
-				s := num.DefaultSplit(a, y)
-				pr, perr := num.PredictAdvanced(a, y, s)
-				if perr != nil {
-					continue
-				}
-				gb := (1 - a) * float64(sp.Bytes)
-				cost := math.Max(tcpu*pr.CPUPhase, tgpu*pr.GPUPhase+link(gb)) + tcpu*pr.Tail
-				consider(ChoiceAdvanced, cost, 0, a, y)
-			}
-		}
-	}
-
-	c.mu.Lock()
-	if c.gen == gen {
-		c.cache[ck] = cachedDecision{gen: gen, dec: dec}
-	}
-	c.mu.Unlock()
-	return dec, nil
+	return t.rate(sp.Bytes, tcpu, tgpu, lambda, delta, calibrated), nil
 }
 
 // UnitsFor computes the model unit times a run of the given strategy spends
-// on each side — the denominators for the observed-rate fit. The executed
-// strategy's parameters (crossover for basic, α and y for advanced) must be
-// the ones the run actually used.
-func UnitsFor(sp Spec, strategy string, crossover int, alpha float64, y int) (cpuUnits, gpuUnits float64, err error) {
-	num, err := sp.numeric()
+// on each side — the denominators for the observed-rate fit — from the
+// shape's retained model. The executed strategy's parameters (crossover for
+// basic, α and y for advanced) must be the ones the run actually used.
+func (c *Calibration) UnitsFor(sp Spec, strategy string, crossover int, alpha float64, y int) (cpuUnits, gpuUnits float64, err error) {
+	t, err := c.table(sp)
 	if err != nil {
 		return 0, 0, err
 	}
+	num := t.num
 	switch strategy {
 	case "seq-1cpu":
 		// submitSeq folds onto one core, so the unscaled sequential time is
@@ -486,15 +579,32 @@ func Load(data []byte) (*Calibration, error) {
 	if in.Version != 1 {
 		return nil, fmt.Errorf("autotune: calibration version %d: %w", in.Version, dcerr.ErrBadParam)
 	}
+	// Every persisted quantity is a count, a rate or a decayed sum of
+	// non-negative samples; anything else would bias every argmin.
+	sane := func(obs int, xs ...float64) bool {
+		for _, x := range xs {
+			if !(x >= 0) || math.IsInf(x, 0) {
+				return false
+			}
+		}
+		return obs >= 0
+	}
+	l := in.Link
+	if !sane(l.Obs, l.Sw, l.Sx, l.Sy, l.Sxx, l.Sxy, l.Lambda, l.Delta, in.ErrSq, in.ErrW) {
+		return nil, fmt.Errorf("autotune: calibration link fit or error sums negative or non-finite: %w", dcerr.ErrBadParam)
+	}
 	c := NewCalibration(in.MinObs, in.Decay)
 	for _, e := range in.Entries {
 		ent := e.entry
+		if !sane(ent.CPUObs, ent.TCPU) || !sane(ent.GPUObs, ent.TGPU) {
+			return nil, fmt.Errorf("autotune: calibration entry %s/%d negative or non-finite: %w",
+				e.Key.Alg, e.Key.SizeClass, dcerr.ErrBadParam)
+		}
 		c.entries[e.Key] = &ent
 	}
 	c.link = linkFit{Sw: in.Link.Sw, Sx: in.Link.Sx, Sy: in.Link.Sy,
 		Sxx: in.Link.Sxx, Sxy: in.Link.Sxy,
 		Lambda: in.Link.Lambda, Delta: in.Link.Delta, Obs: in.Link.Obs}
 	c.errSq, c.errW = in.ErrSq, in.ErrW
-	c.gen = 1 // restored state is warm: invalidate nothing, but be nonzero
 	return c, nil
 }

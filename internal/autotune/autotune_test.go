@@ -271,7 +271,7 @@ func TestTunerPerDeviceAndMetrics(t *testing.T) {
 
 // TestUnitsForRejectsUnknown pins the error taxonomy.
 func TestUnitsForRejectsUnknown(t *testing.T) {
-	if _, _, err := autotune.UnitsFor(testSpec(1<<10, true), "warp-drive", 0, 0, 0); !errors.Is(err, dcerr.ErrBadParam) {
+	if _, _, err := autotune.NewCalibration(0, 0).UnitsFor(testSpec(1<<10, true), "warp-drive", 0, 0, 0); !errors.Is(err, dcerr.ErrBadParam) {
 		t.Errorf("unknown strategy error %v, want ErrBadParam", err)
 	}
 }

@@ -25,38 +25,91 @@ type Numeric struct {
 	Leaf float64
 	// Mach is the HPU parameter triple.
 	Mach Machine
+
+	// Per-level terms memoised by NewNumeric, indexed by level: a search
+	// over (α, y) or crossovers evaluates thousands of predictions against
+	// the same L+1 levels, and math.Pow per term dominated all of them. A
+	// Numeric built as a literal has none and computes each term on demand.
+	pow  []float64 // a^level
+	sz   []float64 // N / b^level
+	cost []float64 // F(sz[level]), levels 0..L-1: the leaf level has no F term
+	seq  float64   // SequentialTime
+}
+
+// checkRecurrence validates the machine-independent model inputs.
+func checkRecurrence(a, b, levels int, f func(float64) float64, leaf float64) error {
+	if a < 2 || b < 2 {
+		return fmt.Errorf("model: recurrence needs a,b >= 2, got a=%d b=%d: %w", a, b, dcerr.ErrBadParam)
+	}
+	if levels < 1 {
+		return fmt.Errorf("model: need at least one level, got %d: %w", levels, dcerr.ErrBadParam)
+	}
+	if f == nil {
+		return fmt.Errorf("model: nil cost function: %w", dcerr.ErrBadParam)
+	}
+	if leaf < 0 {
+		return fmt.Errorf("model: negative leaf cost %g: %w", leaf, dcerr.ErrBadParam)
+	}
+	return nil
 }
 
 // NewNumeric validates and builds a numeric model for n = b^levels.
 func NewNumeric(a, b, levels int, f func(float64) float64, leaf float64, mach Machine) (Numeric, error) {
-	if a < 2 || b < 2 {
-		return Numeric{}, fmt.Errorf("model: recurrence needs a,b >= 2, got a=%d b=%d: %w", a, b, dcerr.ErrBadParam)
-	}
-	if levels < 1 {
-		return Numeric{}, fmt.Errorf("model: need at least one level, got %d: %w", levels, dcerr.ErrBadParam)
-	}
-	if f == nil {
-		return Numeric{}, fmt.Errorf("model: nil cost function: %w", dcerr.ErrBadParam)
-	}
-	if leaf < 0 {
-		return Numeric{}, fmt.Errorf("model: negative leaf cost %g: %w", leaf, dcerr.ErrBadParam)
+	if err := checkRecurrence(a, b, levels, f, leaf); err != nil {
+		return Numeric{}, err
 	}
 	if err := mach.Validate(); err != nil {
 		return Numeric{}, err
 	}
-	return Numeric{A: a, B: b, L: levels, N: math.Pow(float64(b), float64(levels)),
-		F: f, Leaf: leaf, Mach: mach}, nil
+	m := Numeric{A: a, B: b, L: levels, N: math.Pow(float64(b), float64(levels)),
+		F: f, Leaf: leaf, Mach: mach}
+	memo := make([]float64, 3*levels+2)
+	pow, sz, cost := memo[:levels+1], memo[levels+1:2*levels+2], memo[2*levels+2:]
+	for i := 0; i <= levels; i++ {
+		pow[i], sz[i] = m.tasks(i), m.size(i) // m has no memo yet: computed
+	}
+	for i := 0; i < levels; i++ {
+		cost[i] = f(sz[i])
+	}
+	m.pow, m.sz, m.cost = pow, sz, cost
+	m.seq = m.sequential()
+	return m, nil
+}
+
+// SequentialWork is the recurrence's single-core time — what
+// NewNumeric(...).SequentialTime() returns under any machine — for callers
+// that price one job once and need none of the per-level predictions.
+func SequentialWork(a, b, levels int, f func(float64) float64, leaf float64) (float64, error) {
+	if err := checkRecurrence(a, b, levels, f, leaf); err != nil {
+		return 0, err
+	}
+	m := Numeric{A: a, B: b, L: levels, N: math.Pow(float64(b), float64(levels)), F: f, Leaf: leaf}
+	return m.sequential(), nil
 }
 
 // size returns the subproblem size at a level.
 func (m Numeric) size(level int) float64 {
+	if level < len(m.sz) {
+		return m.sz[level]
+	}
 	return m.N / math.Pow(float64(m.B), float64(level))
 }
 
 // tasks returns a^level as a float (levels can be deep enough to overflow
 // int for a > 2).
 func (m Numeric) tasks(level int) float64 {
+	if level < len(m.pow) {
+		return m.pow[level]
+	}
 	return math.Pow(float64(m.A), float64(level))
+}
+
+// levelCost returns F at a level's subproblem size.
+func (m Numeric) levelCost(level int) float64 {
+	if level < len(m.cost) {
+		return m.cost[level]
+	}
+	return m.F(m.size(level))
 }
 
 // cpuLevel returns the time for k tasks of cost c on the p-core CPU.
@@ -79,9 +132,16 @@ func (m Numeric) gpuLevel(k, c float64) float64 {
 // SequentialTime is the single-core makespan: the denominator of every
 // speedup in §6.4.
 func (m Numeric) SequentialTime() float64 {
+	if m.cost != nil {
+		return m.seq
+	}
+	return m.sequential()
+}
+
+func (m Numeric) sequential() float64 {
 	t := m.tasks(m.L) * m.Leaf
 	for i := 0; i < m.L; i++ {
-		t += m.tasks(i) * m.F(m.size(i))
+		t += m.tasks(i) * m.levelCost(i)
 	}
 	return t
 }
@@ -117,7 +177,7 @@ func (m Numeric) PredictAdvanced(alpha float64, y, s int) (Prediction, error) {
 	width := m.tasks(s)
 	cCount := math.Round(alpha * width)
 	gCount := width - cCount
-	scale := func(level int) float64 { return math.Pow(float64(m.A), float64(level-s)) }
+	scale := func(level int) float64 { return m.tasks(level - s) }
 
 	var pr Prediction
 	var gpuWork float64
@@ -126,7 +186,7 @@ func (m Numeric) PredictAdvanced(alpha float64, y, s int) (Prediction, error) {
 	if cCount > 0 {
 		pr.CPUPhase += m.cpuLevel(cCount*scale(m.L), m.Leaf)
 		for i := m.L - 1; i >= s; i-- {
-			pr.CPUPhase += m.cpuLevel(cCount*scale(i), m.F(m.size(i)))
+			pr.CPUPhase += m.cpuLevel(cCount*scale(i), m.levelCost(i))
 		}
 	}
 	// GPU chain: its portion, leaves up to the transfer level.
@@ -136,17 +196,17 @@ func (m Numeric) PredictAdvanced(alpha float64, y, s int) (Prediction, error) {
 		gpuWork += kLeaf * m.Leaf
 		for i := m.L - 1; i >= y; i-- {
 			k := gCount * scale(i)
-			pr.GPUPhase += m.gpuLevel(k, m.F(m.size(i)))
-			gpuWork += k * m.F(m.size(i))
+			pr.GPUPhase += m.gpuLevel(k, m.levelCost(i))
+			gpuWork += k * m.levelCost(i)
 		}
 		// Above the transfer level the GPU portion finishes on the CPU.
 		for i := y - 1; i >= s; i-- {
-			pr.Tail += m.cpuLevel(gCount*scale(i), m.F(m.size(i)))
+			pr.Tail += m.cpuLevel(gCount*scale(i), m.levelCost(i))
 		}
 	}
 	// Joint levels above the split.
 	for i := s - 1; i >= 0; i-- {
-		pr.Tail += m.cpuLevel(m.tasks(i), m.F(m.size(i)))
+		pr.Tail += m.cpuLevel(m.tasks(i), m.levelCost(i))
 	}
 	pr.Makespan = math.Max(pr.CPUPhase, pr.GPUPhase) + pr.Tail
 	pr.GPUWorkFraction = gpuWork / m.SequentialTime()
@@ -161,10 +221,10 @@ func (m Numeric) PredictBasic(crossover int) (float64, error) {
 	}
 	var t float64
 	for i := 0; i < crossover; i++ {
-		t += m.cpuLevel(m.tasks(i), m.F(m.size(i)))
+		t += m.cpuLevel(m.tasks(i), m.levelCost(i))
 	}
 	for i := crossover; i < m.L; i++ {
-		t += m.gpuLevel(m.tasks(i), m.F(m.size(i)))
+		t += m.gpuLevel(m.tasks(i), m.levelCost(i))
 	}
 	t += m.gpuLevel(m.tasks(m.L), m.Leaf)
 	return t, nil
@@ -179,10 +239,10 @@ func (m Numeric) PredictBasicParts(crossover int) (cpu, gpu float64, err error) 
 		return 0, 0, fmt.Errorf("model: crossover %d out of range [0,%d]: %w", crossover, m.L, dcerr.ErrBadLevel)
 	}
 	for i := 0; i < crossover; i++ {
-		cpu += m.cpuLevel(m.tasks(i), m.F(m.size(i)))
+		cpu += m.cpuLevel(m.tasks(i), m.levelCost(i))
 	}
 	for i := crossover; i < m.L; i++ {
-		gpu += m.gpuLevel(m.tasks(i), m.F(m.size(i)))
+		gpu += m.gpuLevel(m.tasks(i), m.levelCost(i))
 	}
 	gpu += m.gpuLevel(m.tasks(m.L), m.Leaf)
 	return cpu, gpu, nil
@@ -193,7 +253,7 @@ func (m Numeric) PredictBasicParts(crossover int) (cpu, gpu float64, err error) 
 func (m Numeric) PredictBreadthFirstCPU() float64 {
 	t := m.cpuLevel(m.tasks(m.L), m.Leaf)
 	for i := 0; i < m.L; i++ {
-		t += m.cpuLevel(m.tasks(i), m.F(m.size(i)))
+		t += m.cpuLevel(m.tasks(i), m.levelCost(i))
 	}
 	return t
 }

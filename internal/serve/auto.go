@@ -104,7 +104,7 @@ func (s *Server) feedAutotune(d *device, q *queued, alg core.Alg, strat Strategy
 			predicted = q.autoPredicted
 		}
 	}
-	cpuU, gpuU, err := autotune.UnitsFor(sp, strat.String(), crossover, alpha, y)
+	cpuU, gpuU, err := s.tuner.ForDevice(d.id).UnitsFor(sp, strat.String(), crossover, alpha, y)
 	if err != nil {
 		return
 	}

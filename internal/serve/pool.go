@@ -148,10 +148,9 @@ func modeledCost(alg core.Alg) float64 {
 		ModelLeaf() float64
 	}
 	if m, ok := alg.(modeled); ok {
-		num, err := model.NewNumeric(alg.Arity(), alg.Shrink(), alg.Levels(),
-			m.ModelF(), m.ModelLeaf(), model.Machine{P: 1, G: 1, Gamma: 0.5})
+		t, err := model.SequentialWork(alg.Arity(), alg.Shrink(), alg.Levels(), m.ModelF(), m.ModelLeaf())
 		if err == nil {
-			return num.SequentialTime()
+			return t
 		}
 	}
 	return float64(alg.N()) * float64(alg.Levels()+1)
