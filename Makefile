@@ -93,13 +93,16 @@ bench:
 benchmark:
 	bash bench/run.sh --runs 1
 
-# A performance claim, measured the way it has to be reported: BASE is checked
-# out into a git worktree under .bench_build/ab/, both sides are built by
-# their own bench/run.sh, WORKLOAD runs as PAIRS alternating pairs (odd pairs
-# BASE first, even pairs the working tree first, seed+i on both sides), each
-# side's runs are merged into one result file, and `bench/run.sh --compare`
-# gives the verdict after a pairs-won / medians / IQR table. Optional:
-# SECONDS, SEED, TRACE=1 (traced runs, not compared).
+# A performance claim, measured the way it has to be reported: BASE is
+# unpacked with git archive under .bench_build/ab/, both sides are built by
+# their own bench/run.sh, and WORKLOAD — one name, a comma-separated list, or
+# `all` for the five in BENCHMARK.json — runs as PAIRS alternating pairs (odd
+# pairs BASE first, even pairs the working tree first, seed+i on both sides),
+# the listed workloads back to back inside each pair, so the claimed row and
+# the rows that should not move come from the same minutes of the same host.
+# Each side's runs are merged into one result file; a pairs-won / medians /
+# IQR table per workload and one `bench/run.sh --compare` give the verdict.
+# Optional: SECONDS, SEED, TRACE=1 (traced runs, not compared).
 PAIRS ?= 10
 bench-ab:
 	$(GO) run scripts/benchab.go -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS) \

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/serve/servetest"
 	"repro/internal/workload"
 )
 
@@ -449,27 +450,27 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 		binVerified += 2
 	}
 
-	// Phase 5: SIGTERM drain. Park slow jobs in flight, then signal
+	// Phase 5: SIGTERM drain. Park jobs behind held slots, then signal
 	// ourselves; every accepted job must produce a verified result before
 	// the listener closes, while new submissions bounce with 503.
 	type pending struct {
 		j smokeJob
 		h *hybriddc.RemoteHandle
 	}
-	// Deliberately slow, deterministic drain jobs: large single-CPU
-	// sequential sorts keep the drain window open long enough to observe
-	// admission refusal. Everything that is not the submission itself is
-	// kept off the path between the first submission and the signal, because
-	// on two cores the server sorts a job about as fast as a client can
-	// deliver the next one: the jobs (inputs and references) are built
-	// first, travel as binary frames (encoding one as JSON takes longer than
-	// sorting it), and each job's result wait starts as soon as the job is
-	// accepted, so by the last submission only the last wait is still on
-	// its way and the window is at least that job's run time.
+	// The drain window is held open, not timed: gated jobs submitted in
+	// process take every execution slot of the pool, so the jobs accepted
+	// over the wire below stay queued, and the server stays in its drain,
+	// until the 503 has been observed and the gate opens. The run time of a
+	// real job is no clock: it shrinks with every faster kernel.
+	openGate, err := servetest.Hold(s.pool, cfg.Devices*cfg.InFlight)
+	if err != nil {
+		return fmt.Errorf("api-smoke drain setup: %w", err)
+	}
+	defer openGate()
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	drainJobs := make([]smokeJob, cfg.InFlight+cfg.QDepth)
+	drainJobs := make([]smokeJob, cfg.QDepth)
 	for i := range drainJobs {
-		j := smokeJob{kind: "mergesort", data: workload.Uniform(1<<19, rng.Int63())}
+		j := smokeJob{kind: "mergesort", data: workload.Uniform(1<<16, rng.Int63())}
 		j.sorted = append([]int32(nil), j.data...)
 		sort.Slice(j.sorted, func(a, b int) bool { return j.sorted[a] < j.sorted[b] })
 		drainJobs[i] = j
@@ -486,15 +487,9 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 	results := make(chan error, len(drainJobs))
 	var inFlight []pending
 	for _, j := range drainJobs {
-		// Fill the queue to capacity; overflow means the window is as wide
-		// as it gets.
 		h, err := drainCli.Submit(context.Background(),
 			hybriddc.APIJobRequest{Algorithm: j.kind, Data: j.data, Strategy: "seq-1cpu"})
 		if err != nil {
-			var apiErr *hybriddc.APIClientError
-			if errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests {
-				break // admission is full: window secured
-			}
 			return fmt.Errorf("api-smoke drain setup: %w", err)
 		}
 		p := pending{j, h}
@@ -509,9 +504,6 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 			}
 			results <- checkSmokeResult(p.j, res)
 		}()
-	}
-	if len(inFlight) == 0 {
-		return fmt.Errorf("api-smoke drain setup: no jobs accepted")
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		n, err := resultRequests(cli)
@@ -554,6 +546,7 @@ func runAPISmoke(cfg apiConfig, clients, jobsPerClient int, seed int64) error {
 	if !<-refusedCh {
 		return fmt.Errorf("api-smoke: submissions never refused with 503 during drain")
 	}
+	openGate()
 	for range inFlight {
 		if err := <-results; err != nil {
 			return fmt.Errorf("api-smoke drain: %w", err)

@@ -24,25 +24,31 @@ func decodeInt32s(data []byte) []int32 {
 	}
 }
 
-// FuzzMergeRuns checks that merging two individually-sorted halves always
-// yields the reference sort of their concatenation.
+// FuzzMergeRuns checks that merging two individually-sorted runs always
+// yields the reference sort of their concatenation, and the reference
+// kernel's output element for element.
 func FuzzMergeRuns(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0}, uint8(2))
 	f.Add([]byte{255, 255, 255, 255, 0, 0, 0, 0}, uint8(1))
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 0, 6, 0, 0, 0}, uint8(3)) // presorted
+	f.Add([]byte{6, 0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0}, uint8(3)) // reverse
+	f.Add([]byte{7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0, 7, 0, 0, 0}, uint8(2))                         // all equal
+	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0}, uint8(0))                                     // empty left run
+	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0}, uint8(3))                                     // empty right run
+	f.Add([]byte{2, 0, 0, 0, 1, 0, 0, 0}, uint8(1))                                                 // 1+1, exchanged
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0}, uint8(1))                                                 // 1+1, tie
 	f.Fuzz(func(t *testing.T, data []byte, splitRaw uint8) {
 		vals := decodeInt32s(data)
-		if len(vals) < 2 {
-			t.Skip()
-		}
-		split := 1 + int(splitRaw)%(len(vals)-1)
+		split := int(splitRaw) % (len(vals) + 1)
 		a := append([]int32(nil), vals[:split]...)
 		b := append([]int32(nil), vals[split:]...)
 		Sort(a)
 		Sort(b)
-		out := make([]int32, len(vals))
+		out, want := make([]int32, len(vals)), make([]int32, len(vals))
 		mergeRuns(out, a, b)
-		if !equal(out, reference(vals)) {
-			t.Fatalf("mergeRuns(%v, %v) = %v", a, b, out)
+		refMergeRuns(want, a, b)
+		if !equal(out, want) || !equal(out, reference(vals)) {
+			t.Fatalf("mergeRuns(%v, %v) = %v, want %v", a, b, out, want)
 		}
 	})
 }

@@ -132,13 +132,21 @@ func (s *Sorter) CombineBatch(level, lo, hi int) core.Batch {
 	}
 	sz := s.runSize(level)
 	src, dst := s.src(level), s.dst(level)
+	run := func(i int) {
+		off := (lo + i) * sz
+		mergeRuns(dst[off:off+sz], src[off:off+sz/2], src[off+sz/2:off+sz])
+	}
+	if sz == 2 {
+		// The widest level: n/2 pairs, each one compare-exchange.
+		run = func(i int) {
+			off := (lo + i) * 2
+			dst[off], dst[off+1] = ordered(src[off], src[off+1])
+		}
+	}
 	return core.Batch{
 		Tasks: hi - lo,
 		Cost:  mergeCost(sz, hi-lo, false),
-		Run: func(i int) {
-			off := (lo + i) * sz
-			mergeRuns(dst[off:off+sz], src[off:off+sz/2], src[off+sz/2:off+sz])
-		},
+		Run:   run,
 	}
 }
 
@@ -187,12 +195,20 @@ func (s *Sorter) GPUCombineBatch(level, lo, hi int) core.Batch {
 	base, count := reg.base, reg.count
 	reg.count = count / 2
 	reg.runSize = sz
+	run := func(t int) {
+		mergeInterleaved(dst, src, base, count, sz/2, t)
+	}
+	if sz == 2 {
+		// Unit runs: words 2t and 2t+1, ordered, become elements 0 and 1 of
+		// output run t, count/2 words apart.
+		run = func(t int) {
+			dst[base+t], dst[base+count/2+t] = ordered(src[base+2*t], src[base+2*t+1])
+		}
+	}
 	return core.Batch{
 		Tasks: hi - lo,
 		Cost:  mergeCost(sz, hi-lo, true),
-		Run: func(t int) {
-			mergeInterleaved(dst, src, base, count, sz/2, t)
-		},
+		Run:   run,
 	}
 }
 
@@ -269,56 +285,3 @@ func (s *Sorter) ModelF() func(float64) float64 {
 
 // ModelLeaf returns the model-level base-case cost (none for mergesort).
 func (s *Sorter) ModelLeaf() float64 { return 0 }
-
-// mergeRuns merges the sorted runs a and b into out. len(out) must be
-// len(a)+len(b).
-func mergeRuns(out, a, b []int32) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
-		}
-		k++
-	}
-	for i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
-	}
-}
-
-// mergeInterleaved merges runs 2t and 2t+1 of an interleaved region (count
-// runs of runSize elements at base) into run t of the output layout (count/2
-// runs of 2·runSize elements at the same base).
-func mergeInterleaved(dst, src []int32, base, count, runSize, t int) {
-	at := func(run, j int) int32 { return src[base+j*count+run] }
-	outCount := count / 2
-	i, j := 0, 0
-	for k := 0; k < 2*runSize; k++ {
-		var v int32
-		switch {
-		case i == runSize:
-			v = at(2*t+1, j)
-			j++
-		case j == runSize:
-			v = at(2*t, i)
-			i++
-		case at(2*t, i) <= at(2*t+1, j):
-			v = at(2*t, i)
-			i++
-		default:
-			v = at(2*t+1, j)
-			j++
-		}
-		dst[base+k*outCount+t] = v
-	}
-}

@@ -18,13 +18,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algos/dcsum"
 	"repro/internal/api"
 	"repro/internal/api/client"
-	"repro/internal/core"
 	"repro/internal/dcerr"
 	"repro/internal/native"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/workload"
 )
 
@@ -87,44 +86,15 @@ func (h *harness) lastTimeout(t *testing.T, route string) string {
 	return got[len(got)-1]
 }
 
-// gated is an instance whose base case waits for release: submitted straight
-// to the pool, it holds an execution slot for as long as the test wants.
-type gated struct {
-	core.Alg
-	release <-chan struct{}
-}
-
-func (g gated) BaseBatch(lo, hi int) core.Batch {
-	<-g.release
-	return g.Alg.BaseBatch(lo, hi)
-}
-
 // holdSlot occupies one execution slot of the pool and returns the function
 // that frees it (idempotent; also run at cleanup).
 func (h *harness) holdSlot(t *testing.T) (release func()) {
 	t.Helper()
-	alg, err := dcsum.New(workload.Uniform(64, 1))
+	release, err := servetest.Hold(h.pool, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	var once sync.Once
-	release = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
-	hd, err := h.pool.Submit(context.Background(), serve.Job{Alg: gated{alg, gate}, Strategy: serve.BreadthFirstCPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		release()
-		if _, err := hd.Wait(context.Background()); err != nil {
-			t.Errorf("gated job: %v", err)
-		}
-	})
-	waitFor(t, "the gated job to take its slot", func() bool {
-		st := h.pool.Stats()
-		return st.InFlight == 1 && st.QueueDepth == 0
-	})
 	return release
 }
 

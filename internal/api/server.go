@@ -19,10 +19,14 @@ import (
 	"repro/internal/trace"
 )
 
+// DefaultMaxBodyBytes is the request-body cap of a server built without
+// WithMaxBodyBytes: 8 MiB, binary frame header included.
+const DefaultMaxBodyBytes = 8 << 20
+
 // Config is the resolved form of the Options.
 type Config struct {
 	// MaxBodyBytes bounds a request body; oversized submissions are rejected
-	// with 413. Defaults to 8 MiB.
+	// with 413. Defaults to DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// MaxConns bounds concurrent accepted connections (0 = unlimited).
 	MaxConns int
@@ -142,7 +146,7 @@ func New(pool *serve.Server, opts ...Option) (*Server, error) {
 		}
 	}
 	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = 8 << 20
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.RetainJobs == 0 {
 		cfg.RetainJobs = 4096

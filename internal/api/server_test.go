@@ -19,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/native"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -78,6 +79,21 @@ func newHarness(t *testing.T, poolOpts []serve.Option, apiOpts ...api.Option) *h
 		pool.Close()
 	})
 	return h
+}
+
+// holdSlots occupies n execution slots of the pool behind an API server
+// (servetest.Hold); release lets them go, at cleanup at the latest. Tests that
+// need the server busy while they watch a wire-submitted job use this, not the
+// run time of a large job, as the clock: the window it opens closes when the
+// test says so, whatever the kernels cost.
+func holdSlots(t *testing.T, pool *serve.Server, n int) (release func()) {
+	t.Helper()
+	release, err := servetest.Hold(pool, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(release)
+	return release
 }
 
 // TestRoundTripAllAlgorithms submits each algorithm kind remotely and checks
@@ -233,6 +249,9 @@ func TestBackpressure429(t *testing.T) {
 	h := newHarness(t, []serve.Option{serve.WithQueueDepth(1), serve.WithMaxInFlight(1)})
 	ctx := context.Background()
 	data := workload.Uniform(1<<16, 3)
+	// The only slot stays taken until every submission below has had its
+	// answer: one of them fits the queue, the rest must bounce.
+	release := holdSlots(t, h.pool, 1)
 
 	var mu sync.Mutex
 	var handles []*client.Handle
@@ -277,13 +296,18 @@ func TestBackpressure429(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if saw429 == 0 {
-		t.Fatal("never saw a 429 despite queue depth 1 under 8-way submit pressure")
+	if len(handles) != 1 || saw429 != 8*4-1 {
+		t.Fatalf("%d accepted and %d refused with 429, want 1 and %d: queue depth 1 behind a held slot", len(handles), saw429, 8*4-1)
 	}
 	// Every accepted job still completes correctly despite the overload.
+	release()
 	for _, hd := range handles {
-		if _, err := hd.Wait(ctx); err != nil {
+		res, err := hd.Wait(ctx)
+		if err != nil {
 			t.Fatalf("accepted job %d failed: %v", hd.ID(), err)
+		}
+		if !sort.SliceIsSorted(res.Sorted, func(i, j int) bool { return res.Sorted[i] < res.Sorted[j] }) || len(res.Sorted) != len(data) {
+			t.Fatalf("accepted job %d: result not the sorted input", hd.ID())
 		}
 	}
 }
@@ -294,17 +318,13 @@ func TestDeadlinePropagation(t *testing.T) {
 	h := newHarness(t, []serve.Option{serve.WithMaxInFlight(1)})
 	ctx := context.Background()
 
-	// Occupy the only slot so the doomed job's deadline expires before (or
-	// early into) execution; the doomed instance is far too large to finish
-	// inside its 5ms budget even if it dispatches immediately.
-	big := workload.Uniform(1<<19, 9)
-	blocker, err := h.cli.Submit(ctx, api.JobRequest{Algorithm: "mergesort", Data: big})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The only slot is held, so the doomed job queues, and it stays held
+	// until the job's 5ms budget is certainly spent: the deadline has to be
+	// what settles the job, however fast the sort would have been.
+	release := holdSlots(t, h.pool, 1)
 	// Submit with an explicit 5ms Request-Timeout (raw HTTP, so the tiny
 	// budget does not also strangle the submission round trip).
-	payload, err := json.Marshal(api.JobRequest{Algorithm: "mergesort", Data: big})
+	payload, err := json.Marshal(api.JobRequest{Algorithm: "mergesort", Data: workload.Uniform(1<<16, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +343,10 @@ func TestDeadlinePropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit with timeout: status %d, want 202", resp.StatusCode)
 	}
+	// The budget started before the 202 was written; a lower bound on the
+	// wait, not a race.
+	time.Sleep(10 * time.Millisecond)
+	release()
 	doomed := h.cli.Job(acc.ID)
 	_, werr := doomed.Wait(ctx)
 	if !errors.Is(werr, dcerr.ErrCanceled) {
@@ -338,9 +362,6 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	if st.State != "done" || st.Error == nil || st.Error.Kind != "canceled" {
 		t.Fatalf("doomed status %+v, want done with canceled error", st)
-	}
-	if _, err := blocker.Wait(ctx); err != nil {
-		t.Fatalf("blocker: %v", err)
 	}
 }
 
@@ -451,7 +472,10 @@ func TestShutdownDrains(t *testing.T) {
 	cli := client.New("http://" + ln.Addr().String())
 	ctx := context.Background()
 
-	data := workload.Uniform(1<<19, 23)
+	// The job accepted before the shutdown queues behind a held slot, so
+	// the drain cannot finish before the refusal below has been seen.
+	release := holdSlots(t, pool, 1)
+	data := workload.Uniform(1<<16, 23)
 	hd, err := cli.Submit(ctx, api.JobRequest{Algorithm: "mergesort", Data: data})
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +486,7 @@ func TestShutdownDrains(t *testing.T) {
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown(shCtx) }()
 
-	// Admission must close promptly even though the job is still running.
+	// Admission must close promptly even though the job is still waiting.
 	probe := workload.Uniform(64, 24)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -479,8 +503,14 @@ func TestShutdownDrains(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	select {
+	case err := <-shutdownDone:
+		t.Fatalf("shutdown returned (%v) with job %d still queued", err, hd.ID())
+	default:
+	}
+	release()
 
-	// The in-flight job must settle successfully and the server must wait
+	// The accepted job must settle successfully and the server must wait
 	// for it before closing the listener.
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -490,8 +520,8 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	// Listener is closed now; the accepted job must already have settled
 	// cleanly (drain completed all in-flight work before the listener
-	// closed).
-	if st := pool.Stats(); st.Completed == 0 {
+	// closed). The blocker is the other completion.
+	if st := pool.Stats(); st.Completed != 2 || st.Failed != 0 {
 		t.Fatalf("pool stats %+v: job %d did not settle before listener close", st, hd.ID())
 	}
 }

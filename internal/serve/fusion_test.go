@@ -92,7 +92,7 @@ func blockServer(t *testing.T, srv *serve.Server) (release func()) {
 	t.Helper()
 	gate := make(chan struct{})
 	if _, err := srv.Submit(context.Background(),
-		serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}, Strategy: serve.Sequential}); err != nil {
+		serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}, Strategy: serve.Sequential}); err != nil {
 		t.Fatal(err)
 	}
 	waitInFlight(t, srv, 1)

@@ -30,17 +30,17 @@ func TestServerMetrics(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	blocker, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}})
+	blocker, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitInFlight(t, srv, 1)
 	queued, err := srv.Submit(context.Background(),
-		serve.Job{Alg: &gateAlg{name: "queued"}}, core.WithPriority(3))
+		serve.Job{Alg: &gateAlg{Label: "queued"}}, core.WithPriority(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "overflow"}}); err == nil {
+	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "overflow"}}); err == nil {
 		t.Fatal("overflow submission accepted")
 	}
 
@@ -111,7 +111,7 @@ func TestServerPerJobSpans(t *testing.T) {
 
 	var handles []*serve.Handle
 	for i := 0; i < 3; i++ {
-		h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "traced"}})
+		h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "traced"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func benchSubmit(b *testing.B, opts ...serve.Option) {
 		b.Fatal(err)
 	}
 	gate := make(chan struct{})
-	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}}); err != nil {
+	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}}); err != nil {
 		b.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -174,7 +174,7 @@ func benchSubmit(b *testing.B, opts ...serve.Option) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	job := serve.Job{Alg: &gateAlg{name: "bench"}}
+	job := serve.Job{Alg: &gateAlg{Label: "bench"}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

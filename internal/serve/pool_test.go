@@ -212,7 +212,7 @@ func TestPoolPlacementSkew(t *testing.T) {
 		submit := func(name string, n int) *serve.Handle {
 			t.Helper()
 			h, err := srv.Submit(context.Background(),
-				serve.Job{Alg: &sizedGateAlg{gateAlg: gateAlg{name: name, gate: gate}, n: n}})
+				serve.Job{Alg: &sizedGateAlg{gateAlg: gateAlg{Label: name, Gate: gate}, n: n}})
 			if err != nil {
 				t.Fatal(err)
 			}

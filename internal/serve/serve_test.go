@@ -18,6 +18,7 @@ import (
 	"repro/internal/hpu"
 	"repro/internal/native"
 	"repro/internal/serve"
+	"repro/internal/serve/servetest"
 	"repro/internal/workload"
 )
 
@@ -39,37 +40,9 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// gateAlg is a two-leaf algorithm whose base tasks block on a channel,
-// letting tests hold the backend busy (and the admission queue full) at a
-// known point, and record when they actually execute.
-type gateAlg struct {
-	name string
-	gate chan struct{} // base tasks block until this closes; nil = no gate
-	ran  func()        // called once from the first base task
-}
-
-func (g *gateAlg) Name() string { return g.name }
-func (g *gateAlg) Arity() int   { return 2 }
-func (g *gateAlg) Shrink() int  { return 2 }
-func (g *gateAlg) N() int       { return 2 }
-func (g *gateAlg) Levels() int  { return 1 }
-
-func (g *gateAlg) DivideBatch(level, lo, hi int) core.Batch { return core.Batch{} }
-func (g *gateAlg) BaseBatch(lo, hi int) core.Batch {
-	return core.Batch{
-		Tasks: hi - lo,
-		Cost:  core.Cost{Ops: 1},
-		Run: func(i int) {
-			if g.gate != nil {
-				<-g.gate
-			}
-			if i == 0 && g.ran != nil {
-				g.ran()
-			}
-		},
-	}
-}
-func (g *gateAlg) CombineBatch(level, lo, hi int) core.Batch { return core.Batch{} }
+// gateAlg holds the backend busy (and the admission queue full) at a known
+// point; shared with the tests of the layers above serve.
+type gateAlg = servetest.GateAlg
 
 // waitInFlight polls until the server reports n jobs executing.
 func waitInFlight(t *testing.T, s *serve.Server, n int) {
@@ -245,17 +218,17 @@ func TestServerQueueFull(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	blocker, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}})
+	blocker, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitInFlight(t, srv, 1)
 
-	queued, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "queued"}})
+	queued, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "queued"}})
 	if err != nil {
 		t.Fatalf("second submission should queue, got %v", err)
 	}
-	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "overflow"}}); !errors.Is(err, dcerr.ErrQueueFull) {
+	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "overflow"}}); !errors.Is(err, dcerr.ErrQueueFull) {
 		t.Fatalf("overflow submission error %v does not unwrap to ErrQueueFull", err)
 	}
 	if st := srv.Stats(); st.Rejected != 1 || st.QueueDepth != 1 || st.MaxQueueDepth != 1 {
@@ -290,7 +263,7 @@ func TestServerPriorityOrder(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}}); err != nil {
+	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}}); err != nil {
 		t.Fatal(err)
 	}
 	waitInFlight(t, srv, 1)
@@ -298,7 +271,7 @@ func TestServerPriorityOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	submit := func(name string, weight int) *serve.Handle {
-		alg := &gateAlg{name: name, ran: func() {
+		alg := &gateAlg{Label: name, Ran: func() {
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
@@ -355,14 +328,14 @@ func TestServerCancelWhileQueued(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}}); err != nil {
+	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}}); err != nil {
 		t.Fatal(err)
 	}
 	waitInFlight(t, srv, 1)
 
 	ran := false
 	ctx, cancel := context.WithCancel(context.Background())
-	h, err := srv.Submit(ctx, serve.Job{Alg: &gateAlg{name: "victim", ran: func() { ran = true }}})
+	h, err := srv.Submit(ctx, serve.Job{Alg: &gateAlg{Label: "victim", Ran: func() { ran = true }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +374,7 @@ func TestServerClosedLifecycle(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "late"}}); !errors.Is(err, dcerr.ErrServerClosed) {
+	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "late"}}); !errors.Is(err, dcerr.ErrServerClosed) {
 		t.Errorf("Submit after Close: error %v does not unwrap to ErrServerClosed", err)
 	}
 	if err := srv.Close(); !errors.Is(err, dcerr.ErrServerClosed) {
@@ -441,7 +414,7 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	// A hybrid strategy on an algorithm without device kernels is caught at
 	// execution time and settles the handle as failed.
 	h, err := srv.Submit(context.Background(),
-		serve.Job{Alg: &gateAlg{name: "cpu-only"}, Strategy: serve.BasicHybrid})
+		serve.Job{Alg: &gateAlg{Label: "cpu-only"}, Strategy: serve.BasicHybrid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,11 +501,11 @@ func TestServerQueueWait(t *testing.T) {
 	defer srv.Close()
 
 	gate := make(chan struct{})
-	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}}); err != nil {
+	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}}); err != nil {
 		t.Fatal(err)
 	}
 	waitInFlight(t, srv, 1)
-	h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "waiter"}})
+	h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "waiter"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,14 +537,14 @@ func TestServerCloseDrainsMidFlight(t *testing.T) {
 
 	gate := make(chan struct{})
 	var handles []*serve.Handle
-	h0, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}})
+	h0, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	handles = append(handles, h0)
 	waitInFlight(t, srv, 1)
 	for i := 0; i < 2; i++ {
-		h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "queued", gate: gate}})
+		h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "queued", Gate: gate}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -641,7 +614,7 @@ func TestServerWaitAbandonMidFlight(t *testing.T) {
 	defer srv.Close()
 
 	gate := make(chan struct{})
-	h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "gated", gate: gate}})
+	h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "gated", Gate: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +663,7 @@ func TestServerCancelDuringClose(t *testing.T) {
 	}
 
 	gate := make(chan struct{})
-	blocker, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{name: "blocker", gate: gate}})
+	blocker, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +671,7 @@ func TestServerCancelDuringClose(t *testing.T) {
 
 	jobCtx, cancelJob := context.WithCancel(context.Background())
 	defer cancelJob()
-	victim, err := srv.Submit(jobCtx, serve.Job{Alg: &gateAlg{name: "victim", gate: gate}})
+	victim, err := srv.Submit(jobCtx, serve.Job{Alg: &gateAlg{Label: "victim", Gate: gate}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,20 @@
 //go:build ignore
 
-// Command benchab runs one BENCHMARK.json workload as alternating pairs of a
+// Command benchab runs BENCHMARK.json workloads as alternating pairs of a
 // base commit and the working tree, the way a performance claim has to be
 // reported: the same seeds on both sides, the side that goes first swapping
 // every pair (so neither side always gets the warmer or the noisier half of
 // a pair), every run kept, and the repository's own --compare as the verdict.
+// Several workloads (a comma-separated list, or "all") run back to back
+// inside each pair, so the claimed row and the rows that should not move come
+// from the same minutes of the same host.
 //
-//	make bench-ab BASE=<ref> WORKLOAD=<w> [PAIRS=10] [SECONDS=<s>] [SEED=1] [TRACE=0]
-//	go run scripts/benchab.go -base <ref> -workload <w> [-pairs 10] ...
+//	make bench-ab BASE=<ref> WORKLOAD=<w>[,<w>...]|all [PAIRS=10] [SECONDS=<s>] [SEED=1] [TRACE=0]
+//	go run scripts/benchab.go -base <ref> -workload <w>[,<w>...]|all [-pairs 10] ...
 //
-// BASE is checked out into a git worktree under .bench_build/ab/base and
-// removed again at exit; each side is built from its own source by its own
+// BASE is unpacked with git archive into .bench_build/ab/base (nothing to
+// register in .git, nothing for a killed run to leave registered) and removed
+// again at exit; each side is built from its own source by its own
 // bench/run.sh. Results: .bench_build/ab/base.json and change.json (every
 // run of each side merged into one result file) plus one file per run.
 package main
@@ -23,6 +27,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,9 +44,10 @@ type metricSpec struct {
 type resultFile map[string]json.RawMessage
 
 type runRecord struct {
-	Correct bool `json:"correct"`
-	Failed  int  `json:"failed"`
-	Metrics map[string]struct {
+	Workload string `json:"workload"`
+	Correct  bool   `json:"correct"`
+	Failed   int    `json:"failed"`
+	Metrics  map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
@@ -129,14 +135,18 @@ func quartiles(v []float64) (q1, q2, q3 float64) {
 	return cut(1), cut(2), cut(3)
 }
 
-// pairTable prints, per end-to-end metric, what a claim is judged on: pairs
-// won, both medians and the parent's interquartile range.
-func pairTable(metrics []metricSpec, base, change *side) {
-	fmt.Printf("\n%-18s %-8s %9s %14s %14s %9s %14s\n", "metric", "unit", "pairs won", "median base", "median change", "change", "IQR of base")
+// pairTable prints, per end-to-end metric of one workload, what a claim is
+// judged on: pairs won, both medians and the parent's interquartile range.
+func pairTable(workload string, metrics []metricSpec, base, change *side) {
+	fmt.Printf("\n%s\n%-18s %-8s %9s %14s %14s %9s %14s\n", workload, "metric", "unit", "pairs won", "median base", "median change", "change", "IQR of base")
+	failed, wrong := 0, 0
 	for _, m := range metrics {
 		var a, b []float64
 		wins, ties := 0, 0
 		for i := range base.records {
+			if base.records[i].Workload != workload {
+				continue
+			}
 			va, vb := base.records[i].Metrics[m.Name].Value, change.records[i].Metrics[m.Name].Value
 			a, b = append(a, va), append(b, vb)
 			switch {
@@ -155,21 +165,48 @@ func pairTable(metrics []metricSpec, base, change *side) {
 		fmt.Printf("%-18s %-8s %6d/%-2d %14.6g %14.6g %+8.1f%% %14.6g\n",
 			m.Name, m.Unit, wins, len(a)-ties, medA, medB, rel, q3-q1)
 	}
-	failed, wrong := 0, 0
 	for _, s := range []*side{base, change} {
 		for _, r := range s.records {
+			if r.Workload != workload {
+				continue
+			}
 			failed += r.Failed
 			if !r.Correct {
 				wrong++
 			}
 		}
 	}
-	fmt.Printf("failed jobs over all runs: %d; runs with a wrong result: %d\n\n", failed, wrong)
+	fmt.Printf("failed jobs over all runs: %d; runs with a wrong result: %d\n", failed, wrong)
+}
+
+// unpack extracts ref's tree into dir and returns the commit it names.
+func unpack(root, ref, dir string) (string, error) {
+	rev, err := exec.Command("git", "-C", root, "rev-parse", "--verify", ref+"^{commit}").Output()
+	if err != nil {
+		return "", fmt.Errorf("benchab: %s is not a commit: %w", ref, err)
+	}
+	commit := strings.TrimSpace(string(rev))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	archive := exec.Command("git", "-C", root, "archive", "--format=tar", commit)
+	untar := exec.Command("tar", "-x", "-C", dir)
+	archive.Stderr, untar.Stderr = os.Stderr, os.Stderr
+	if untar.Stdin, err = archive.StdoutPipe(); err != nil {
+		return "", err
+	}
+	if err := untar.Start(); err != nil {
+		return "", err
+	}
+	if err := errors.Join(archive.Run(), untar.Wait()); err != nil {
+		return "", fmt.Errorf("benchab: unpack %s: %w", ref, err)
+	}
+	return commit, nil
 }
 
 func run() error {
 	baseRef := flag.String("base", "", "the commit to compare against (required)")
-	workload := flag.String("workload", "", "the BENCHMARK.json workload to run (required)")
+	workload := flag.String("workload", "", "the BENCHMARK.json workloads to run: one name, a comma-separated list, or all (required)")
 	pairs := flag.Int("pairs", 10, "pairs of runs")
 	seconds := flag.String("seconds", "", "seconds one run measures (default: the benchmark's run_seconds)")
 	seed := flag.Int("seed", 1, "seed of pair 1; pair i uses seed+i-1 on both sides")
@@ -189,33 +226,40 @@ func run() error {
 		return err
 	}
 	var spec struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 		EndToEnd []metricSpec `json:"end_to_end"`
 	}
 	if err := readJSON(filepath.Join(root, "BENCHMARK.json"), &spec); err != nil {
 		return err
 	}
+	var known []string
+	for _, w := range spec.Workloads {
+		known = append(known, w.Name)
+	}
+	workloads := strings.Split(*workload, ",")
+	if *workload == "all" {
+		workloads = known
+	}
+	for _, w := range workloads {
+		if !slices.Contains(known, w) {
+			return fmt.Errorf("benchab: no workload %q in BENCHMARK.json (have %s)", w, strings.Join(known, ", "))
+		}
+	}
 
-	git := func(args ...string) error {
-		cmd := exec.Command("git", append([]string{"-C", root}, args...)...)
-		cmd.Stderr = os.Stderr
-		return cmd.Run()
-	}
 	baseDir := filepath.Join(dir, "base")
-	dropWorktree := func() {
-		exec.Command("git", "-C", root, "worktree", "remove", "--force", baseDir).Run() // absent on a first run
-		os.RemoveAll(baseDir)
-		git("worktree", "prune")
+	os.RemoveAll(baseDir) // left by a killed run
+	defer os.RemoveAll(baseDir)
+	baseCommit, err := unpack(root, *baseRef, baseDir)
+	if err != nil {
+		return err
 	}
-	dropWorktree()
-	if err := git("worktree", "add", "--detach", baseDir, *baseRef); err != nil {
-		return fmt.Errorf("benchab: check out %s: %w", *baseRef, err)
-	}
-	defer dropWorktree()
 
 	base, change := &side{name: "base", root: baseDir}, &side{name: "change", root: root}
 	for _, s := range []*side{base, change} {
 		fmt.Printf("building %s (%s)\n", s.name, s.root)
-		if err := s.bench(true, "--workload", *workload, "--quick", "--seconds", "1",
+		if err := s.bench(true, "--workload", workloads[0], "--quick", "--seconds", "1",
 			"--out", filepath.Join(dir, "build-"+s.name+".json")); err != nil {
 			return fmt.Errorf("benchab: build %s: %w", s.name, err)
 		}
@@ -225,22 +269,30 @@ func run() error {
 		if i%2 == 1 {
 			order = []*side{change, base}
 		}
-		args := []string{"--workload", *workload, "--seed", strconv.Itoa(*seed + i), "--trace", strconv.Itoa(*trace),
-			"--trace-out", filepath.Join(dir, "trace.json")}
-		if *seconds != "" {
-			args = append(args, "--seconds", *seconds)
-		}
-		for _, s := range order {
-			out := filepath.Join(dir, fmt.Sprintf("%s-%02d.json", s.name, i+1))
-			if err := s.measure(out, args); err != nil {
-				return err
+		for _, w := range workloads {
+			args := []string{"--workload", w, "--seed", strconv.Itoa(*seed + i), "--trace", strconv.Itoa(*trace),
+				"--trace-out", filepath.Join(dir, "trace.json")}
+			if *seconds != "" {
+				args = append(args, "--seconds", *seconds)
 			}
+			for _, s := range order {
+				out := filepath.Join(dir, fmt.Sprintf("%s-%s-%02d.json", s.name, w, i+1))
+				if err := s.measure(out, args); err != nil {
+					return err
+				}
+			}
+			last := len(base.records) - 1
+			fmt.Printf("pair %2d %-20s (%s first):", i+1, w, order[0].name)
+			for _, m := range spec.EndToEnd[:min(4, len(spec.EndToEnd))] {
+				fmt.Printf("  %s %.4g → %.4g", m.Name, base.records[last].Metrics[m.Name].Value, change.records[last].Metrics[m.Name].Value)
+			}
+			fmt.Println()
 		}
-		fmt.Printf("pair %2d (%s first):", i+1, order[0].name)
-		for _, m := range spec.EndToEnd[:min(4, len(spec.EndToEnd))] {
-			fmt.Printf("  %s %.4g → %.4g", m.Name, base.records[i].Metrics[m.Name].Value, change.records[i].Metrics[m.Name].Value)
-		}
-		fmt.Println()
+	}
+	// The base was built outside a checkout of its own, so its binary could
+	// not stamp the commit into its result files.
+	if base.merged["commit"], err = json.Marshal(baseCommit); err != nil {
+		return err
 	}
 	baseOut, changeOut := filepath.Join(dir, "base.json"), filepath.Join(dir, "change.json")
 	if err := errors.Join(base.write(baseOut), change.write(changeOut)); err != nil {
@@ -250,7 +302,10 @@ func run() error {
 		fmt.Printf("traced runs written to %s and %s (--compare reads untraced runs only)\n", baseOut, changeOut)
 		return nil
 	}
-	pairTable(spec.EndToEnd, base, change)
+	for _, w := range workloads {
+		pairTable(w, spec.EndToEnd, base, change)
+	}
+	fmt.Println()
 	return change.bench(false, "--compare", baseOut, changeOut)
 }
 
