@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check bench benchmark bench-ab
+.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check loc bench benchmark bench-ab
 
 all: check
 
@@ -81,6 +81,16 @@ api-smoke:
 	$(GO) run ./cmd/hpuserve --api-smoke
 
 check: build vet race fuzz-smoke smoke
+
+# The size a simplicity PR or a ROADMAP re-anchor quotes: non-test Go lines
+# outside bench/ (which is its own module), per package directory and in
+# total, smallest first.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' \
+		| xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' \
+		| sort -n
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -160,10 +160,7 @@ func MachineOf(be *Sim) Machine {
 
 // Modeled is implemented by the built-in algorithms: it exposes the
 // model-level cost function of the recurrence T(n) = a·T(n/b) + f(n).
-type Modeled interface {
-	ModelF() func(float64) float64
-	ModelLeaf() float64
-}
+type Modeled = core.Modeled
 
 // PlanAdvanced chooses (α, y) for an algorithm on a simulated backend by
 // maximizing GPU work under the closed-form model when the algorithm's cost

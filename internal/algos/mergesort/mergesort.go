@@ -177,24 +177,13 @@ func (s *Sorter) GPUCombineBatch(level, lo, hi int) core.Batch {
 	}
 	sz := s.runSize(level)
 	src, dst := s.src(level), s.dst(level)
-	reg := s.lookupRegion(lo * sz)
-	if reg == nil {
+	base, count := lo*sz, 2*(hi-lo)
+	if !s.mergeRegion(base, count, sz) {
 		return s.CombineBatch(level, lo, hi)
 	}
 	// Interleaved merge: the region holds count runs of size sz/2 in src;
 	// the batch merges them pairwise into count/2 runs of size sz in dst,
 	// preserving the interleaved layout.
-	if reg.runSize != sz/2 {
-		panic(fmt.Sprintf("mergesort: interleaved run size %d does not match level %d (want %d)",
-			reg.runSize, level, sz/2))
-	}
-	if reg.count != 2*(hi-lo) {
-		panic(fmt.Sprintf("mergesort: interleaved run count %d does not match range [%d,%d)",
-			reg.count, lo, hi))
-	}
-	base, count := reg.base, reg.count
-	reg.count = count / 2
-	reg.runSize = sz
 	run := func(t int) {
 		mergeInterleaved(dst, src, base, count, sz/2, t)
 	}
@@ -212,18 +201,27 @@ func (s *Sorter) GPUCombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// lookupRegion returns the active interleaved region starting at the given
-// element offset, or nil. Device chains of a multi-GPU run construct batches
-// from different goroutines on the native backend, hence the lock.
-func (s *Sorter) lookupRegion(base int) *interRegion {
+// mergeRegion advances the active interleaved region starting at element
+// offset base from count runs of size sz/2 to count/2 runs of size sz, or
+// reports false when there is no such region. Device chains of a multi-GPU
+// run construct batches from different goroutines on the native backend, and
+// one chain's removeRegion moves the other's entry within the slice, hence
+// the lookup and the update under one lock.
+func (s *Sorter) mergeRegion(base, count, sz int) bool {
 	s.interMu.Lock()
 	defer s.interMu.Unlock()
 	for i := range s.inter {
-		if s.inter[i].base == base {
-			return &s.inter[i]
+		reg := &s.inter[i]
+		if reg.base != base {
+			continue
 		}
+		if reg.runSize != sz/2 || reg.count != count {
+			panic(fmt.Sprintf("mergesort: interleaved region %+v does not hold %d runs of size %d", *reg, count, sz/2))
+		}
+		reg.count, reg.runSize = count/2, sz
+		return true
 	}
-	return nil
+	return false
 }
 
 // addRegion registers a new interleaved region; overlap with an existing

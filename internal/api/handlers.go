@@ -49,12 +49,15 @@ func extractResult(res *JobResult, alg core.Alg) error {
 	return nil
 }
 
+// errDraining refuses a submission that arrives once Shutdown has begun.
+var errDraining = fmt.Errorf("api: shutting down: %w", dcerr.ErrServerClosed)
+
 // handleSubmit is POST /v1/jobs: validate, build the instance, propagate the
 // caller's Request-Timeout into the job context, submit, and track the
 // handle. Returns the job ID for request-span tagging.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
-	if s.draining.Load() {
-		writeErr(w, fmt.Errorf("api: shutting down: %w", dcerr.ErrServerClosed))
+	if s.draining.Load() { // the cheap refusal, before the body is read; admit decides
+		writeErr(w, errDraining)
 		return 0
 	}
 	timeout, err := ParseTimeout(r.Header.Get(RequestTimeoutHeader))
@@ -124,6 +127,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 		return 0
 	}
 	opts = append(opts, relOpts...)
+	if !s.admit() {
+		core.ReleaseAlg(alg)
+		mempool.Int32s.Put(pooled)
+		writeErr(w, errDraining)
+		return 0
+	}
 
 	// The job context outlives the HTTP request on purpose: submission is
 	// asynchronous, and only the caller's declared deadline — not its
@@ -143,6 +152,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 		Fresh:     func() (core.Alg, error) { return buildAlg(kind, data) },
 	}, opts...)
 	if err != nil {
+		s.jobsWG.Done()
 		cancel()
 		core.ReleaseAlg(alg)
 		mempool.Int32s.Put(pooled)
@@ -154,11 +164,25 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 	s.mu.Lock()
 	s.jobs[h.ID] = j
 	s.mu.Unlock()
-	s.jobsWG.Add(1)
 	go s.watch(j)
 
 	writeJSON(w, http.StatusAccepted, JobAccepted{ID: h.ID, Status: "queued"})
 	return h.ID
+}
+
+// admit registers one more job with Shutdown's drain wait, or refuses it
+// because the drain has begun. Both sides decide under mu — Shutdown flips
+// draining there — so a job is either refused or counted before the wait
+// starts: no Add from zero runs beside Wait, and none is admitted after it
+// returned. The caller owes a jobsWG.Done (watch pays it at settlement).
+func (s *Server) admit() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.jobsWG.Add(1)
+	return true
 }
 
 // watch releases the job's deadline timer at settlement and evicts the

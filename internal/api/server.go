@@ -223,7 +223,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // being served — and only then does the listener close. ctx bounds the whole
 // wait; on expiry in-flight connections are closed forcibly.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.mu.Lock() // admit's mutex: no job registers once draining is set
 	s.draining.Store(true)
+	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.jobsWG.Wait()

@@ -1,12 +1,14 @@
 package api_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -523,6 +525,80 @@ func TestShutdownDrains(t *testing.T) {
 	// closed). The blocker is the other completion.
 	if st := pool.Stats(); st.Completed != 2 || st.Failed != 0 {
 		t.Fatalf("pool stats %+v: job %d did not settle before listener close", st, hd.ID())
+	}
+}
+
+// TestShutdownAdmissionAtomic submits from several goroutines while Shutdown
+// runs, many times over: a submission is either refused or registered with
+// the drain wait before that wait starts. Once Shutdown has returned, no
+// admitted job is unsettled and no further job reaches the pool — at the
+// commits where the handler tested draining long before it registered, one
+// could — and under -race the WaitGroup sees no Add from zero beside Wait.
+func TestShutdownAdmissionAtomic(t *testing.T) {
+	body, err := json.Marshal(api.JobRequest{Algorithm: "sum", Data: workload.Uniform(1<<11, 29)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := native.New(native.Config{CPUWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	for round := 0; round < 25; round++ {
+		pool, err := serve.New(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := api.New(pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var clients sync.WaitGroup
+		warm := make(chan struct{}, 4) // one send per client, after its first accepted job
+		for c := 0; c < cap(warm); c++ {
+			clients.Add(1)
+			go func() {
+				defer clients.Done()
+				for accepted := 0; ; {
+					rec := httptest.NewRecorder()
+					srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+					switch rec.Code {
+					case http.StatusAccepted:
+						if accepted++; accepted == 1 {
+							warm <- struct{}{}
+						}
+					case http.StatusTooManyRequests: // the pool's refusal: registered, then released
+					case http.StatusServiceUnavailable:
+						if accepted == 0 {
+							t.Errorf("round %d: refused as draining before Shutdown was called", round)
+							warm <- struct{}{}
+						}
+						return
+					default:
+						t.Errorf("round %d: submit answered %d: %s", round, rec.Code, rec.Body)
+						if accepted == 0 {
+							warm <- struct{}{}
+						}
+						return
+					}
+				}
+			}()
+		}
+		for c := 0; c < cap(warm); c++ {
+			<-warm
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		atReturn, inFlight := pool.Stats().Submitted, srv.JobsInFlight()
+		clients.Wait()
+		if inFlight != 0 {
+			t.Errorf("round %d: %d admitted jobs unsettled when Shutdown returned", round, inFlight)
+		}
+		if after := pool.Stats().Submitted; after != atReturn {
+			t.Errorf("round %d: %d jobs reached the pool after Shutdown returned", round, after-atReturn)
+		}
+		pool.Close()
 	}
 }
 

@@ -182,15 +182,15 @@ func ParseTimeout(v string) (time.Duration, error) {
 // the serve.Strategy.String() values; "" defaults to bf-cpu.
 func ParseStrategy(s string) (serve.Strategy, error) {
 	switch strings.ToLower(s) {
-	case "", "bf-cpu":
+	case "", core.BreadthFirstCPUStrategy:
 		return serve.BreadthFirstCPU, nil
-	case "seq-1cpu", "sequential":
+	case core.SequentialStrategy, "sequential":
 		return serve.Sequential, nil
-	case "basic-hybrid":
+	case core.BasicHybridStrategy:
 		return serve.BasicHybrid, nil
-	case "advanced-hybrid":
+	case core.AdvancedHybridStrategy:
 		return serve.AdvancedHybrid, nil
-	case "gpu-only":
+	case core.GPUOnlyStrategy:
 		return serve.GPUOnly, nil
 	case "auto":
 		return serve.Auto, nil

@@ -36,16 +36,17 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/dcerr"
 	"repro/internal/model"
 )
 
-// Strategy names a decision can choose, matching serve.Strategy.String().
+// Strategy names a decision can choose: the executors' report names.
 const (
-	ChoiceCPU      = "bf-cpu"
-	ChoiceGPUOnly  = "gpu-only"
-	ChoiceBasic    = "basic-hybrid"
-	ChoiceAdvanced = "advanced-hybrid"
+	ChoiceCPU      = core.BreadthFirstCPUStrategy
+	ChoiceGPUOnly  = core.GPUOnlyStrategy
+	ChoiceBasic    = core.BasicHybridStrategy
+	ChoiceAdvanced = core.AdvancedHybridStrategy
 )
 
 // Key identifies one calibration bucket: an algorithm at a size class

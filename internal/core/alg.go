@@ -10,6 +10,16 @@ package core
 //
 // An algorithm with a trivial phase (mergesort has no divide work, sum has no
 // base work) returns an empty Batch for it.
+//
+// The three batch constructors must be pure: they describe work and touch
+// neither the data nor any state another constructor reads or writes, so
+// that calling one is safe at any time, in any order, from any goroutine.
+// The executors rely on it twice. An executor constructs a batch at the
+// moment it submits it (plan.go), and the chains of a hybrid run advance
+// independently, so the CPU portion's constructors run beside the device
+// chains' — including a Transformable's, which do mutate layout state.
+// And CoarseBatch (grain.go) constructs every level of a subtree up front,
+// before any of them has run. All effects belong in Batch.Run.
 type Alg interface {
 	// Name identifies the algorithm in traces and reports.
 	Name() string
@@ -38,7 +48,10 @@ type Alg interface {
 // GPUAlg is implemented by algorithms whose batches can execute on the
 // device. GPU batches may differ from CPU ones: a different per-thread
 // kernel (Algorithm 3 of the paper) and different cost annotations
-// (coalescing, §6.3).
+// (coalescing, §6.3). Unlike the CPU constructors they may read the layout
+// state a Transformable keeps: within one device chain the executors call
+// them strictly in execution order, each after the batch before it has
+// completed, and never for a subproblem range another chain owns.
 type GPUAlg interface {
 	Alg
 	// GPUDivideBatch is DivideBatch with device cost annotations.
@@ -52,11 +65,25 @@ type GPUAlg interface {
 	GPUBytes(level, lo, hi int) int64
 }
 
+// Modeled is implemented by algorithms that export the paper's cost model
+// of their recurrence T(n) = a·T(n/b) + f(n) — every built-in one does. The
+// serving layer prices placement and Strategy Auto with it, the facade's
+// PlanAdvanced picks (α, y) with it; an algorithm without it still runs.
+type Modeled interface {
+	// ModelF returns f, the divide-plus-combine cost of one subproblem of
+	// the given size, in model units (one CPU scalar operation each).
+	ModelF() func(size float64) float64
+	// ModelLeaf is the cost of one base case in the same units.
+	ModelLeaf() float64
+}
+
 // Transformable is implemented by algorithms that support the paper's §6.3
 // memory-coalescing layout transformation: before running device levels the
 // data region for subproblem range [lo,hi) at the given level is permuted so
 // that the i-th elements of all sublists are contiguous, and permuted back
-// before the CPU resumes.
+// before the CPU resumes. The two constructors — and GPUCombineBatch between
+// them — may update the region's layout state when called, not only when
+// their batch runs; chains over disjoint ranges call them concurrently.
 type Transformable interface {
 	// PermuteForGPU rearranges [lo,hi) of level l into device layout and
 	// returns the cost of doing so on the device.
@@ -92,36 +119,6 @@ func TasksAtLevel(a, level int) int {
 		t *= a
 	}
 	return t
-}
-
-// RunRecursive executes the algorithm the classic depth-first way on a
-// single CPU core of the backend and returns when done. It is the paper's
-// sequential baseline (the denominator of every speedup figure). The
-// recursion is simulated level-by-level — for a regular algorithm the
-// sequential order of task execution does not change total time on one core.
-func RunRecursive(be Backend, alg Alg, done func()) {
-	L := alg.Levels()
-	// Divide phase, top-down.
-	var step func(level int)
-	var combine func(level int)
-	step = func(level int) {
-		if level == L {
-			leaves := TasksAtLevel(alg.Arity(), L)
-			submitSeq(be, alg.BaseBatch(0, leaves), func() { combine(L - 1) })
-			return
-		}
-		k := TasksAtLevel(alg.Arity(), level)
-		submitSeq(be, alg.DivideBatch(level, 0, k), func() { step(level + 1) })
-	}
-	combine = func(level int) {
-		if level < 0 {
-			done()
-			return
-		}
-		k := TasksAtLevel(alg.Arity(), level)
-		submitSeq(be, alg.CombineBatch(level, 0, k), func() { combine(level - 1) })
-	}
-	step(0)
 }
 
 // submitSeq runs a batch on a single core by folding it into one task whose

@@ -117,23 +117,3 @@ func TestDefaultSplit(t *testing.T) {
 		t.Errorf("DefaultSplit(a=3) = %d, want 2 (0.5·3^2 = 4.5 >= 4)", got)
 	}
 }
-
-func TestRunSeq(t *testing.T) {
-	var order []int
-	steps := []step{
-		func(next func()) { order = append(order, 1); next() },
-		func(next func()) { order = append(order, 2); next() },
-		func(next func()) { order = append(order, 3); next() },
-	}
-	doneCalled := false
-	runSeq(steps, func() { doneCalled = true })
-	if !doneCalled || len(order) != 3 || order[0] != 1 || order[2] != 3 {
-		t.Errorf("runSeq order = %v, done = %v", order, doneCalled)
-	}
-	// Empty chain fires done immediately.
-	fired := false
-	runSeq(nil, func() { fired = true })
-	if !fired {
-		t.Error("empty runSeq did not fire done")
-	}
-}

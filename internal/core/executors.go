@@ -3,9 +3,19 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/dcerr"
+)
+
+// The Report.Strategy names of the single-device executors, which are also
+// the serving layer's strategy names on the wire and in metrics.
+// RunMultiGPUCtx reports "advanced-<k>gpu", RunFusedGPUCtx FusedStrategy.
+const (
+	SequentialStrategy      = "seq-1cpu"
+	BreadthFirstCPUStrategy = "bf-cpu"
+	BasicHybridStrategy     = "basic-hybrid"
+	AdvancedHybridStrategy  = "advanced-hybrid"
+	GPUOnlyStrategy         = "gpu-only"
 )
 
 // Report summarizes one execution.
@@ -121,69 +131,6 @@ func instrument(be Backend, cfg *RunConfig) Backend {
 	return be
 }
 
-// atLevel stamps the batch with its recursion level for observability
-// layers (trace spans, per-level metrics).
-func atLevel(b Batch, l int) Batch {
-	b.Level = l
-	return b
-}
-
-// step is one asynchronous stage of an execution plan.
-type step func(next func())
-
-// stepsPool recycles the executors' plan slices. A plan is one slice of
-// step closures per run (a few per hybrid run); leasing the slice spine
-// here removes the append-growth garbage from every Submit on the serving
-// hot path. The closures themselves still allocate — they capture per-run
-// state — but the spine dominated the slice churn.
-var stepsPool = sync.Pool{New: func() any {
-	s := make([]step, 0, 64)
-	return &s
-}}
-
-// getSteps leases an empty plan slice.
-func getSteps() []step {
-	return (*stepsPool.Get().(*[]step))[:0]
-}
-
-// putSteps returns a plan slice once its chain has fully completed. The
-// stored closures are cleared so pooled spines don't pin per-run captures.
-func putSteps(s []step) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	clear(s)
-	s = s[:0]
-	stepsPool.Put(&s)
-}
-
-// runSeq chains steps sequentially, then calls done.
-func runSeq(steps []step, done func()) {
-	runSeqCtx(context.Background(), steps, func(bool) { done() })
-}
-
-// runSeqCtx chains steps sequentially, checking for cancellation before each
-// step (a level boundary). done fires exactly once, with canceled=true if
-// the chain stopped early. The in-flight step always completes before the
-// chain stops, so no batch is ever abandoned mid-service.
-func runSeqCtx(ctx context.Context, steps []step, done func(canceled bool)) {
-	cdone := ctx.Done()
-	var at func(i int)
-	at = func(i int) {
-		if cdone != nil && ctx.Err() != nil {
-			done(true)
-			return
-		}
-		if i == len(steps) {
-			done(false)
-			return
-		}
-		steps[i](func() { at(i + 1) })
-	}
-	at(0)
-}
-
 // awaitChain blocks until the chain that will close done has finished. For
 // event-loop backends it drives Wait; for autonomous backends it blocks on
 // the signal alone, so concurrent runs sharing the backend do not wait for
@@ -217,33 +164,12 @@ func finish(alg Alg) {
 	}
 }
 
-// settle finalizes a report after its chain completed: stamps the makespan,
-// runs the Finish hook (only for complete, fault-free runs — a partial
-// result is not valid data), applies observers, and builds the cancellation
-// or device-fault error. A device fault recorded by a Faulter layer takes
-// precedence over cancellation: the fault is the more specific cause, and
-// its error already classifies under dcerr.ErrDeviceFault.
-func settle(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, rep *Report, start float64, canceled bool) error {
-	rep.Seconds = be.Now() - start
-	rep.AutoStrategy = cfg.AutoStrategy
-	if mb, ok := be.(*meteredBackend); ok {
-		mb.finish(rep.Seconds)
-	}
-	var err error
-	switch fault := deviceFault(be); {
-	case fault != nil:
-		rep.Partial = true
-		err = fmt.Errorf("core: %s %s: %w", alg.Name(), rep.Strategy, fault)
-	case canceled:
-		rep.Partial = true
-		err = canceledErr(ctx, alg, rep.Strategy)
-	default:
-		finish(alg)
-	}
-	if cfg.Observe != nil {
-		cfg.Observe(rep)
-	}
-	return err
+// open resolves a run's options, applies its observability layers to the
+// backend and refuses a closed one: the prologue of every executor.
+func open(be Backend, opts []Option) (Backend, RunConfig, error) {
+	cfg := NewRunConfig(opts...)
+	be = instrument(be, &cfg)
+	return be, cfg, checkOpen(be)
 }
 
 // RunSequentialCtx executes the algorithm on a single CPU core (the paper's
@@ -252,33 +178,11 @@ func settle(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, rep *Repor
 // WithGrain is accepted but has no effect — the run is already one task per
 // level on one core.
 func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
-	cfg := NewRunConfig(opts...)
-	be = instrument(be, &cfg)
-	if err := checkOpen(be); err != nil {
+	be, cfg, err := open(be, opts)
+	if err != nil {
 		return Report{}, err
 	}
-	L := alg.Levels()
-	a := alg.Arity()
-	steps := getSteps()
-	defer func() { putSteps(steps) }()
-	for l := 0; l < L; l++ {
-		b := atLevel(alg.DivideBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { submitSeq(be, b, next) })
-	}
-	base := atLevel(alg.BaseBatch(0, TasksAtLevel(a, L)), L)
-	steps = append(steps, func(next func()) { submitSeq(be, base, next) })
-	for l := L - 1; l >= 0; l-- {
-		b := atLevel(alg.CombineBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { submitSeq(be, b, next) })
-	}
-
-	rep := Report{Algorithm: alg.Name(), Strategy: "seq-1cpu"}
-	start := be.Now()
-	done := make(chan struct{})
-	var canceled bool
-	runSeqCtx(ctx, steps, func(c bool) { canceled = c; close(done) })
-	awaitChain(be, done)
-	return rep, settle(ctx, be, &cfg, alg, &rep, start, canceled)
+	return execute(ctx, be, &cfg, alg, nil, SequentialStrategy, division{cpu: 1, fold: true}).settle(&cfg)
 }
 
 // RunBreadthFirstCPUCtx executes the algorithm breadth-first on the CPU
@@ -286,43 +190,11 @@ func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) 
 // at every level boundary. With WithGrain the bottom levels collapse into
 // depth-first coarse chunks (grain.go); the result is bit-identical.
 func RunBreadthFirstCPUCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
-	cfg := NewRunConfig(opts...)
-	be = instrument(be, &cfg)
-	if err := checkOpen(be); err != nil {
+	be, cfg, err := open(be, opts)
+	if err != nil {
 		return Report{}, err
 	}
-	L := alg.Levels()
-	a := alg.Arity()
-	k := coarseLevels(cfg.Grain, a, L, 0, be.CPU().Parallelism(),
-		func(cl int) int { return TasksAtLevel(a, cl) })
-	cl := L - k
-	steps := getSteps()
-	defer func() { putSteps(steps) }()
-	for l := 0; l < cl; l++ {
-		b := atLevel(alg.DivideBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { be.CPU().Submit(b, next) })
-	}
-	if k > 0 {
-		// Coarse step: divide cl..L-1, base, combine L-1..cl, one
-		// depth-first chunk per subtree rooted at cl.
-		b := CoarseBatch(alg, cl, 0, TasksAtLevel(a, cl))
-		steps = append(steps, func(next func()) { be.CPU().Submit(b, next) })
-	} else {
-		base := atLevel(alg.BaseBatch(0, TasksAtLevel(a, L)), L)
-		steps = append(steps, func(next func()) { be.CPU().Submit(base, next) })
-	}
-	for l := cl - 1; l >= 0; l-- {
-		b := atLevel(alg.CombineBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { be.CPU().Submit(b, next) })
-	}
-
-	rep := Report{Algorithm: alg.Name(), Strategy: "bf-cpu"}
-	start := be.Now()
-	done := make(chan struct{})
-	var canceled bool
-	runSeqCtx(ctx, steps, func(c bool) { canceled = c; close(done) })
-	awaitChain(be, done)
-	return rep, settle(ctx, be, &cfg, alg, &rep, start, canceled)
+	return execute(ctx, be, &cfg, alg, nil, BreadthFirstCPUStrategy, division{cpu: 1, grain: cfg.Grain}).settle(&cfg)
 }
 
 // RunBasicHybridCtx executes the §5.1 basic work division: levels above the
@@ -335,80 +207,67 @@ func RunBreadthFirstCPUCtx(ctx context.Context, be Backend, alg Alg, opts ...Opt
 // effect: the CPU portion holds only the levels above the crossover, never
 // a leaf-adjacent phase that coarsening could collapse.
 func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover int, opts ...Option) (Report, error) {
-	cfg := NewRunConfig(opts...)
-	be = instrument(be, &cfg)
-	if err := checkOpen(be); err != nil {
+	be, cfg, err := open(be, opts)
+	if err != nil {
 		return Report{}, err
 	}
-	L := alg.Levels()
-	if crossover < 0 || crossover > L {
+	if L := alg.Levels(); crossover < 0 || crossover > L {
 		return Report{}, fmt.Errorf("core: crossover level %d out of range [0,%d]: %w", crossover, L, dcerr.ErrBadLevel)
 	}
 	if be.GPU() == nil {
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
-	a := alg.Arity()
-	x := crossover
-	start := be.Now()
-	steps := getSteps()
-	defer func() { putSteps(steps) }()
+	r := execute(ctx, be, &cfg, alg, alg, BasicHybridStrategy,
+		division{s: crossover, y: crossover, devs: []LevelExecutor{be.GPU()}})
+	r.rep.GPUPortionSeconds = since(r.devs[0].stamps[stampHome], r.start)
+	return r.settle(&cfg)
+}
 
-	// Top divide phase on CPU.
-	for l := 0; l < x; l++ {
-		b := atLevel(alg.DivideBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { be.CPU().Submit(b, next) })
+// RunGPUOnlyCtx executes the whole algorithm breadth-first on the device
+// (the Fig 9 baseline), checking ctx at every level boundary. The report's
+// GPUPortionSeconds excludes the two host↔device transfers ("sort only" in
+// the paper); Seconds includes them.
+func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) (Report, error) {
+	be, cfg, err := open(be, opts)
+	if err != nil {
+		return Report{}, err
 	}
-	// Ship the whole instance to the device, staging into a leased segment
-	// when the backend pools device memory (released after the chain, so
-	// the next same-shape run reuses the residency).
-	bytes := alg.GPUBytes(x, 0, TasksAtLevel(a, x))
-	sa := segmentAllocator(be)
-	var seg *Segment
-	defer func() { seg.Release() }()
-	if sa != nil {
-		steps = append(steps, func(next func()) { seg = sa.AllocSegment(bytes); next() })
+	if be.GPU() == nil {
+		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
-	steps = append(steps, func(next func()) { be.TransferToGPU(bytes, next) })
-	// Device-resident phase: divide down, base, combine back up to x.
-	for l := x; l < L; l++ {
-		b := atLevel(alg.GPUDivideBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { be.GPU().Submit(b, next) })
-	}
-	tr, _ := alg.(Transformable)
-	if cfg.Coalesce && tr != nil {
-		b := atLevel(tr.PermuteForGPU(L, 0, TasksAtLevel(a, L)), L)
-		steps = append(steps, func(next func()) { be.GPU().Submit(b, next) })
-	}
-	steps = append(steps, func(next func()) {
-		// Constructed lazily: a preceding permute step may have changed
-		// the algorithm's device layout state.
-		be.GPU().Submit(atLevel(alg.GPUBaseBatch(0, TasksAtLevel(a, L)), L), next)
-	})
-	for l := L - 1; l >= x; l-- {
-		l := l
-		steps = append(steps, func(next func()) {
-			be.GPU().Submit(atLevel(alg.GPUCombineBatch(l, 0, TasksAtLevel(a, l)), l), next)
-		})
-	}
-	if cfg.Coalesce && tr != nil {
-		steps = append(steps, func(next func()) {
-			be.GPU().Submit(atLevel(tr.PermuteBack(x, 0, TasksAtLevel(a, x)), x), next)
-		})
-	}
-	steps = append(steps, func(next func()) { be.TransferToCPU(bytes, next) })
-	rep := Report{Algorithm: alg.Name(), Strategy: "basic-hybrid"}
-	steps = append(steps, func(next func()) { rep.GPUPortionSeconds = be.Now() - start; next() })
-	// Remaining combine levels on CPU.
-	for l := x - 1; l >= 0; l-- {
-		b := atLevel(alg.CombineBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { be.CPU().Submit(b, next) })
-	}
+	r := execute(ctx, be, &cfg, alg, alg, GPUOnlyStrategy, division{devs: []LevelExecutor{be.GPU()}})
+	r.rep.GPUPortionSeconds = since(r.devs[0].stamps[stampRoot], r.devs[0].stamps[stampResident])
+	return r.settle(&cfg)
+}
 
-	done := make(chan struct{})
-	var canceled bool
-	runSeqCtx(ctx, steps, func(c bool) { canceled = c; close(done) })
-	awaitChain(be, done)
-	return rep, settle(ctx, be, &cfg, alg, &rep, start, canceled)
+// checkAlphaY validates the advanced division's CPU share and transfer
+// level.
+func checkAlphaY(alg Alg, alpha float64, y int) error {
+	if alpha < 0 || alpha > 1 {
+		return fmt.Errorf("core: alpha %g: %w", alpha, dcerr.ErrBadAlpha)
+	}
+	if L := alg.Levels(); y < 0 || y > L {
+		return fmt.Errorf("core: transfer level %d out of range [0,%d]: %w", y, L, dcerr.ErrBadLevel)
+	}
+	return nil
+}
+
+// splitDivision resolves the advanced division's split level (DefaultSplit
+// unless WithSplit pinned one), the CPU's share α of that level's
+// subproblems, rounded to the nearest whole one, and how many of the devices
+// the rest keeps busy: with fewer subproblems than devices the others idle.
+func splitDivision(be Backend, cfg *RunConfig, alg Alg, alpha float64, y int, devices []LevelExecutor) (division, error) {
+	s := DefaultSplit(alg, be.CPU().Parallelism(), alpha, y)
+	if cfg.SplitSet {
+		s = cfg.Split
+	}
+	if s > y {
+		return division{}, fmt.Errorf("core: split level %d above transfer level %d: %w", s, y, dcerr.ErrBadLevel)
+	}
+	width := TasksAtLevel(alg.Arity(), s)
+	cpu := min(max(int(alpha*float64(width)+0.5), 0), width)
+	devices = devices[:min(len(devices), width-cpu)]
+	return division{s: s, y: y, cpu: cpu, devs: devices, grain: cfg.Grain}, nil
 }
 
 // RunAdvancedHybridCtx executes the §5.2 advanced work division
@@ -420,242 +279,24 @@ func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover in
 // implementation. The split level defaults to DefaultSplit; override it with
 // WithSplit. ctx is checked at every level boundary of all three chains.
 func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha float64, y int, opts ...Option) (Report, error) {
-	cfg := NewRunConfig(opts...)
-	be = instrument(be, &cfg)
-	if err := checkOpen(be); err != nil {
+	be, cfg, err := open(be, opts)
+	if err != nil {
 		return Report{}, err
 	}
-	L := alg.Levels()
-	a := alg.Arity()
-	if alpha < 0 || alpha > 1 {
-		return Report{}, fmt.Errorf("core: alpha %g: %w", alpha, dcerr.ErrBadAlpha)
-	}
-	if y < 0 || y > L {
-		return Report{}, fmt.Errorf("core: transfer level %d out of range [0,%d]: %w", y, L, dcerr.ErrBadLevel)
-	}
-	if be.GPU() == nil {
-		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
-	}
-	s := DefaultSplit(alg, be.CPU().Parallelism(), alpha, y)
-	if cfg.SplitSet {
-		s = cfg.Split
-	}
-	if s > y {
-		return Report{}, fmt.Errorf("core: split level %d above transfer level %d: %w", s, y, dcerr.ErrBadLevel)
-	}
-
-	width := TasksAtLevel(a, s)
-	cCount := int(alpha*float64(width) + 0.5)
-	if cCount < 0 {
-		cCount = 0
-	}
-	if cCount > width {
-		cCount = width
-	}
-	// at returns the index range of a portion [c0,c1) (defined at level s)
-	// at level l ≥ s.
-	at := func(l, c0, c1 int) (int, int) {
-		f := TasksAtLevel(a, l-s)
-		return c0 * f, c1 * f
-	}
-
-	start := be.Now()
-
-	// Joint top divide phase, full width, on CPU.
-	top := getSteps()
-	defer func() { putSteps(top) }()
-	for l := 0; l < s; l++ {
-		b := atLevel(alg.DivideBatch(l, 0, TasksAtLevel(a, l)), l)
-		top = append(top, func(next func()) { be.CPU().Submit(b, next) })
-	}
-
-	// CPU chain over portion [0, cCount). With WithGrain its bottom levels
-	// collapse into depth-first coarse chunks, clamped at the split level
-	// (the coarse root never rises above s); the GPU portion is untouched.
-	cpuChain := getSteps()
-	defer func() { putSteps(cpuChain) }()
-	if cCount > 0 {
-		k := coarseLevels(cfg.Grain, a, L, s, be.CPU().Parallelism(),
-			func(cl int) int { lo, hi := at(cl, 0, cCount); return hi - lo })
-		cl := L - k
-		for l := s; l < cl; l++ {
-			lo, hi := at(l, 0, cCount)
-			b := atLevel(alg.DivideBatch(l, lo, hi), l)
-			cpuChain = append(cpuChain, func(next func()) { be.CPU().Submit(b, next) })
-		}
-		if k > 0 {
-			lo, hi := at(cl, 0, cCount)
-			b := CoarseBatch(alg, cl, lo, hi)
-			cpuChain = append(cpuChain, func(next func()) { be.CPU().Submit(b, next) })
-		} else {
-			lo, hi := at(L, 0, cCount)
-			base := atLevel(alg.BaseBatch(lo, hi), L)
-			cpuChain = append(cpuChain, func(next func()) { be.CPU().Submit(base, next) })
-		}
-		for l := cl - 1; l >= s; l-- {
-			lo, hi := at(l, 0, cCount)
-			b := atLevel(alg.CombineBatch(l, lo, hi), l)
-			cpuChain = append(cpuChain, func(next func()) { be.CPU().Submit(b, next) })
-		}
-	}
-
-	// GPU chain over portion [cCount, width).
-	gpuChain := getSteps()
-	defer func() { putSteps(gpuChain) }()
-	var gpuDeviceDone float64
-	tr, _ := alg.(Transformable)
-	sa := segmentAllocator(be)
-	var seg *Segment
-	defer func() { seg.Release() }()
-	if cCount < width {
-		bytes := alg.GPUBytes(s, cCount, width)
-		if sa != nil {
-			gpuChain = append(gpuChain, func(next func()) { seg = sa.AllocSegment(bytes); next() })
-		}
-		gpuChain = append(gpuChain, func(next func()) { be.TransferToGPU(bytes, next) })
-		for l := s; l < L; l++ {
-			lo, hi := at(l, cCount, width)
-			b := atLevel(alg.GPUDivideBatch(l, lo, hi), l)
-			gpuChain = append(gpuChain, func(next func()) { be.GPU().Submit(b, next) })
-		}
-		if cfg.Coalesce && tr != nil {
-			lo, hi := at(L, cCount, width)
-			b := atLevel(tr.PermuteForGPU(L, lo, hi), L)
-			gpuChain = append(gpuChain, func(next func()) { be.GPU().Submit(b, next) })
-		}
-		gpuChain = append(gpuChain, func(next func()) {
-			lo, hi := at(L, cCount, width)
-			be.GPU().Submit(atLevel(alg.GPUBaseBatch(lo, hi), L), next)
-		})
-		for l := L - 1; l >= y; l-- {
-			l := l
-			gpuChain = append(gpuChain, func(next func()) {
-				lo, hi := at(l, cCount, width)
-				be.GPU().Submit(atLevel(alg.GPUCombineBatch(l, lo, hi), l), next)
-			})
-		}
-		if cfg.Coalesce && tr != nil {
-			gpuChain = append(gpuChain, func(next func()) {
-				lo, hi := at(y, cCount, width)
-				be.GPU().Submit(atLevel(tr.PermuteBack(y, lo, hi), y), next)
-			})
-		}
-		gpuChain = append(gpuChain, func(next func()) { be.TransferToCPU(bytes, next) })
-		gpuChain = append(gpuChain, func(next func()) { gpuDeviceDone = be.Now(); next() })
-		// Above the transfer level the GPU portion continues on the CPU,
-		// competing with the CPU chain for cores, as in the paper.
-		for l := y - 1; l >= s; l-- {
-			l := l
-			gpuChain = append(gpuChain, func(next func()) {
-				lo, hi := at(l, cCount, width)
-				be.CPU().Submit(atLevel(alg.CombineBatch(l, lo, hi), l), next)
-			})
-		}
-	}
-
-	// Joint combine phase above the split, full width, on CPU.
-	tail := getSteps()
-	defer func() { putSteps(tail) }()
-	for l := s - 1; l >= 0; l-- {
-		b := atLevel(alg.CombineBatch(l, 0, TasksAtLevel(a, l)), l)
-		tail = append(tail, func(next func()) { be.CPU().Submit(b, next) })
-	}
-
-	rep := Report{Algorithm: alg.Name(), Strategy: "advanced-hybrid"}
-	done := make(chan struct{})
-	var canceled bool
-
-	runSeqCtx(ctx, top, func(c bool) {
-		if c {
-			canceled = true
-			close(done)
-			return
-		}
-		forkAt := be.Now()
-		var cpuCanceled, gpuCanceled bool
-		join := Join(2, func() {
-			if cpuCanceled || gpuCanceled {
-				canceled = true
-				close(done)
-				return
-			}
-			runSeqCtx(ctx, tail, func(c bool) { canceled = c; close(done) })
-		})
-		runSeqCtx(ctx, cpuChain, func(c bool) {
-			cpuCanceled = c
-			rep.CPUPortionSeconds = be.Now() - forkAt
-			join()
-		})
-		runSeqCtx(ctx, gpuChain, func(c bool) {
-			gpuCanceled = c
-			if gpuDeviceDone >= forkAt {
-				rep.GPUPortionSeconds = gpuDeviceDone - forkAt
-			}
-			join()
-		})
-	})
-	awaitChain(be, done)
-	return rep, settle(ctx, be, &cfg, alg, &rep, start, canceled)
-}
-
-// RunGPUOnlyCtx executes the whole algorithm breadth-first on the device
-// (the Fig 9 baseline), checking ctx at every level boundary. The report's
-// GPUPortionSeconds excludes the two host↔device transfers ("sort only" in
-// the paper); Seconds includes them.
-func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) (Report, error) {
-	cfg := NewRunConfig(opts...)
-	be = instrument(be, &cfg)
-	if err := checkOpen(be); err != nil {
+	if err := checkAlphaY(alg, alpha, y); err != nil {
 		return Report{}, err
 	}
 	if be.GPU() == nil {
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
-	L := alg.Levels()
-	a := alg.Arity()
-	start := be.Now()
-	steps := getSteps()
-	defer func() { putSteps(steps) }()
-	bytes := alg.GPUBytes(0, 0, 1)
-	sa := segmentAllocator(be)
-	var seg *Segment
-	defer func() { seg.Release() }()
-	if sa != nil {
-		steps = append(steps, func(next func()) { seg = sa.AllocSegment(bytes); next() })
+	d, err := splitDivision(be, &cfg, alg, alpha, y, []LevelExecutor{be.GPU()})
+	if err != nil {
+		return Report{}, err
 	}
-	steps = append(steps, func(next func()) { be.TransferToGPU(bytes, next) })
-	var devStart float64
-	steps = append(steps, func(next func()) { devStart = be.Now(); next() })
-	for l := 0; l < L; l++ {
-		b := atLevel(alg.GPUDivideBatch(l, 0, TasksAtLevel(a, l)), l)
-		steps = append(steps, func(next func()) { be.GPU().Submit(b, next) })
+	r := execute(ctx, be, &cfg, alg, alg, AdvancedHybridStrategy, d)
+	r.rep.CPUPortionSeconds = r.cpu.end - r.forkAt
+	if len(r.devs) > 0 {
+		r.rep.GPUPortionSeconds = since(r.devs[0].stamps[stampHome], r.forkAt)
 	}
-	tr, _ := alg.(Transformable)
-	if cfg.Coalesce && tr != nil {
-		b := atLevel(tr.PermuteForGPU(L, 0, TasksAtLevel(a, L)), L)
-		steps = append(steps, func(next func()) { be.GPU().Submit(b, next) })
-	}
-	steps = append(steps, func(next func()) {
-		be.GPU().Submit(atLevel(alg.GPUBaseBatch(0, TasksAtLevel(a, L)), L), next)
-	})
-	for l := L - 1; l >= 0; l-- {
-		l := l
-		steps = append(steps, func(next func()) {
-			be.GPU().Submit(atLevel(alg.GPUCombineBatch(l, 0, TasksAtLevel(a, l)), l), next)
-		})
-	}
-	if cfg.Coalesce && tr != nil {
-		steps = append(steps, func(next func()) {
-			be.GPU().Submit(tr.PermuteBack(0, 0, 1), next)
-		})
-	}
-	rep := Report{Algorithm: alg.Name(), Strategy: "gpu-only"}
-	steps = append(steps, func(next func()) { rep.GPUPortionSeconds = be.Now() - devStart; next() })
-	steps = append(steps, func(next func()) { be.TransferToCPU(bytes, next) })
-
-	done := make(chan struct{})
-	var canceled bool
-	runSeqCtx(ctx, steps, func(c bool) { canceled = c; close(done) })
-	awaitChain(be, done)
-	return rep, settle(ctx, be, &cfg, alg, &rep, start, canceled)
+	return r.settle(&cfg)
 }

@@ -55,9 +55,8 @@ const FusedStrategy = "fused-gpu"
 // switch fused too: one permute launch before the base phase per chunk, and
 // one permute-back launch per group of members finishing the same step.
 func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Option) ([]Report, error) {
-	cfg := NewRunConfig(opts...)
-	be = instrument(be, &cfg)
-	if err := checkOpen(be); err != nil {
+	be, cfg, err := open(be, opts)
+	if err != nil {
 		return nil, err
 	}
 	if len(algs) == 0 {
@@ -79,10 +78,10 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 	reports := make([]Report, n) // returned to the caller: never pooled
 	// Per-run scratch is leased from the pool and handed back after the
 	// chain has fully retired (every element is written before any read).
-	depth := mempool.Ints.Get(n)     // L_m
-	leaves := mempool.Ints.Get(n)    // a^L_m
-	bytes := mempool.Int64s.Get(n)   // whole-instance transfer size
-	chunkOf := mempool.Ints.Get(n)   // transfer chunk index of each member
+	depth := mempool.Ints.Get(n)   // L_m
+	leaves := mempool.Ints.Get(n)  // a^L_m
+	bytes := mempool.Int64s.Get(n) // whole-instance transfer size
+	chunkOf := mempool.Ints.Get(n) // transfer chunk index of each member
 	rootAt := mempool.Float64s.Get(n)
 	defer func() {
 		mempool.Ints.Put(depth)
@@ -233,80 +232,72 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 
 	// Ingest: chunk c's upload, then its device-resident divide and base
 	// phases, with chunk c+1's upload forked as soon as the link frees —
-	// the double-buffered pipeline.
+	// the double-buffered pipeline. ingest(t) runs after t of the chunk's
+	// ingest steps have completed: lease, upload, stamp-and-fork, one fused
+	// divide per level of the chunk's deepest member, permute, base.
 	var startChunk func(c int)
 	startChunk = func(c int) {
 		members := chunks[c]
 		maxLc := 0
-		for _, m := range members {
-			if depth[m] > maxLc {
-				maxLc = depth[m]
-			}
-		}
 		var sum int64
 		for _, m := range members {
+			maxLc = max(maxLc, depth[m])
 			sum += bytes[m]
 		}
-		steps := getSteps()
-		if sa != nil {
-			steps = append(steps, func(next func()) {
-				for _, m := range members {
-					segs[m] = sa.AllocSegment(bytes[m])
+		var ingest func(t int)
+		ingest = func(t int) {
+			if ctx.Err() != nil {
+				markCanceled()
+				release()
+				return
+			}
+			next := func() { ingest(t + 1) }
+			switch d := t - 3; { // d: divide level of the deepest member
+			case t == 0:
+				if sa != nil {
+					for _, m := range members {
+						segs[m] = sa.AllocSegment(bytes[m])
+					}
 				}
 				next()
-			})
-		}
-		steps = append(steps, func(next func()) { be.TransferToGPU(sum, next) })
-		steps = append(steps, func(next func()) {
-			mu.Lock()
-			deviceStart[c] = be.Now()
-			mu.Unlock()
-			if c+1 < len(chunks) {
-				hold()
-				startChunk(c + 1)
-			}
-			next()
-		})
-		for t := 0; t < maxLc; t++ {
-			t := t
-			steps = append(steps, func(next func()) {
-				b := fuse(members, func(m int) Batch {
-					off := maxLc - depth[m]
-					if t < off {
+			case t == 1:
+				be.TransferToGPU(sum, next)
+			case t == 2:
+				mu.Lock()
+				deviceStart[c] = be.Now()
+				mu.Unlock()
+				if c+1 < len(chunks) {
+					hold()
+					startChunk(c + 1)
+				}
+				next()
+			case d < maxLc:
+				gpu.Submit(fuse(members, func(m int) Batch {
+					lvl := d - (maxLc - depth[m])
+					if lvl < 0 {
 						return Batch{}
 					}
-					lvl := t - off
 					return atLevel(algs[m].GPUDivideBatch(lvl, 0, TasksAtLevel(algs[m].Arity(), lvl)), lvl)
-				})
-				gpu.Submit(b, next)
-			})
-		}
-		if cfg.Coalesce {
-			steps = append(steps, func(next func()) {
-				b := fuse(members, func(m int) Batch {
+				}), next)
+			case d == maxLc && cfg.Coalesce:
+				gpu.Submit(fuse(members, func(m int) Batch {
 					if tr, ok := algs[m].(Transformable); ok {
 						return atLevel(tr.PermuteForGPU(depth[m], 0, leaves[m]), depth[m])
 					}
 					return Batch{}
-				})
-				gpu.Submit(b, next)
-			})
-		}
-		steps = append(steps, func(next func()) {
-			b := fuse(members, func(m int) Batch {
-				return atLevel(algs[m].GPUBaseBatch(0, leaves[m]), depth[m])
-			})
-			gpu.Submit(b, next)
-		})
-		runSeqCtx(ctx, steps, func(c bool) {
-			if c {
-				markCanceled()
-			} else {
+				}), next)
+			case d == maxLc:
+				next()
+			case d == maxLc+1:
+				gpu.Submit(fuse(members, func(m int) Batch {
+					return atLevel(algs[m].GPUBaseBatch(0, leaves[m]), depth[m])
+				}), next)
+			default:
 				barrier()
+				release()
 			}
-			putSteps(steps)
-			release()
-		})
+		}
+		ingest(0)
 	}
 
 	hold()
@@ -317,7 +308,6 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 	if mb, ok := be.(*meteredBackend); ok {
 		mb.finish(makespan)
 	}
-	var err error
 	if canceled {
 		for m := range reports {
 			reports[m].Partial = true
@@ -335,6 +325,13 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 		}
 	}
 	return reports, err
+}
+
+// atLevel stamps the batch with its recursion level for observability
+// layers (trace spans, per-level metrics).
+func atLevel(b Batch, l int) Batch {
+	b.Level = l
+	return b
 }
 
 // activeAt returns the members still combining after t completed steps.

@@ -13,9 +13,9 @@ package core
 // bottom-up) is preserved exactly.
 //
 // Coarsening applies only to CPU-side batches, whose constructors are pure
-// (the executors already build them eagerly at plan-construction time);
-// GPU batch constructors may be stateful (layout transforms) and are never
-// coarsened.
+// (the Alg contract: the interpreter of plan.go already calls them beside
+// device-side ones, in no fixed order between chains); GPU batch
+// constructors may be stateful (layout transforms) and are never coarsened.
 
 // GrainAuto selects the leaf-coarsening grain automatically: the largest
 // collapse that still leaves at least 4·p coarse subtrees, so every CPU
@@ -30,9 +30,11 @@ const autoGrainSlack = 4
 // bottom ⌊log_a(n)⌋ breadth-first levels collapse into one depth-first
 // coarse chunk per subtree (at most n leaves each). 0 or 1 disables
 // coarsening (the default); GrainAuto picks the largest grain that keeps
-// all CPU workers busy. Results are bit-identical for any grain. Executors
-// without a CPU leaf phase (sequential, basic hybrid, GPU-only, fused)
-// accept and ignore the option.
+// all CPU workers busy. Results are bit-identical for any grain. The
+// executors with a CPU leaf phase honour it — breadth-first CPU, and the
+// CPU portion of the advanced hybrid and of its multi-device form, floored
+// at the split level; the others (sequential, basic hybrid, GPU-only,
+// fused) accept and ignore the option.
 func WithGrain(n int) Option {
 	return func(c *RunConfig) {
 		if n < 0 {
@@ -77,8 +79,8 @@ func coarseLevels(grain, a, L, floor, p int, tasksAt func(cl int) int) int {
 // place — divide levels cl..Levels()−1, the base case, then combine levels
 // Levels()−1..cl — over the subtree's contiguous index ranges. Per-task Cost
 // aggregates the per-level CPU costs of one subtree. The per-level batches
-// are constructed eagerly, matching the executors' existing contract that
-// CPU batch constructors are pure.
+// are all constructed here, before any of them runs, which the Alg contract
+// allows: CPU batch constructors are pure.
 func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 	L := alg.Levels()
 	a := alg.Arity()

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -179,9 +178,38 @@ func TestGrainBitIdentical(t *testing.T) {
 	}
 }
 
+// multiNative presents the device lanes of several native backends as the
+// devices of one MultiGPUBackend: the first backend supplies the CPU, the
+// link and device 0, each further one only its device.
+type multiNative struct {
+	*native.Backend
+	gpus []LevelExecutor
+}
+
+func (m multiNative) GPUs() []LevelExecutor { return m.gpus }
+
+func newMultiNative(t *testing.T, devices int) multiNative {
+	t.Helper()
+	var m multiNative
+	for d := 0; d < devices; d++ {
+		nb, err := native.New(native.Config{CPUWorkers: 4, DeviceLanes: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nb.Close() })
+		if d == 0 {
+			m.Backend = nb
+		}
+		m.gpus = append(m.gpus, nb.GPU())
+	}
+	return m
+}
+
 // TestGrainAdvancedHybridBitIdentical pins that grain wired through the
-// advanced hybrid's CPU portion (clamped at the split level) also preserves
-// results exactly, on both backends.
+// CPU portion of the advanced hybrid and of its multi-device form (clamped
+// at the split level) also preserves results exactly, on both backends, and
+// that it is not silently dropped: on the simulator a coarse CPU portion
+// finishes at a different virtual time than a level-by-level one.
 func TestGrainAdvancedHybridBitIdentical(t *testing.T) {
 	build := func(t *testing.T, kind int, data []int32) GPUAlg {
 		t.Helper()
@@ -217,6 +245,34 @@ func TestGrainAdvancedHybridBitIdentical(t *testing.T) {
 			return append([]int32(nil), alg.(*mergesort.Sorter).Result()...)
 		}
 	}
+	// Each entry point runs on a simulated and a native platform of its own
+	// shape: one device, or two. The advanced rows keep the subtest names
+	// they have always had, the multi-device ones get a prefix.
+	entries := []struct {
+		prefix string
+		sim    func(t *testing.T) Backend
+		nat    func(t *testing.T) Backend
+		run    func(be Backend, alg GPUAlg, y int, opts ...Option) (Report, error)
+	}{
+		{"",
+			func(t *testing.T) Backend { return hpu.MustSim(hpu.HPU1()) },
+			func(t *testing.T) Backend { return newMultiNative(t, 1).Backend },
+			func(be Backend, alg GPUAlg, y int, opts ...Option) (Report, error) {
+				return RunAdvancedHybridCtx(context.Background(), be, alg, 0.25, y, opts...)
+			}},
+		{"multi-",
+			func(t *testing.T) Backend {
+				be, err := hpu.NewMultiSim(hpu.HPU1(), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return be
+			},
+			func(t *testing.T) Backend { return newMultiNative(t, 2) },
+			func(be Backend, alg GPUAlg, y int, opts ...Option) (Report, error) {
+				return RunMultiGPUCtx(context.Background(), be.(MultiGPUBackend), alg, 0.25, y, opts...)
+			}},
+	}
 	rng := rand.New(rand.NewSource(11))
 	data := make([]int32, 1<<10)
 	for i := range data {
@@ -230,31 +286,35 @@ func TestGrainAdvancedHybridBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := value(ref)
-			L := ref.Levels()
-			y := L - 2
-			for _, backend := range []string{"sim", "native"} {
-				for _, gs := range grainSettings {
-					t.Run(fmt.Sprintf("%s/%s", backend, gs.name), func(t *testing.T) {
-						var be Backend
-						switch backend {
-						case "sim":
-							be = hpu.MustSim(hpu.HPU1())
-						case "native":
-							nb, err := native.New(native.Config{CPUWorkers: 4, DeviceLanes: 8})
+			y := ref.Levels() - 2
+			for _, e := range entries {
+				cpuPortion := map[int]float64{} // on the simulator, by grain
+				for _, backend := range []string{"sim", "native"} {
+					for _, gs := range grainSettings {
+						t.Run(e.prefix+backend+"/"+gs.name, func(t *testing.T) {
+							be := e.sim(t)
+							if backend == "native" {
+								be = e.nat(t)
+							}
+							alg := build(t, kind, data)
+							rep, err := e.run(be, alg, y, WithGrain(gs.grain))
 							if err != nil {
 								t.Fatal(err)
 							}
-							defer nb.Close()
-							be = nb
-						}
-						alg := build(t, kind, data)
-						if _, err := RunAdvancedHybridCtx(context.Background(), be, alg, 0.25, y, WithGrain(gs.grain)); err != nil {
-							t.Fatal(err)
-						}
-						if got := value(alg); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s %s %s: result differs from sequential baseline", names[kind], backend, gs.name)
-						}
-					})
+							if got := value(alg); !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s %s%s %s: result differs from sequential baseline", names[kind], e.prefix, backend, gs.name)
+							}
+							if backend == "sim" {
+								cpuPortion[gs.grain] = rep.CPUPortionSeconds
+							}
+						})
+					}
+				}
+				for _, g := range []int{64, GrainAuto} {
+					if cpuPortion[g] == cpuPortion[1] {
+						t.Errorf("%s %ssim: CPUPortionSeconds %g with grain %d and without: the option was dropped",
+							names[kind], e.prefix, cpuPortion[g], g)
+					}
 				}
 			}
 		})

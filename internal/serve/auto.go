@@ -13,17 +13,10 @@ import (
 	"repro/internal/core"
 )
 
-// modeled is the cost-model hook pair the paper's algorithms export
-// (mirrors pool.go's placement probe).
-type autoModeled interface {
-	ModelF() func(float64) float64
-	ModelLeaf() float64
-}
-
 // autoSpec builds the pricing spec for alg on be, or ok=false when the
 // algorithm exports no cost model (then Auto degrades to BreadthFirstCPU).
 func autoSpec(alg core.Alg, be core.Backend) (autotune.Spec, bool) {
-	m, ok := alg.(autoModeled)
+	m, ok := alg.(core.Modeled)
 	if !ok {
 		return autotune.Spec{}, false
 	}

@@ -143,11 +143,7 @@ func (s *Server) newDevice(id int, be core.Backend) *device {
 // sequential time; the rest fall back to N·(levels+1), the breadth-first
 // task-count proxy.
 func modeledCost(alg core.Alg) float64 {
-	type modeled interface {
-		ModelF() func(float64) float64
-		ModelLeaf() float64
-	}
-	if m, ok := alg.(modeled); ok {
+	if m, ok := alg.(core.Modeled); ok {
 		t, err := model.SequentialWork(alg.Arity(), alg.Shrink(), alg.Levels(), m.ModelF(), m.ModelLeaf())
 		if err == nil {
 			return t

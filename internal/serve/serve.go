@@ -74,15 +74,15 @@ const (
 func (s Strategy) String() string {
 	switch s {
 	case Sequential:
-		return "seq-1cpu"
+		return core.SequentialStrategy
 	case BreadthFirstCPU:
-		return "bf-cpu"
+		return core.BreadthFirstCPUStrategy
 	case BasicHybrid:
-		return "basic-hybrid"
+		return core.BasicHybridStrategy
 	case AdvancedHybrid:
-		return "advanced-hybrid"
+		return core.AdvancedHybridStrategy
 	case GPUOnly:
-		return "gpu-only"
+		return core.GPUOnlyStrategy
 	case Auto:
 		return "auto"
 	}
