@@ -1,9 +1,9 @@
 # Development entry points. `make check` is the CI gate: full build, vet,
-# race-enabled tests, and the serving layer's self-checking load smoke.
+# gofmt, race-enabled tests, and the serving layer's self-checking load smoke.
 
 GO ?= go
 
-.PHONY: all build vet test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check loc bench benchmark bench-ab
+.PHONY: all build vet fmt test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check loc bench benchmark bench-ab
 
 all: check
 
@@ -12,6 +12,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l names the files it would rewrite; any name fails the check.
+fmt:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 test:
 	$(GO) test ./...
@@ -80,7 +84,7 @@ chaos-smoke:
 api-smoke:
 	$(GO) run ./cmd/hpuserve --api-smoke
 
-check: build vet race fuzz-smoke smoke
+check: build vet fmt race fuzz-smoke smoke
 
 # The size a simplicity PR or a ROADMAP re-anchor quotes: non-test Go lines
 # outside bench/ (which is its own module), per package directory and in

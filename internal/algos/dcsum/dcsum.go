@@ -113,9 +113,11 @@ func (s *Summer) CombineBatch(level, lo, hi int) core.Batch {
 	return core.Batch{
 		Tasks: hi - lo,
 		Cost:  combineCost(int64(hi-lo)*int64(sz)*8, false),
-		Run: func(i int) {
-			off := (lo + i) * sz
-			s.v[off] += s.v[off+sz/2]
+		RunRange: func(from, to int) {
+			v := s.v[(lo+from)*sz : (lo+to)*sz]
+			for off := 0; off < len(v); off += sz {
+				v[off] += v[off+sz/2]
+			}
 		},
 	}
 }
@@ -150,8 +152,11 @@ func (s *Summer) GPUCombineBatch(level, lo, hi int) core.Batch {
 	return core.Batch{
 		Tasks: k,
 		Cost:  combineCost(int64(2*k)*8, true),
-		Run: func(id int) {
-			s.v[base+id] += s.v[base+id+k]
+		RunRange: func(from, to int) {
+			left, right := s.v[base+from:base+to], s.v[base+k+from:base+k+to]
+			for id := range left {
+				left[id] += right[id]
+			}
 		},
 	}
 }

@@ -91,24 +91,34 @@ func combineCost(sz, tasks int, coalesced bool) core.Cost {
 }
 
 // CombineBatch implements core.Alg: task idx adds its left half's total into
-// every element of its right half.
+// every element of its right half. A range body: near the leaves a task is
+// one or two adds, less than a call per task would cost.
 func (s *Scanner) CombineBatch(level, lo, hi int) core.Batch {
 	if hi <= lo {
 		return core.Batch{}
 	}
 	sz := s.n >> level
-	return core.Batch{
-		Tasks: hi - lo,
-		Cost:  combineCost(sz, hi-lo, false),
-		Run: func(i int) {
-			off := (lo + i) * sz
+	b := core.Batch{Tasks: hi - lo, Cost: combineCost(sz, hi-lo, false)}
+	if sz == 2 {
+		// The widest level: n/2 pairs, each one add.
+		b.RunRange = func(from, to int) {
+			pairs := s.v[(lo+from)*2 : (lo+to)*2]
+			for j := 1; j < len(pairs); j += 2 {
+				pairs[j] += pairs[j-1]
+			}
+		}
+		return b
+	}
+	b.RunRange = func(from, to int) {
+		for off := (lo + from) * sz; off < (lo+to)*sz; off += sz {
 			offset := s.v[off+sz/2-1]
 			right := s.v[off+sz/2 : off+sz]
 			for j := range right {
 				right[j] += offset
 			}
-		},
+		}
 	}
+	return b
 }
 
 // GPUDivideBatch implements core.GPUAlg.

@@ -155,7 +155,10 @@ func ReadInt32Frame(r io.Reader, maxBytes int64) ([]int32, error) {
 	return out, nil
 }
 
-// ReadInt64Frame decodes one int64 frame.
+// ReadInt64Frame decodes one int64 frame. Int64 frames carry results, which
+// go to the API's caller for good: the slice is allocated, not leased. A
+// lease that never comes back takes a vector from the scan and dcsum jobs
+// that do return theirs (EXPERIMENTS.md, PR 23).
 func ReadInt64Frame(r io.Reader, maxBytes int64) ([]int64, error) {
 	n, err := readFrameHeader(r, 8, maxBytes)
 	if err != nil {
@@ -167,7 +170,7 @@ func ReadInt64Frame(r io.Reader, maxBytes int64) ([]int64, error) {
 		// Fewer payload bytes than the header promised: malformed frame.
 		return nil, fmt.Errorf("api: binary frame payload: %w: %w", err, dcerr.ErrBadParam)
 	}
-	out := mempool.Int64s.Get(n)
+	out := make([]int64, n)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
 	}

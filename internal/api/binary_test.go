@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/api/client"
+	"repro/internal/mempool"
 	"repro/internal/workload"
 )
 
@@ -55,6 +56,36 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 				t.Fatalf("int64 frame n=%d differs at %d: %d != %d", n, i, got64[i], d64[i])
 			}
 		}
+	}
+}
+
+// TestReadInt64FrameTakesNoLease: a decoded result leaves with the caller
+// and is never returned, so decoding one must not take the vector a scan or
+// dcsum job put back for the next one.
+func TestReadInt64FrameTakesNoLease(t *testing.T) {
+	const n = 1 << 10
+	retained := func() int {
+		for _, c := range mempool.Int64s.Stats().Classes {
+			if c.Elems == n {
+				return c.Retained
+			}
+		}
+		return 0
+	}
+	mempool.Int64s.Put(mempool.Int64s.Get(n))
+	before := retained()
+	if before == 0 {
+		t.Fatal("the pool did not keep the returned vector")
+	}
+	var buf bytes.Buffer
+	if err := api.WriteInt64Frame(&buf, make([]int64, n)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := api.ReadInt64Frame(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if after := retained(); after != before {
+		t.Errorf("decoding a %d-element result left %d pooled vectors of that class, want %d", n, after, before)
 	}
 }
 

@@ -175,14 +175,14 @@ func timeoutHeader(ctx context.Context, req *http.Request) {
 func (c *Client) Submit(ctx context.Context, job api.JobRequest) (*Handle, error) {
 	var req *http.Request
 	var err error
+	var frame *bytes.Buffer // the pooled buffer a binary request's body reads from
 	if c.binary {
-		buf := getBuf()
-		defer putBuf(buf)
-		if err := api.WriteInt32Frame(buf, job.Data); err != nil {
+		frame = getBuf()
+		if err := api.WriteInt32Frame(frame, job.Data); err != nil {
 			return nil, fmt.Errorf("api: encode job frame: %w", err)
 		}
 		url := c.base + "/v1/jobs?" + job.QueryParams().Encode()
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf.Bytes()))
+		req, err = http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(frame.Bytes()))
 		if err != nil {
 			return nil, err
 		}
@@ -206,6 +206,14 @@ func (c *Client) Submit(ctx context.Context, job api.JobRequest) (*Handle, error
 	defer drainClose(resp)
 	if resp.StatusCode != http.StatusAccepted {
 		return nil, decodeErr(resp)
+	}
+	// The server accepts a job only after reading its whole body, so the
+	// transport is done with the frame and the next Submit may have it.
+	// After anything else (a transport error, an early 400/503) net/http may
+	// still be writing it, and on every other error path it is simply not
+	// worth pooling: dropped.
+	if frame != nil {
+		putBuf(frame)
 	}
 	var acc api.JobAccepted
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {

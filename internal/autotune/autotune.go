@@ -507,8 +507,8 @@ func (c *Calibration) UnitsFor(sp Spec, strategy string, crossover int, alpha fl
 	num := t.num
 	switch strategy {
 	case "seq-1cpu":
-		// submitSeq folds onto one core, so the unscaled sequential time is
-		// the consistent unit count.
+		// The sequential run folds every batch onto one core, so the
+		// unscaled sequential time is the consistent unit count.
 		return num.SequentialTime(), 0, nil
 	case ChoiceCPU:
 		return num.PredictBreadthFirstCPU(), 0, nil

@@ -19,7 +19,7 @@ package core
 // independently, so the CPU portion's constructors run beside the device
 // chains' — including a Transformable's, which do mutate layout state.
 // And CoarseBatch (grain.go) constructs every level of a subtree up front,
-// before any of them has run. All effects belong in Batch.Run.
+// before any of them has run. All effects belong in the batch's body.
 type Alg interface {
 	// Name identifies the algorithm in traces and reports.
 	Name() string
@@ -119,31 +119,6 @@ func TasksAtLevel(a, level int) int {
 		t *= a
 	}
 	return t
-}
-
-// submitSeq runs a batch on a single core by folding it into one task whose
-// cost is the whole batch, preserving functional execution order.
-func submitSeq(be Backend, b Batch, done func()) {
-	if b.Empty() {
-		done()
-		return
-	}
-	run := b.Run
-	tasks := b.Tasks
-	seq := Batch{
-		Tasks: 1,
-		Cost:  b.Cost.Scale(float64(tasks)),
-		Level: b.Level,
-	}
-	seq.Cost.WorkingSet = b.Cost.WorkingSet
-	if run != nil {
-		seq.Run = func(int) {
-			for i := 0; i < tasks; i++ {
-				run(i)
-			}
-		}
-	}
-	be.CPU().Submit(seq, done)
 }
 
 // Join returns a completion callback that invokes then after being called n

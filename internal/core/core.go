@@ -61,10 +61,16 @@ type Batch struct {
 	// wavefront granularity: every lane of a wavefront pays its slowest
 	// item.
 	CostOps func(i int) float64
-	// Run performs task i functionally on host memory. It may be nil for
-	// pure cost-model runs (no data movement). Backends may invoke Run
-	// concurrently for distinct i, so it must be safe for disjoint indices.
+	// Run performs task i functionally on host memory. Backends may invoke
+	// it concurrently for distinct i, so it must be safe for disjoint
+	// indices.
 	Run func(i int)
+	// RunRange is the other form of the same body: tasks lo..hi−1 in
+	// ascending order as one call, for tasks of an add or two, where the
+	// indirect call per task is the cost (DESIGN.md §3); safe for disjoint
+	// ranges. A batch sets Run or RunRange, never both — neither for a pure
+	// cost-model batch (no data movement) — and is executed through Each.
+	RunRange func(lo, hi int)
 	// Level is the recursion level this batch belongs to (0 = root),
 	// stamped by the executors for observability layers (tracing, metrics).
 	// Backends do not interpret it.
@@ -76,6 +82,24 @@ func (b Batch) Empty() bool { return b.Tasks <= 0 }
 
 // TotalOps returns the batch's aggregate scalar operation count.
 func (b Batch) TotalOps() float64 { return float64(b.Tasks) * b.Cost.Ops }
+
+// Each performs tasks lo..hi−1 of the batch in ascending order through
+// whichever body it has, and nothing for a cost-model batch.
+func (b Batch) Each(lo, hi int) { each(b.Run, b.RunRange, lo, hi) }
+
+// each is Each for CoarseBatch's phases, which keep only the two body words
+// of a batch.
+func each(run func(i int), runRange func(lo, hi int), lo, hi int) {
+	if runRange != nil {
+		runRange(lo, hi)
+		return
+	}
+	if run != nil {
+		for i := lo; i < hi; i++ {
+			run(i)
+		}
+	}
+}
 
 // LevelExecutor runs batches on one processing unit. Submit is asynchronous:
 // done fires (exactly once) when the whole batch has completed. On the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -26,6 +27,13 @@ func TestBatchHelpers(t *testing.T) {
 	b := Batch{Tasks: 5, Cost: Cost{Ops: 3}}
 	if got := b.TotalOps(); got != 15 {
 		t.Errorf("TotalOps = %g, want 15", got)
+	}
+	b.Each(0, 5) // a cost-model batch has no body to run
+	var ran []int
+	Batch{Tasks: 5, Run: func(i int) { ran = append(ran, i) }}.Each(1, 4)
+	Batch{Tasks: 5, RunRange: func(lo, hi int) { ran = append(ran, 10*lo+hi) }}.Each(1, 4)
+	if want := []int{1, 2, 3, 14}; !reflect.DeepEqual(ran, want) {
+		t.Errorf("Each(1, 4) on a Run batch, then on a RunRange batch, ran %v, want %v", ran, want)
 	}
 }
 

@@ -418,7 +418,7 @@ func fuseBatches(parts []Batch) Batch {
 		}
 		totalOps += float64(p.Tasks) * p.Cost.Ops
 		totalWS += float64(p.Cost.WorkingSet)
-		if p.Run != nil {
+		if p.Run != nil || p.RunRange != nil {
 			anyRun = true
 		}
 		if p.Level > level {
@@ -448,10 +448,16 @@ func fuseBatches(parts []Batch) Batch {
 	}
 	out := Batch{Tasks: total, Cost: cost, Level: level}
 	if anyRun {
-		out.Run = func(i int) {
-			p, j := owner(i)
-			if p.Run != nil {
-				p.Run(j)
+		// A range of the fused batch is a run of member ranges.
+		out.RunRange = func(lo, hi int) {
+			for lo < hi {
+				p, j := owner(lo)
+				n := p.Tasks - j
+				if n > hi-lo {
+					n = hi - lo
+				}
+				p.Each(j, j+n)
+				lo += n
 			}
 		}
 	}

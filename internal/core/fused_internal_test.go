@@ -25,9 +25,10 @@ func TestFuseBatches(t *testing.T) {
 	if b.Tasks != 6 {
 		t.Fatalf("Tasks = %d, want 6", b.Tasks)
 	}
-	for i := 0; i < b.Tasks; i++ {
-		b.Run(i)
-	}
+	// Ranges that cross the member boundaries at 2 and 5, and a single task.
+	b.Each(0, 3)
+	b.Each(3, 4)
+	b.Each(4, 6)
 	want := [3][]int{{0, 1}, {0, 1, 2}, {0}}
 	for owner := range want {
 		if len(ran[owner]) != len(want[owner]) {

@@ -10,7 +10,8 @@ package core
 // level-by-level execution because subproblems at each level are indexed
 // contiguously (the Alg contract), so distinct subtrees touch disjoint data
 // and within a subtree the phase order (divide top-down, base, combine
-// bottom-up) is preserved exactly.
+// bottom-up) is preserved along every root-to-leaf path — all the data
+// dependences there are, so a task may also run one cache block at a time.
 //
 // Coarsening applies only to CPU-side batches, whose constructors are pure
 // (the Alg contract: the interpreter of plan.go already calls them beside
@@ -74,6 +75,10 @@ func coarseLevels(grain, a, L, floor, p int, tasksAt func(cl int) int) int {
 	}
 }
 
+// blockBytes is the cache block of a coarse task (DESIGN.md §11), chosen by
+// the sweep in EXPERIMENTS.md (PR 23); not an option.
+const blockBytes = 32 << 10
+
 // CoarseBatch builds the coarse batch for subtrees [lo, hi) rooted at level
 // cl of alg's recursion tree: task j executes subtree lo+j completely and in
 // place — divide levels cl..Levels()−1, the base case, then combine levels
@@ -81,6 +86,14 @@ func coarseLevels(grain, a, L, floor, p int, tasksAt func(cl int) int) int {
 // aggregates the per-level CPU costs of one subtree. The per-level batches
 // are all constructed here, before any of them runs, which the Alg contract
 // allows: CPU batch constructors are pure.
+//
+// Inside one task the order is blocked: with d the first depth at which a
+// sub-subtree's bytes — the subtree's declared WorkingSet, divided by
+// Shrink() per level — fit blockBytes, the task runs the divides of depths
+// < d over the whole subtree, then its a^d sub-subtrees in index order, each
+// from its divides to its combines, then the combines of depths < d. A
+// subtree that fits a block, or declares no WorkingSet, is one block: the
+// level-by-level order.
 func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 	L := alg.Levels()
 	a := alg.Arity()
@@ -88,16 +101,19 @@ func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 	if w <= 0 {
 		return Batch{}
 	}
-	// phase is one level's work restricted to the coarse range: run is the
-	// level batch's (range-relative) task body, f the number of its tasks
-	// belonging to each subtree.
+	// A phase is the (range-relative) body of one level's batch over the
+	// coarse range, nil for a level without work. In execution order:
+	// phases[i] is the divide of depth i for i < K, the base case for i = K,
+	// the combine of depth 2K−i after it; depth t has a^t tasks per subtree.
 	type phase struct {
 		run func(i int)
-		f   int
+		rng func(lo, hi int)
 	}
-	var phases []phase
+	K := L - cl
+	phases := make([]phase, 0, 2*K+1)
 	var perTask Cost
 	add := func(b Batch, f int) {
+		phases = append(phases, phase{b.Run, b.RunRange})
 		if b.Empty() {
 			return
 		}
@@ -106,30 +122,45 @@ func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 		if b.Cost.WorkingSet > perTask.WorkingSet {
 			perTask.WorkingSet = b.Cost.WorkingSet
 		}
-		if b.Run != nil {
-			phases = append(phases, phase{b.Run, f})
-		}
 	}
 	for l := cl; l < L; l++ {
 		f := TasksAtLevel(a, l-cl)
 		add(alg.DivideBatch(l, lo*f, hi*f), f)
 	}
-	fL := TasksAtLevel(a, L-cl)
+	fL := TasksAtLevel(a, K)
 	add(alg.BaseBatch(lo*fL, hi*fL), fL)
 	for l := L - 1; l >= cl; l-- {
 		f := TasksAtLevel(a, l-cl)
 		add(alg.CombineBatch(l, lo*f, hi*f), f)
+	}
+	d, blocks := 0, 1
+	for bytes := perTask.WorkingSet / int64(w); bytes > blockBytes && d < K; bytes /= int64(alg.Shrink()) {
+		d++
+		blocks *= a
 	}
 	return Batch{
 		Tasks: w,
 		Cost:  perTask,
 		Level: cl,
 		Run: func(j int) {
-			for _, ph := range phases {
-				for i := j * ph.f; i < (j+1)*ph.f; i++ {
-					ph.run(i)
+			// part runs phases[from:to] for the k-th of the sub-subtrees
+			// that have f tasks each in phases[from].
+			part := func(from, to, k, f int) {
+				for i := from; i < to; i++ {
+					each(phases[i].run, phases[i].rng, k*f, (k+1)*f)
+					if i < K {
+						f *= a
+					} else {
+						f /= a
+					}
 				}
 			}
+			n := len(phases)
+			part(0, d, j, 1)
+			for k := j * blocks; k < (j+1)*blocks; k++ {
+				part(d, n-d, k, 1)
+			}
+			part(n-d, n, j, blocks/a)
 		},
 	}
 }

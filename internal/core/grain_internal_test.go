@@ -135,11 +135,130 @@ func TestCoarseBatchCoversSubtreeExactly(t *testing.T) {
 	}
 }
 
-func runAll(b Batch) {
-	if b.Run == nil {
-		return
+func runAll(b Batch) { b.Each(0, b.Tasks) }
+
+// orderAlg records, in execution order, every task any of its batches runs:
+// the order inside a coarse task is what TestCoarseBatchBlockedOrder reads.
+// Each subproblem of level l declares bytes/b^l bytes of working set, summed
+// over the batch the way the real algorithms declare theirs. Divides have
+// range bodies, the base case and the combines per-task ones.
+type orderAlg struct {
+	a, b, L int
+	bytes   int64 // declared working set of the root subproblem
+	log     []orderStep
+}
+
+type orderStep struct {
+	phase       byte // 'd', 'b' or 'c'
+	level, task int
+}
+
+func (o *orderAlg) Name() string { return "order" }
+func (o *orderAlg) Arity() int   { return o.a }
+func (o *orderAlg) Shrink() int  { return o.b }
+func (o *orderAlg) N() int       { return TasksAtLevel(o.b, o.L) }
+func (o *orderAlg) Levels() int  { return o.L }
+
+func (o *orderAlg) batch(phase byte, level, lo, hi int) Batch {
+	b := Batch{Tasks: hi - lo, Cost: Cost{Ops: 1,
+		WorkingSet: int64(hi-lo) * (o.bytes / int64(TasksAtLevel(o.b, level)))}}
+	if phase == 'd' {
+		b.RunRange = func(from, to int) {
+			for i := from; i < to; i++ {
+				o.log = append(o.log, orderStep{phase, level, lo + i})
+			}
+		}
+		return b
 	}
-	for i := 0; i < b.Tasks; i++ {
-		b.Run(i)
+	b.Run = func(i int) { o.log = append(o.log, orderStep{phase, level, lo + i}) }
+	return b
+}
+
+func (o *orderAlg) DivideBatch(level, lo, hi int) Batch  { return o.batch('d', level, lo, hi) }
+func (o *orderAlg) BaseBatch(lo, hi int) Batch           { return o.batch('b', o.L, lo, hi) }
+func (o *orderAlg) CombineBatch(level, lo, hi int) Batch { return o.batch('c', level, lo, hi) }
+
+// blockedOrder is the specification CoarseBatch's task is held to, written
+// as the recursion it flattens: subtree root (level, task), blocks rooted d
+// levels further down. Above the block roots it is level by level — divides
+// of the whole subtree, then the blocks left to right, then combines of the
+// whole subtree — and a block is level by level in itself.
+func blockedOrder(o *orderAlg, level, task, d int) []orderStep {
+	var steps []orderStep
+	span := func(phase byte, depth int) {
+		f := TasksAtLevel(o.a, depth)
+		for i := task * f; i < (task+1)*f; i++ {
+			steps = append(steps, orderStep{phase, level + depth, i})
+		}
+	}
+	depthTo := o.L - level // the leaves
+	if d > 0 {
+		depthTo = d
+	}
+	for t := 0; t < depthTo; t++ {
+		span('d', t)
+	}
+	if d > 0 {
+		blocks := TasksAtLevel(o.a, d)
+		for k := task * blocks; k < (task+1)*blocks; k++ {
+			steps = append(steps, blockedOrder(o, level+d, k, 0)...)
+		}
+	} else {
+		span('b', depthTo)
+	}
+	for t := depthTo - 1; t >= 0; t-- {
+		span('c', t)
+	}
+	return steps
+}
+
+// TestCoarseBatchBlockedOrder proves the order of work inside one coarse
+// task: the divides above the block depth, then the blocks in ascending
+// order, each complete before the next begins, then the combines above the
+// block depth — and the plain level-by-level order when the subtree declares
+// no working set or already fits a block.
+func TestCoarseBatchBlockedOrder(t *testing.T) {
+	const kib = 1 << 10
+	cases := []struct {
+		name        string
+		a, b, L, cl int
+		subtree     int64 // declared bytes of one coarse subtree
+		wantDepth   int
+	}{
+		{"no-working-set", 2, 2, 5, 1, 0, 0},
+		{"fits-one-block", 2, 2, 5, 1, blockBytes, 0},
+		{"just-over", 2, 2, 5, 1, blockBytes + 2, 1},
+		{"four-blocks", 2, 2, 5, 1, 4 * blockBytes, 2},
+		// Three subproblems of half the size each: a level declares 3/2 of
+		// the one above, so the subtree's working set is its leaf level's,
+		// 27/8 of its root's, and a quarter of that fits.
+		{"arity-3-shrink-2", 3, 2, 4, 1, blockBytes, 2},
+		{"blocks-are-leaves", 2, 2, 3, 1, 1 << 30, 2},
+		{"root-coarse", 2, 2, 4, 0, 8 * blockBytes, 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := &orderAlg{a: c.a, b: c.b, L: c.L, bytes: c.subtree * int64(TasksAtLevel(c.b, c.cl))}
+			w := TasksAtLevel(c.a, c.cl)
+			cb := CoarseBatch(o, c.cl, 0, w)
+			if len(o.log) != 0 {
+				t.Fatal("constructing the coarse batch ran tasks")
+			}
+			// Out of index order, to show a task's order is its own.
+			for j := w - 1; j >= 0; j-- {
+				o.log = o.log[:0]
+				cb.Each(j, j+1)
+				want := blockedOrder(o, c.cl, j, c.wantDepth)
+				if len(o.log) != len(want) {
+					t.Fatalf("task %d ran %d steps, want %d", j, len(o.log), len(want))
+				}
+				for i := range want {
+					if o.log[i] != want[i] {
+						t.Fatalf("task %d step %d = %c level %d task %d, want %c level %d task %d", j, i,
+							o.log[i].phase, o.log[i].level, o.log[i].task, want[i].phase, want[i].level, want[i].task)
+					}
+				}
+			}
+		})
 	}
 }

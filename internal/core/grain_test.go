@@ -38,12 +38,16 @@ func grainCases() []grainCase {
 		}
 		return d
 	}
-	sortData := ints(1 << 10)
-	sumData := ints(1 << 10)
-	scanData := ints(1 << 10)
-	maxData := ints(1 << 10)
-	kaA, kaB := ints(1<<8), ints(1<<8)
-	fftData := make([]complex128, 1<<8)
+	// Sized so that the whole tree as one coarse subtree (grain 2^15 on the
+	// breadth-first CPU run) declares more than one cache block of working
+	// set: every algorithm then runs CoarseBatch's blocked order, not only
+	// its level-by-level one.
+	sortData := ints(1 << 14)
+	sumData := ints(1 << 14)
+	scanData := ints(1 << 14)
+	maxData := ints(1 << 14)
+	kaA, kaB := ints(1<<11), ints(1<<11)
+	fftData := make([]complex128, 1<<12)
 	for i := range fftData {
 		fftData[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 	}
@@ -67,7 +71,7 @@ func grainCases() []grainCase {
 			return a
 		}, func(alg Alg) any { return append([]int32(nil), alg.(*mergesort.Sorter).Result()...) }},
 		{"mergesort-any", func(t *testing.T) Alg {
-			a, err := mergesort.NewAny(clone32(sortData[:1000]))
+			a, err := mergesort.NewAny(clone32(sortData[:10000]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +120,7 @@ func grainCases() []grainCase {
 			return a
 		}, func(alg Alg) any { return append([]float64(nil), alg.(*matmul.Multiplier).Result()...) }},
 		{"strassen", func(t *testing.T) Alg {
-			a, err := strassen.New(clone64(mmA), clone64(mmB), mmN, 2)
+			a, err := strassen.New(clone64(mmA), clone64(mmB), mmN, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,15 +129,17 @@ func grainCases() []grainCase {
 	}
 }
 
-// grainSettings is the matrix the ISSUE pins: coarsening off, tiny, large,
-// and automatic.
+// grainSettings is the matrix the property tests pin: coarsening off, tiny,
+// large, the whole CPU portion as one subtree per task, and automatic.
 var grainSettings = []struct {
 	name  string
 	grain int
 }{
 	{"grain=1", 1},
+	{"grain=2", 2},
 	{"grain=4", 4},
 	{"grain=64", 64},
+	{"grain=32768", 1 << 15},
 	{"grain=auto", GrainAuto},
 }
 
@@ -273,8 +279,10 @@ func TestGrainAdvancedHybridBitIdentical(t *testing.T) {
 				return RunMultiGPUCtx(context.Background(), be.(MultiGPUBackend), alg, 0.25, y, opts...)
 			}},
 	}
+	// 2^17 elements: a CPU-portion subtree at the default split level (4)
+	// declares 64 KiB, two cache blocks.
 	rng := rand.New(rand.NewSource(11))
-	data := make([]int32, 1<<10)
+	data := make([]int32, 1<<17)
 	for i := range data {
 		data[i] = int32(rng.Intn(2001) - 1000)
 	}

@@ -20,11 +20,7 @@ type fakeExec struct{ be *fakeBackend }
 
 func (e *fakeExec) Parallelism() int { return 4 }
 func (e *fakeExec) Submit(b Batch, done func()) {
-	if b.Run != nil {
-		for i := 0; i < b.Tasks; i++ {
-			b.Run(i)
-		}
-	}
+	b.Each(0, b.Tasks)
 	e.be.now += 0.001
 	if done != nil {
 		done()

@@ -80,7 +80,7 @@ type run struct {
 	tr         Transformable    // non-nil only under WithCoalesce
 	sa         SegmentAllocator // nil when the backend does not pool device memory
 	a, L       int
-	fold       bool // sequential: every CPU batch folded onto one core
+	fold       *fold // sequential: every CPU batch folded onto one core
 
 	ops            []op // backing store of all chains
 	top, cpu, tail chain
@@ -92,6 +92,17 @@ type run struct {
 	stopped       atomic.Bool  // a chain found ctx done and stopped at its boundary
 	done          chan struct{}
 }
+
+// fold is what a folding run keeps of the batch in flight (its chains run
+// one after another, one batch at a time) and the fold's one task, bound
+// once: folding a level allocates nothing.
+type fold struct {
+	b    Batch
+	task func(int) // f.all
+}
+
+// all is the one task of a folded batch: all of its tasks, in order.
+func (f *fold) all(int) { f.b.Each(0, f.b.Tasks) }
 
 // division is one point of Algorithm 8's parameter space. There are never
 // more devices than subproblems left for them.
@@ -109,7 +120,7 @@ type division struct {
 func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAlg, strategy string, d division) *run {
 	r := &run{
 		ctx: ctx, cancelable: ctx.Done() != nil,
-		be: be, alg: alg, galg: galg, a: alg.Arity(), L: alg.Levels(), fold: d.fold,
+		be: be, alg: alg, galg: galg, a: alg.Arity(), L: alg.Levels(),
 		rep:  Report{Algorithm: alg.Name(), Strategy: strategy},
 		done: make(chan struct{}),
 	}
@@ -141,6 +152,10 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 	}
 	r.tail.ops = r.levels(opCombine, d.s-1, 0, 0, 0, 1)
 
+	if d.fold {
+		r.fold = new(fold)
+		r.fold.task = r.fold.all
+	}
 	r.start = be.Now()
 	r.top.start(r)
 	awaitChain(be, r.done)
@@ -282,13 +297,27 @@ func (c *chain) advance() {
 		switch {
 		case o.kind >= opGPUDivide:
 			c.dev.Submit(b, c.next)
-		case r.fold:
-			submitSeq(r.be, b, c.next)
+		case r.fold != nil:
+			c.submitFolded(b)
 		default:
 			r.be.CPU().Submit(b, c.next)
 		}
 		return
 	}
+}
+
+// submitFolded runs a batch on a single core by folding it into one task
+// whose cost is the whole batch, preserving functional execution order.
+func (c *chain) submitFolded(b Batch) {
+	if b.Empty() {
+		c.next()
+		return
+	}
+	f := c.run.fold
+	f.b = b
+	seq := Batch{Tasks: 1, Cost: b.Cost.Scale(float64(b.Tasks)), Level: b.Level, Run: f.task}
+	seq.Cost.WorkingSet = b.Cost.WorkingSet
+	c.run.be.CPU().Submit(seq, c.next)
 }
 
 // chainDone sequences the run: the top chain forks the portions — the CPU

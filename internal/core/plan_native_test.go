@@ -62,7 +62,9 @@ func TestRunEndsOnceFourDeviceChains(t *testing.T) {
 // state in — theirs, on other goroutines. Every algorithm, on the advanced
 // hybrid and its 2-device form with the §6.3 layout switch on, must still
 // equal the sequential run, and under -race no constructor may be seen
-// reading what another writes.
+// reading what another writes — at every grain too: a coarse CPU portion
+// constructs all its levels' batches at once, and runs range bodies and
+// per-task ones over sub-ranges of them.
 func TestCoalescedHybridsMatchSequentialNative(t *testing.T) {
 	for _, tc := range grainCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,24 +75,26 @@ func TestCoalescedHybridsMatchSequentialNative(t *testing.T) {
 			want := tc.value(ref)
 			for _, devices := range []int{1, 2} {
 				be := newMultiNative(t, devices)
-				alg := tc.build(t).(GPUAlg)
-				opts := []Option{WithCoalesce()}
-				if tc.name == "dcsum" && devices > 1 {
-					// dcsum keeps a single compact region, so its layout
-					// switch cannot be striped over several devices.
-					opts = nil
-				}
-				var err error
-				if y := alg.Levels() / 2; devices == 1 {
-					_, err = RunAdvancedHybridCtx(context.Background(), be, alg, 0.3, y, opts...)
-				} else {
-					_, err = RunMultiGPUCtx(context.Background(), be, alg, 0.3, y, opts...)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := tc.value(alg); !reflect.DeepEqual(got, want) {
-					t.Errorf("%d device(s): result differs from the sequential run", devices)
+				for _, gs := range grainSettings {
+					alg := tc.build(t).(GPUAlg)
+					opts := []Option{WithGrain(gs.grain), WithCoalesce()}
+					if tc.name == "dcsum" && devices > 1 {
+						// dcsum keeps a single compact region, so its layout
+						// switch cannot be striped over several devices.
+						opts = opts[:1]
+					}
+					var err error
+					if y := alg.Levels() / 2; devices == 1 {
+						_, err = RunAdvancedHybridCtx(context.Background(), be, alg, 0.3, y, opts...)
+					} else {
+						_, err = RunMultiGPUCtx(context.Background(), be, alg, 0.3, y, opts...)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := tc.value(alg); !reflect.DeepEqual(got, want) {
+						t.Errorf("%d device(s), %s: result differs from the sequential run", devices, gs.name)
+					}
 				}
 			}
 		})

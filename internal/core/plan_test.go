@@ -24,9 +24,7 @@ type inlineUnit struct{}
 
 func (inlineUnit) Parallelism() int { return 1 }
 func (inlineUnit) Submit(b Batch, done func()) {
-	for i := 0; i < b.Tasks && b.Run != nil; i++ {
-		b.Run(i)
-	}
+	b.Each(0, b.Tasks)
 	done()
 }
 
@@ -42,7 +40,7 @@ func (be *inlineBackend) Wait()                              {}
 // batch constructor call ("new kind@level[lo,hi)") and every batch execution
 // ("run ...") in one stream and calls hook from inside the batch, which is
 // where a test cancels from. Not recording, its constructors hand out one
-// prebuilt batch and allocate nothing.
+// prebuilt batch with a static body and allocate nothing.
 type planStub struct {
 	L      int
 	record bool
@@ -52,7 +50,7 @@ type planStub struct {
 
 func (s *planStub) batch(kind string, level, lo, hi int) Batch {
 	if !s.record {
-		return Batch{Tasks: hi - lo}
+		return Batch{Tasks: hi - lo, Run: stubTask}
 	}
 	ev := fmt.Sprintf("%s@%d[%d,%d)", kind, level, lo, hi)
 	s.log = append(s.log, "new "+ev)
@@ -66,6 +64,8 @@ func (s *planStub) batch(kind string, level, lo, hi int) Batch {
 		}
 	}}
 }
+
+func stubTask(int) {}
 
 func (s *planStub) Name() string { return "stub" }
 func (s *planStub) Arity() int   { return 2 }
@@ -218,13 +218,18 @@ func TestForkCancelEndsAtJoin(t *testing.T) {
 // TestPlanAllocsIndependentOfDepth is the property that replaces the closure
 // chain: a plan is one slice of ops and each chain one bound callback, so
 // what a run allocates does not depend on how many levels it walks. (With a
-// closure per step it was two allocations per level.)
+// closure per step it was two allocations per level.) The sequential run
+// folds every level into one task through a body bound once per run, not a
+// closure per level.
 func TestPlanAllocsIndependentOfDepth(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
 		run  func(be Backend, alg GPUAlg) (Report, error)
 	}{
+		{"sequential", func(be Backend, alg GPUAlg) (Report, error) {
+			return RunSequentialCtx(ctx, be, alg)
+		}},
 		{"bf-cpu", func(be Backend, alg GPUAlg) (Report, error) {
 			return RunBreadthFirstCPUCtx(ctx, be, alg)
 		}},

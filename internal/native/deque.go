@@ -25,10 +25,10 @@ type span struct {
 // exposing it to thieves), so overflow degrades granularity, never drops
 // work and never allocates.
 type deque struct {
-	top atomic.Int64 // next index to steal (only ever incremented)
-	_   [56]byte     // keep top and bottom on separate cache lines
-	bot atomic.Int64 // next index to push (owner-written)
-	_   [56]byte
+	top  atomic.Int64 // next index to steal (only ever incremented)
+	_    [56]byte     // keep top and bottom on separate cache lines
+	bot  atomic.Int64 // next index to push (owner-written)
+	_    [56]byte
 	buf  []atomic.Pointer[span]
 	mask int64
 }

@@ -11,11 +11,13 @@ import (
 
 // job is one submitted batch flowing through the engine. Instead of one
 // closure per chunk (the old pool), a single job descriptor is shared by
-// every span of the batch: workers call run directly over index ranges and
-// decrement remaining once per range, so the per-chunk cost is two field
-// reads and one atomic add — no allocation, no channel operation.
+// every span of the batch: workers execute the batch's body (in whichever of
+// its two forms, through core.Batch.Each) over index ranges and decrement
+// remaining once per range, so the per-chunk cost is two field reads and one
+// atomic add — no allocation, no channel operation.
 type job struct {
 	run       func(i int)
+	runRange  func(lo, hi int)
 	done      func()
 	remaining atomic.Int64
 }
@@ -129,7 +131,7 @@ func (e *engine) Submit(b core.Batch, done func()) {
 	}
 	e.tasksRun.Add(uint64(b.Tasks))
 	j := e.jobPool.Get().(*job)
-	j.run = b.Run
+	j.run, j.runRange = b.Run, b.RunRange
 	j.done = done
 	j.remaining.Store(int64(b.Tasks))
 
@@ -149,7 +151,7 @@ func (e *engine) Submit(b core.Batch, done func()) {
 		e.closeRaces.Inc()
 		// Work submitted after Close is dropped, but the completion still
 		// fires so the submitter's chain unwinds instead of deadlocking.
-		j.run, j.done = nil, nil
+		j.run, j.runRange, j.done = nil, nil, nil
 		e.jobPool.Put(j)
 		if done != nil {
 			done()
@@ -258,7 +260,7 @@ func (e *engine) close() {
 func (e *engine) finishTasks(j *job, n int) {
 	if j.remaining.Add(-int64(n)) == 0 {
 		done := j.done
-		j.run, j.done = nil, nil
+		j.run, j.runRange, j.done = nil, nil, nil
 		e.jobPool.Put(j)
 		if done != nil {
 			done()
@@ -415,9 +417,10 @@ func (w *worker) runSpan(s *span) {
 	j, lo, hi := s.j, s.lo, s.hi
 	s.j = nil
 	e.spanPool.Put(s)
-	// j.run is stable while this span holds uncounted tasks (finishTasks
-	// clears it only after the last range lands), so load it once.
-	run := j.run
+	// The job's body is stable while this span holds uncounted tasks
+	// (finishTasks clears it only after the last range lands), so load it
+	// once.
+	body := core.Batch{Run: j.run, RunRange: j.runRange}
 	executed := 0
 	for lo < hi {
 		// Split only while the remainder exceeds the quantum: halves
@@ -441,11 +444,7 @@ func (w *worker) runSpan(s *span) {
 		if q > chunkQuantum {
 			q = chunkQuantum
 		}
-		if run != nil {
-			for i := lo; i < lo+q; i++ {
-				run(i)
-			}
-		}
+		body.Each(lo, lo+q)
 		lo += q
 		executed += q
 		w.localChunks++

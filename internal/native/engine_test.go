@@ -55,12 +55,24 @@ func TestStealRebalancesSkewedBatch(t *testing.T) {
 		return 1000
 	}
 
-	for iter := 0; iter < 2; iter++ {
+	// Once with each form of the body: a stolen half of a range body's span
+	// must run its own indices, once.
+	ran := make([]int32, tasks)
+	task := func(i int) {
+		out[i] = work(i, rounds(i))
+		ran[i]++
+	}
+	for _, batch := range []core.Batch{
+		{Tasks: tasks, Run: task},
+		{Tasks: tasks, RunRange: func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				task(i)
+			}
+		}},
+	} {
 		var done sync.WaitGroup
 		done.Add(1)
-		b.CPU().Submit(core.Batch{Tasks: tasks, Run: func(i int) {
-			out[i] = work(i, rounds(i))
-		}}, done.Done)
+		b.CPU().Submit(batch, done.Done)
 		done.Wait()
 	}
 	b.Wait()
@@ -68,6 +80,9 @@ func TestStealRebalancesSkewedBatch(t *testing.T) {
 	for i := range out {
 		if want := work(i, rounds(i)); out[i] != want {
 			t.Fatalf("out[%d] = %d, want %d", i, out[i], want)
+		}
+		if ran[i] != 2 {
+			t.Fatalf("task %d ran %d times over the two batches, want once in each", i, ran[i])
 		}
 	}
 	if got := waitCounter(t, reg, PoolCPU+MetricSteals); got == 0 {
@@ -122,18 +137,23 @@ func TestSubmitZeroAlloc(t *testing.T) {
 
 	fin := make(chan struct{})
 	done := func() { fin <- struct{}{} }
-	batch := core.Batch{Tasks: 64, Run: func(int) {}}
-	// Warm the descriptor pools and the injector ring.
-	for i := 0; i < 16; i++ {
-		b.CPU().Submit(batch, done)
-		<-fin
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		b.CPU().Submit(batch, done)
-		<-fin
-	})
-	if allocs > 0 {
-		t.Errorf("Submit allocated %.1f times per run with nil registry, want 0", allocs)
+	for _, batch := range []core.Batch{
+		{Tasks: 64, Run: func(int) {}},
+		{Tasks: 64, RunRange: func(int, int) {}},
+	} {
+		// Warm the descriptor pools and the injector ring.
+		for i := 0; i < 16; i++ {
+			b.CPU().Submit(batch, done)
+			<-fin
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			b.CPU().Submit(batch, done)
+			<-fin
+		})
+		if allocs > 0 {
+			t.Errorf("Submit allocated %.1f times per run with nil registry (range body: %v), want 0",
+				allocs, batch.RunRange != nil)
+		}
 	}
 	b.Wait()
 }

@@ -63,23 +63,39 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRunsAllTasks: every index of a batch runs exactly once, whichever
+// form its body has — a range body sees the engine's spans, splits and
+// quanta as disjoint ranges that tile [0, Tasks).
 func TestSubmitRunsAllTasks(t *testing.T) {
-	b := newBackend(t, Config{CPUWorkers: 4})
 	const n = 100_000
-	hits := make([]int32, n)
-	done := false
-	b.CPU().Submit(core.Batch{
-		Tasks: n,
-		Run:   func(i int) { hits[i]++ },
-	}, func() { done = true })
-	b.Wait()
-	if !done {
-		t.Fatal("done callback not invoked")
-	}
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("task %d ran %d times", i, h)
-		}
+	for _, body := range []string{"Run", "RunRange"} {
+		t.Run(body, func(t *testing.T) {
+			b := newBackend(t, Config{CPUWorkers: 4})
+			hits := make([]int32, n)
+			batch := core.Batch{Tasks: n, Run: func(i int) { hits[i]++ }}
+			if body == "RunRange" {
+				batch = core.Batch{Tasks: n, RunRange: func(lo, hi int) {
+					if lo < 0 || hi > n || lo >= hi {
+						t.Errorf("RunRange(%d, %d) outside [0, %d) or empty", lo, hi, n)
+						return
+					}
+					for i := lo; i < hi; i++ {
+						hits[i]++
+					}
+				}}
+			}
+			done := false
+			b.CPU().Submit(batch, func() { done = true })
+			b.Wait()
+			if !done {
+				t.Fatal("done callback not invoked")
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("task %d ran %d times", i, h)
+				}
+			}
+		})
 	}
 }
 

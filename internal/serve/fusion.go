@@ -224,7 +224,6 @@ func (s *Server) runFused(d *device, head *queued) bool {
 			merr = fmt.Errorf("serve: job %d: %w", q.h.ID, err)
 		}
 		q.h.rep, q.h.err = rep, merr
-		close(q.h.done)
 	}
 
 	s.mu.Lock()
@@ -240,6 +239,9 @@ func (s *Server) runFused(d *device, head *queued) bool {
 	}
 	s.updateFusionRatioLocked()
 	s.mu.Unlock()
+	for _, q := range live {
+		close(q.h.done)
+	}
 	return true
 }
 
@@ -250,11 +252,11 @@ func (s *Server) settleQueuedCanceled(q *queued) {
 	q.h.queueWait = time.Since(q.wallIn).Seconds()
 	q.h.rep = core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true}
 	q.h.err = fmt.Errorf("serve: job %d canceled while queued: %w", q.h.ID, dcerr.ErrCanceled)
-	close(q.h.done)
 	s.mu.Lock()
 	s.accountFinishedLocked(q, q.h.rep, q.h.err)
 	s.updateFusionRatioLocked()
 	s.mu.Unlock()
+	close(q.h.done)
 }
 
 // accountFinishedLocked records one finished job's outcome counters, wait

@@ -279,10 +279,10 @@ func (s *Server) shedLocked(q *queued, err error) {
 	q.h.queueWait = time.Since(q.wallIn).Seconds()
 	q.h.rep = core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true}
 	q.h.err = err
-	close(q.h.done)
 	s.accountFinishedLocked(q, q.h.rep, q.h.err)
 	s.updateFusionRatioLocked()
 	s.mQueueDepth.Set(int64(s.totalQueuedLocked()))
+	close(q.h.done)
 }
 
 // assignLocked hands a job to a device's FIFO. Must hold s.mu.

@@ -843,14 +843,15 @@ func (s *Server) run(d *device, q *queued) {
 		err = fmt.Errorf("serve: job %d: GPU path shed at dispatch: %w", q.h.ID, dcerr.ErrDegraded)
 	}
 
+	// Account first, settle last: whoever sees the handle done also sees
+	// the job in Stats.
 	q.h.rep, q.h.err = rep, err
-	close(q.h.done)
-
 	s.mu.Lock()
 	s.finishJobLocked(d, q)
 	s.accountFinishedLocked(q, rep, err)
 	s.updateFusionRatioLocked()
 	s.mu.Unlock()
+	close(q.h.done)
 }
 
 // updateFusionRatioLocked pushes the current fused-jobs-over-finished-jobs

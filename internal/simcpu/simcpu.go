@@ -132,11 +132,7 @@ func (c *CPU) Submit(b core.Batch, done func()) {
 		}
 		return
 	}
-	if b.Run != nil {
-		for i := 0; i < b.Tasks; i++ {
-			b.Run(i)
-		}
-	}
+	b.Each(0, b.Tasks)
 	chunks := c.params.Cores
 	if b.Tasks < chunks {
 		chunks = b.Tasks

@@ -334,11 +334,7 @@ func (g *GPU) Submit(b core.Batch, done func()) {
 		}
 		return
 	}
-	if b.Run != nil {
-		for i := 0; i < b.Tasks; i++ {
-			b.Run(i)
-		}
-	}
+	b.Each(0, b.Tasks)
 	g.account(b)
 	var d float64
 	if b.CostOps != nil {
