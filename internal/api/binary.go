@@ -134,10 +134,17 @@ func WriteInt64Frame(w io.Writer, data []int64) error {
 	return err
 }
 
-// ReadInt32Frame decodes one int32 frame. The returned slice is leased
-// from the buffer pool; the server returns it at job eviction, and
-// slices that escape to API callers are simply reclaimed by the GC.
+// ReadInt32Frame decodes one int32 frame for a caller that keeps it: a
+// sorted result leaves with the API's caller for good, so the slice is
+// allocated, like ReadInt64Frame's.
 func ReadInt32Frame(r io.Reader, maxBytes int64) ([]int32, error) {
+	return readInt32Frame(r, maxBytes, func(n int) []int32 { return make([]int32, n) })
+}
+
+// readInt32Frame decodes one int32 frame into the slice dst hands it: the
+// server's request path passes mempool.Int32s.Get — the job owns the payload
+// and the server puts it back when the job is evicted.
+func readInt32Frame(r io.Reader, maxBytes int64, dst func(n int) []int32) ([]int32, error) {
 	n, err := readFrameHeader(r, 4, maxBytes)
 	if err != nil {
 		return nil, err
@@ -148,7 +155,7 @@ func ReadInt32Frame(r io.Reader, maxBytes int64) ([]int32, error) {
 		// Fewer payload bytes than the header promised: malformed frame.
 		return nil, fmt.Errorf("api: binary frame payload: %w: %w", err, dcerr.ErrBadParam)
 	}
-	out := mempool.Int32s.Get(n)
+	out := dst(n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
@@ -157,8 +164,8 @@ func ReadInt32Frame(r io.Reader, maxBytes int64) ([]int32, error) {
 
 // ReadInt64Frame decodes one int64 frame. Int64 frames carry results, which
 // go to the API's caller for good: the slice is allocated, not leased. A
-// lease that never comes back takes a vector from the scan and dcsum jobs
-// that do return theirs (EXPERIMENTS.md, PR 23).
+// lease that never comes back takes a vector from the jobs that do return
+// theirs (EXPERIMENTS.md, PR 23).
 func ReadInt64Frame(r io.Reader, maxBytes int64) ([]int64, error) {
 	n, err := readFrameHeader(r, 8, maxBytes)
 	if err != nil {

@@ -60,32 +60,56 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 }
 
 // TestReadInt64FrameTakesNoLease: a decoded result leaves with the caller
-// and is never returned, so decoding one must not take the vector a scan or
-// dcsum job put back for the next one.
+// and is never returned, so decoding one — an int64 frame, or the int32
+// frame of a sorted result, which is what the client reads with
+// ReadInt32Frame — must not take the vector a job put back for the next
+// one. (The server's request path does lease its payload: that comes back
+// when the job is evicted.)
 func TestReadInt64FrameTakesNoLease(t *testing.T) {
 	const n = 1 << 10
-	retained := func() int {
-		for _, c := range mempool.Int64s.Stats().Classes {
+	retained := func(stats mempool.PoolStats) int {
+		for _, c := range stats.Classes {
 			if c.Elems == n {
 				return c.Retained
 			}
 		}
 		return 0
 	}
-	mempool.Int64s.Put(mempool.Int64s.Get(n))
-	before := retained()
-	if before == 0 {
-		t.Fatal("the pool did not keep the returned vector")
-	}
-	var buf bytes.Buffer
-	if err := api.WriteInt64Frame(&buf, make([]int64, n)); err != nil {
+	retained32 := func() int { return retained(mempool.Int32s.Stats()) }
+	retained64 := func() int { return retained(mempool.Int64s.Stats()) }
+	var frame32, frame64 bytes.Buffer
+	if err := api.WriteInt32Frame(&frame32, make([]int32, n)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := api.ReadInt64Frame(&buf, 0); err != nil {
+	if err := api.WriteInt64Frame(&frame64, make([]int64, n)); err != nil {
 		t.Fatal(err)
 	}
-	if after := retained(); after != before {
-		t.Errorf("decoding a %d-element result left %d pooled vectors of that class, want %d", n, after, before)
+	for _, tc := range []struct {
+		name     string
+		retained func() int
+		park     func() // put one vector of the class back
+		decode   func() error
+	}{
+		{"int64 result", retained64, func() { mempool.Int64s.Put(mempool.Int64s.Get(n)) }, func() error {
+			_, err := api.ReadInt64Frame(bytes.NewReader(frame64.Bytes()), 0)
+			return err
+		}},
+		{"int32 result", retained32, func() { mempool.Int32s.Put(mempool.Int32s.Get(n)) }, func() error {
+			_, err := api.ReadInt32Frame(bytes.NewReader(frame32.Bytes()), 0)
+			return err
+		}},
+	} {
+		tc.park()
+		before := tc.retained()
+		if before == 0 {
+			t.Fatalf("%s: the pool did not keep the returned vector", tc.name)
+		}
+		if err := tc.decode(); err != nil {
+			t.Fatal(err)
+		}
+		if after := tc.retained(); after != before {
+			t.Errorf("%s: decoding %d elements left %d pooled vectors of that class, want %d", tc.name, n, after, before)
+		}
 	}
 }
 

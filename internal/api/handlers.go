@@ -76,7 +76,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 			writeErr(w, err)
 			return 0
 		}
-		pooled, err = ReadInt32Frame(r.Body, s.cfg.MaxBodyBytes)
+		pooled, err = readInt32Frame(r.Body, s.cfg.MaxBodyBytes, mempool.Int32s.Get)
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {

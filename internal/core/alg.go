@@ -1,5 +1,7 @@
 package core
 
+import "sync/atomic"
+
 // Alg describes a regular divide-and-conquer algorithm after the paper's
 // Algorithm 2 rewrite: execution proceeds breadth-first over the recursion
 // tree, where level l (counted from the root, level 0) holds a^l independent
@@ -128,6 +130,11 @@ func Join(n int, then func()) func() {
 	if n <= 0 {
 		panic("core: Join requires n > 0")
 	}
-	j := &joiner{remaining: int64(n), then: then}
-	return j.done
+	var remaining atomic.Int64
+	remaining.Store(int64(n))
+	return func() {
+		if remaining.Add(-1) == 0 {
+			then()
+		}
+	}
 }

@@ -131,23 +131,6 @@ func instrument(be Backend, cfg *RunConfig) Backend {
 	return be
 }
 
-// awaitChain blocks until the chain that will close done has finished. For
-// event-loop backends it drives Wait; for autonomous backends it blocks on
-// the signal alone, so concurrent runs sharing the backend do not wait for
-// each other.
-func awaitChain(be Backend, done <-chan struct{}) {
-	if autonomous(be) {
-		<-done
-		return
-	}
-	be.Wait()
-	select {
-	case <-done:
-	default:
-		panic("core: execution did not complete")
-	}
-}
-
 // canceledErr wraps the cancellation cause under the typed sentinel.
 func canceledErr(ctx context.Context, alg Alg, strategy string) error {
 	if cause := context.Cause(ctx); cause != nil && cause != context.Canceled {
@@ -182,7 +165,7 @@ func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) 
 	if err != nil {
 		return Report{}, err
 	}
-	return execute(ctx, be, &cfg, alg, nil, SequentialStrategy, division{cpu: 1, fold: true}).settle(&cfg)
+	return execute(ctx, be, &cfg, alg, nil, SequentialStrategy, division{cpu: 1, fold: true}).report(&cfg)
 }
 
 // RunBreadthFirstCPUCtx executes the algorithm breadth-first on the CPU
@@ -194,7 +177,7 @@ func RunBreadthFirstCPUCtx(ctx context.Context, be Backend, alg Alg, opts ...Opt
 	if err != nil {
 		return Report{}, err
 	}
-	return execute(ctx, be, &cfg, alg, nil, BreadthFirstCPUStrategy, division{cpu: 1, grain: cfg.Grain}).settle(&cfg)
+	return execute(ctx, be, &cfg, alg, nil, BreadthFirstCPUStrategy, division{cpu: 1, grain: cfg.Grain}).report(&cfg)
 }
 
 // RunBasicHybridCtx executes the §5.1 basic work division: levels above the
@@ -219,8 +202,8 @@ func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover in
 	}
 	r := execute(ctx, be, &cfg, alg, alg, BasicHybridStrategy,
 		division{s: crossover, y: crossover, devs: []LevelExecutor{be.GPU()}})
-	r.rep.GPUPortionSeconds = since(r.devs[0].stamps[stampHome], r.start)
-	return r.settle(&cfg)
+	r.rep[0].GPUPortionSeconds = since(r.devs()[0].stamps[stampHome], r.start)
+	return r.report(&cfg)
 }
 
 // RunGPUOnlyCtx executes the whole algorithm breadth-first on the device
@@ -236,8 +219,8 @@ func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) 
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
 	r := execute(ctx, be, &cfg, alg, alg, GPUOnlyStrategy, division{devs: []LevelExecutor{be.GPU()}})
-	r.rep.GPUPortionSeconds = since(r.devs[0].stamps[stampRoot], r.devs[0].stamps[stampResident])
-	return r.settle(&cfg)
+	r.rep[0].GPUPortionSeconds = since(r.devs()[0].stamps[stampRoot], r.devs()[0].stamps[stampResident])
+	return r.report(&cfg)
 }
 
 // checkAlphaY validates the advanced division's CPU share and transfer
@@ -294,9 +277,9 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 		return Report{}, err
 	}
 	r := execute(ctx, be, &cfg, alg, alg, AdvancedHybridStrategy, d)
-	r.rep.CPUPortionSeconds = r.cpu.end - r.forkAt
-	if len(r.devs) > 0 {
-		r.rep.GPUPortionSeconds = since(r.devs[0].stamps[stampHome], r.forkAt)
+	r.rep[0].CPUPortionSeconds = since(r.chains[chCPU].end, r.forkAt())
+	if len(r.devs()) > 0 {
+		r.rep[0].GPUPortionSeconds = since(r.devs()[0].stamps[stampHome], r.forkAt())
 	}
-	return r.settle(&cfg)
+	return r.report(&cfg)
 }

@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dcerr"
-	"repro/internal/mempool"
 )
 
 // FusedStrategy is the Report.Strategy stamped on every member of a fused
@@ -49,7 +47,9 @@ const FusedStrategy = "fused-gpu"
 // time of its chunk. ctx is checked at every fused level boundary; on
 // cancellation every member's Report is Partial and the single returned
 // error wraps dcerr.ErrCanceled (member data validity is all-or-nothing:
-// fusion trades per-job cancellation granularity for launch amortization).
+// fusion trades per-job cancellation granularity for launch amortization),
+// and likewise under dcerr.ErrDeviceFault when a Faulter layer of the
+// backend recorded a device fault during the run.
 //
 // With WithCoalesce, members implementing Transformable get the §6.3 layout
 // switch fused too: one permute launch before the base phase per chunk, and
@@ -75,274 +75,207 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 	}
 
 	n := len(algs)
-	reports := make([]Report, n) // returned to the caller: never pooled
-	// Per-run scratch is leased from the pool and handed back after the
-	// chain has fully retired (every element is written before any read).
-	depth := mempool.Ints.Get(n)   // L_m
-	leaves := mempool.Ints.Get(n)  // a^L_m
-	bytes := mempool.Int64s.Get(n) // whole-instance transfer size
-	chunkOf := mempool.Ints.Get(n) // transfer chunk index of each member
-	rootAt := mempool.Float64s.Get(n)
-	defer func() {
-		mempool.Ints.Put(depth)
-		mempool.Ints.Put(leaves)
-		mempool.Int64s.Put(bytes)
-		mempool.Ints.Put(chunkOf)
-		mempool.Float64s.Put(rootAt)
-	}()
-	maxL := 0
+	reports := make([]Report, n)
+	bytes := make([]int64, n) // whole-instance transfer size
+	ints := make([]int, 3*n)
+	depth, chunkOf, home := ints[:n], ints[n:2*n], ints[2*n:] // L_m; each member's chunk chain and egress chain
+	f := &forest{trees: algs, depth: depth, parts: make([]Batch, n)}
 	for m, alg := range algs {
 		reports[m] = Report{Algorithm: alg.Name(), Strategy: FusedStrategy}
 		depth[m] = alg.Levels()
-		leaves[m] = TasksAtLevel(alg.Arity(), depth[m])
+		f.L = max(f.L, depth[m])
 		bytes[m] = alg.GPUBytes(0, 0, 1)
-		if depth[m] > maxL {
-			maxL = depth[m]
-		}
 	}
+
+	// The plan. Chains, in index order: one per transfer chunk; the combine
+	// chain; one egress chain per group of members of equal depth, whose
+	// roots complete at the same combine step and go home together.
 	chunks := fusedChunks(bytes, chunkOf)
-
+	groups := 0
+	for m := range algs {
+		if p := slices.Index(depth[:m], depth[m]); p >= 0 {
+			home[m] = home[p]
+		} else {
+			home[m] = len(chunks) + 1 + groups
+			groups++
+		}
+	}
+	r := newRun(ctx, be, &cfg, f, f)
+	r.forest = true
 	gpu := be.GPU()
-	start := be.Now()
-
-	// Device staging: one leased segment per member, acquired with its
-	// chunk's upload and released as its result leaves the device, so the
-	// next fused run of the same shape reuses the device residency
-	// instead of re-staging per group.
-	sa := segmentAllocator(be)
-	segs := make([]*Segment, n)
-	defer func() {
-		// Safety net for canceled runs; Release is idempotent.
-		for _, s := range segs {
-			s.Release()
-		}
-	}()
-
-	// Completion accounting: every concurrently progressing branch of the
-	// pipeline (a chunk's upload+pre chain, the combine chain, each egress
-	// transfer) holds one reference; done closes when the last one drops.
-	// Stamps and the canceled flag are guarded by mu because the native
-	// backend fires completions from many goroutines.
-	var (
-		mu          sync.Mutex
-		canceled    bool
-		outstanding atomic.Int64
-		done        = make(chan struct{})
-	)
-	// deviceStart[c] is stamped during chunk c's ingest, and every read
-	// (member egress) happens after the all-chunks-resident barrier, so
-	// the pooled slice's unspecified contents never surface; rootAt[m] is
-	// likewise stamped before the only read.
-	deviceStart := mempool.Float64s.Get(len(chunks))
-	defer func() { mempool.Float64s.Put(deviceStart) }()
-	release := func() {
-		if outstanding.Add(-1) == 0 {
-			close(done)
-		}
+	r.chains = make([]chain, len(chunks)+1+groups)
+	combine := &r.chains[len(chunks)]
+	if r.sa != nil {
+		// One lease per member, taken with its chunk's upload and given back
+		// as its result leaves the device, for the next fused run to reuse.
+		r.segs = make([]*Segment, n)
 	}
-	hold := func() { outstanding.Add(1) }
-	markCanceled := func() {
-		mu.Lock()
-		canceled = true
-		mu.Unlock()
-	}
+	r.ops = make([]op, 0, 2*n+len(chunks)*(f.L+6)+3*groups)
 
-	// fuse builds the single launch for one aligned step from the member
-	// batch constructor; construction is lazy (inside the step) because a
-	// preceding permute may change a member's device layout state.
-	fuse := func(members []int, part func(m int) Batch) Batch {
-		parts := make([]Batch, 0, len(members))
-		for _, m := range members {
-			parts = append(parts, part(m))
-		}
-		return fuseBatches(parts)
-	}
-
-	// Combine phase, shared by every member once resident. advance(t) runs
-	// after t fused combine steps have completed.
-	var advance func(t int)
-	advance = func(t int) {
-		if ctx.Err() != nil {
-			markCanceled()
-			release()
-			return
-		}
-		// Members whose root completed at this step: permute back (fused),
-		// then start their egress transfer, overlapping deeper members'
-		// remaining combines.
-		var fin []int
-		for m := range algs {
-			if depth[m] == t {
-				fin = append(fin, m)
+	// Ingest: chunk c is the stripe [lo, hi) of the forest. Its fork comes the
+	// moment it is resident, before its own first divide is submitted: chunk
+	// c+1's upload crosses the link while c's divide and base phases run.
+	// Its divides begin at the level of its own deepest member.
+	for c, members := range chunks {
+		ch, lo, hi := &r.chains[c], members[0], members[0]+len(members)
+		ch.dev, ch.bytes, ch.then = gpu, f.GPUBytes(0, lo, hi), combine
+		at := len(r.ops)
+		if r.sa != nil {
+			ch.segs = r.segs[lo:lo:hi]
+			for m := lo; m < hi; m++ {
+				r.ops = append(r.ops, op{opLease, 0, m, m + 1})
 			}
 		}
-		proceed := func() {
-			if len(fin) > 0 {
-				now := be.Now()
-				var sum int64
-				mu.Lock()
-				for _, m := range fin {
-					rootAt[m] = now
-					sum += bytes[m]
+		r.ops = append(r.ops, op{kind: opUpload}, op{kind: opStamp, level: stampResident})
+		if c+1 < len(chunks) {
+			r.ops = append(r.ops, op{kind: opFork, lo: c + 1, hi: c + 2})
+		}
+		r.descend(f.L-slices.Max(depth[lo:hi]), 0, lo, hi)
+		ch.ops = r.ops[at:]
+	}
+
+	// Combine: the join of the chunks, over the whole forest. After d steps
+	// the group of depth d is complete: one fused permute back, then the fork
+	// of its egress chain — root, download, home, leases back — before the
+	// next combine launch is submitted, so its way home overlaps the rest.
+	combine.dev = gpu
+	combine.waits.Store(int32(len(chunks)))
+	combine.ops = make([]op, 0, f.L+2*groups)
+	for d := 0; d <= f.L; d++ {
+		if m := slices.Index(depth, d); m >= 0 {
+			if r.tr != nil {
+				combine.ops = append(combine.ops, op{opPermuteBack, f.L - d, 0, n})
+			}
+			combine.ops = append(combine.ops, op{kind: opFork, lo: home[m], hi: home[m] + 1})
+			eg, at := &r.chains[home[m]], len(r.ops)
+			r.ops = append(r.ops, op{kind: opStamp, level: stampRoot}, op{kind: opDownload}, op{kind: opStamp, level: stampHome})
+			for ; m < n; m++ {
+				if depth[m] != d {
+					continue
 				}
-				mu.Unlock()
-				hold()
-				group := fin
-				be.TransferToCPU(sum, func() {
-					end := be.Now()
-					mu.Lock()
-					for _, m := range group {
-						reports[m].Seconds = end - start
-						reports[m].GPUPortionSeconds = rootAt[m] - deviceStart[chunkOf[m]]
-					}
-					mu.Unlock()
-					for _, m := range group {
-						segs[m].Release()
-					}
-					release()
-				})
-			}
-			if t == maxL {
-				release() // combine chain ends
-				return
-			}
-			b := fuse(activeAt(depth, t), func(m int) Batch {
-				lvl := depth[m] - 1 - t
-				return atLevel(algs[m].GPUCombineBatch(lvl, 0, TasksAtLevel(algs[m].Arity(), lvl)), lvl)
-			})
-			gpu.Submit(b, func() { advance(t + 1) })
-		}
-		if cfg.Coalesce && len(fin) > 0 {
-			pb := fuse(fin, func(m int) Batch {
-				if tr, ok := algs[m].(Transformable); ok {
-					return tr.PermuteBack(0, 0, 1)
+				eg.bytes += bytes[m]
+				if r.sa != nil {
+					r.ops = append(r.ops, op{kind: opRelease, lo: m, hi: m + 1})
 				}
-				return Batch{}
-			})
-			gpu.Submit(pb, proceed)
-			return
+			}
+			eg.ops = r.ops[at:]
 		}
-		proceed()
+		if d < f.L {
+			combine.ops = append(combine.ops, op{opGPUCombine, f.L - 1 - d, 0, n})
+		}
 	}
 
-	barrier := Join(len(chunks), func() {
-		hold()
-		advance(0)
+	r.drive(&r.chains[0])
+
+	// A member is home when its group's download has landed; its device time
+	// runs from its chunk's residency to its own root.
+	for m := range reports {
+		eg := &r.chains[home[m]]
+		reports[m].Seconds = since(eg.stamps[stampHome], r.start)
+		reports[m].GPUPortionSeconds = since(eg.stamps[stampRoot], r.chains[chunkOf[m]].stamps[stampResident])
+	}
+	return reports, r.settle(&cfg, reports)
+}
+
+// forest presents k independent recursion trees as one GPUAlg (and
+// Transformable), so that a fused group is planned and interpreted like a
+// single tree. Two things make it one algorithm:
+//
+//   - Its subproblem ranges count trees: [lo, hi) of any level is trees
+//     lo..hi−1, each over its whole level (Arity is 1 — a forest does not
+//     widen with depth). A transfer chunk is a contiguous stripe of trees.
+//   - Its levels are leaf-aligned: forest level l is level l − (L − depth[t])
+//     of tree t, which is absent from the level while that is negative, so
+//     trees of equal subproblem size share a launch whatever their depth,
+//     and a tree's root is at forest level L − depth[t].
+//
+// A constructor builds the member batches in tree order at the moment it is
+// called, like any other algorithm's (plan.go), and fuses them into one
+// launch; the launch keeps the level fuseBatches stamped on it.
+type forest struct {
+	trees []GPUAlg
+	depth []int   // Levels() of each tree
+	L     int     // the deepest
+	parts []Batch // fuseBatches' input, one window per tree range: ranges in flight together are disjoint
+}
+
+// level is the one launch of forest level l over trees [lo, hi): ctor's
+// batch over the whole of each present tree's own level, fused.
+func (f *forest) level(l, lo, hi int, ctor func(t GPUAlg, level, lo, hi int) Batch) Batch {
+	parts := f.parts[lo:hi]
+	for i := range parts {
+		t, own := f.trees[lo+i], l-(f.L-f.depth[lo+i])
+		parts[i] = Batch{}
+		if own >= 0 {
+			parts[i] = ctor(t, own, 0, TasksAtLevel(t.Arity(), own))
+			parts[i].Level = own
+		}
+	}
+	return fuseBatches(parts)
+}
+
+// Name is the first tree's: a fused run's error names the group by it. As an
+// Alg the forest is N trees wide at every level.
+func (f *forest) Name() string { return f.trees[0].Name() }
+func (f *forest) Arity() int   { return 1 }
+func (f *forest) Shrink() int  { return 1 }
+func (f *forest) N() int       { return len(f.trees) }
+func (f *forest) Levels() int  { return f.L }
+
+// Finish finishes every tree.
+func (f *forest) Finish() {
+	for _, t := range f.trees {
+		finish(t)
+	}
+}
+
+// GPUBytes is the link footprint of trees [lo, hi), whole.
+func (f *forest) GPUBytes(_, lo, hi int) int64 {
+	var sum int64
+	for _, t := range f.trees[lo:hi] {
+		sum += t.GPUBytes(0, 0, 1)
+	}
+	return sum
+}
+
+func (f *forest) GPUDivideBatch(l, lo, hi int) Batch {
+	return f.level(l, lo, hi, GPUAlg.GPUDivideBatch)
+}
+func (f *forest) GPUCombineBatch(l, lo, hi int) Batch {
+	return f.level(l, lo, hi, GPUAlg.GPUCombineBatch)
+}
+func (f *forest) GPUBaseBatch(lo, hi int) Batch {
+	return f.level(f.L, lo, hi, func(t GPUAlg, _, lo, hi int) Batch { return t.GPUBaseBatch(lo, hi) })
+}
+
+// The CPU constructors complete the interface the same way; no executor
+// runs a forest on the CPU.
+func (f *forest) DivideBatch(l, lo, hi int) Batch  { return f.level(l, lo, hi, GPUAlg.DivideBatch) }
+func (f *forest) CombineBatch(l, lo, hi int) Batch { return f.level(l, lo, hi, GPUAlg.CombineBatch) }
+func (f *forest) BaseBatch(lo, hi int) Batch {
+	return f.level(f.L, lo, hi, func(t GPUAlg, _, lo, hi int) Batch { return t.BaseBatch(lo, hi) })
+}
+
+// PermuteForGPU switches the Transformable trees of [lo, hi) to the device
+// layout; the others take no part in the launch.
+func (f *forest) PermuteForGPU(l, lo, hi int) Batch {
+	return f.level(l, lo, hi, func(t GPUAlg, own, lo, hi int) Batch {
+		if tr, ok := t.(Transformable); ok {
+			return tr.PermuteForGPU(own, lo, hi)
+		}
+		return Batch{}
 	})
-
-	// Ingest: chunk c's upload, then its device-resident divide and base
-	// phases, with chunk c+1's upload forked as soon as the link frees —
-	// the double-buffered pipeline. ingest(t) runs after t of the chunk's
-	// ingest steps have completed: lease, upload, stamp-and-fork, one fused
-	// divide per level of the chunk's deepest member, permute, base.
-	var startChunk func(c int)
-	startChunk = func(c int) {
-		members := chunks[c]
-		maxLc := 0
-		var sum int64
-		for _, m := range members {
-			maxLc = max(maxLc, depth[m])
-			sum += bytes[m]
-		}
-		var ingest func(t int)
-		ingest = func(t int) {
-			if ctx.Err() != nil {
-				markCanceled()
-				release()
-				return
-			}
-			next := func() { ingest(t + 1) }
-			switch d := t - 3; { // d: divide level of the deepest member
-			case t == 0:
-				if sa != nil {
-					for _, m := range members {
-						segs[m] = sa.AllocSegment(bytes[m])
-					}
-				}
-				next()
-			case t == 1:
-				be.TransferToGPU(sum, next)
-			case t == 2:
-				mu.Lock()
-				deviceStart[c] = be.Now()
-				mu.Unlock()
-				if c+1 < len(chunks) {
-					hold()
-					startChunk(c + 1)
-				}
-				next()
-			case d < maxLc:
-				gpu.Submit(fuse(members, func(m int) Batch {
-					lvl := d - (maxLc - depth[m])
-					if lvl < 0 {
-						return Batch{}
-					}
-					return atLevel(algs[m].GPUDivideBatch(lvl, 0, TasksAtLevel(algs[m].Arity(), lvl)), lvl)
-				}), next)
-			case d == maxLc && cfg.Coalesce:
-				gpu.Submit(fuse(members, func(m int) Batch {
-					if tr, ok := algs[m].(Transformable); ok {
-						return atLevel(tr.PermuteForGPU(depth[m], 0, leaves[m]), depth[m])
-					}
-					return Batch{}
-				}), next)
-			case d == maxLc:
-				next()
-			case d == maxLc+1:
-				gpu.Submit(fuse(members, func(m int) Batch {
-					return atLevel(algs[m].GPUBaseBatch(0, leaves[m]), depth[m])
-				}), next)
-			default:
-				barrier()
-				release()
-			}
-		}
-		ingest(0)
-	}
-
-	hold()
-	startChunk(0)
-	awaitChain(be, done)
-
-	makespan := be.Now() - start
-	if mb, ok := be.(*meteredBackend); ok {
-		mb.finish(makespan)
-	}
-	if canceled {
-		for m := range reports {
-			reports[m].Partial = true
-			reports[m].Seconds = makespan
-		}
-		err = canceledErr(ctx, algs[0], FusedStrategy)
-	} else {
-		for _, alg := range algs {
-			finish(alg)
-		}
-	}
-	if cfg.Observe != nil {
-		for m := range reports {
-			cfg.Observe(&reports[m])
-		}
-	}
-	return reports, err
 }
 
-// atLevel stamps the batch with its recursion level for observability
-// layers (trace spans, per-level metrics).
-func atLevel(b Batch, l int) Batch {
-	b.Level = l
-	return b
-}
-
-// activeAt returns the members still combining after t completed steps.
-func activeAt(depth []int, t int) []int {
-	var out []int
-	for m, d := range depth {
-		if d > t {
-			out = append(out, m)
+// PermuteBack restores the host layout of the trees of [lo, hi) whose root
+// is at forest level l: those whose result is complete there.
+func (f *forest) PermuteBack(l, lo, hi int) Batch {
+	return f.level(l, lo, hi, func(t GPUAlg, own, lo, hi int) Batch {
+		if tr, ok := t.(Transformable); ok && own == 0 {
+			return tr.PermuteBack(own, lo, hi)
 		}
-	}
-	return out
+		return Batch{}
+	})
 }
 
 // fusedChunks partitions member indices into two transfer chunks of roughly

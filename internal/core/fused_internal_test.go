@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestFuseBatches pins the segment-merge semantics: concatenated task index
 // spaces dispatching back to the owning member, and conservative cost
@@ -122,5 +126,76 @@ func TestFusedChunks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestForestLevels states the forest's leaf alignment once: for trees of
+// depths 6, 4 and 3, which tree takes part in which forest level, and at
+// which level of its own. Forest level l is level l − (6 − depth) of a tree,
+// absent while negative; a tree's root is at forest level 6 − depth, which is
+// where its layout is switched back.
+func TestForestLevels(t *testing.T) {
+	depths := []int{6, 4, 3}
+	const absent = -1
+	own := [][3]int{ // forest level → each tree's own level
+		0: {0, absent, absent},
+		1: {1, absent, absent},
+		2: {2, 0, absent},
+		3: {3, 1, 0},
+		4: {4, 2, 1},
+		5: {5, 3, 2},
+		6: {6, 4, 3}, // the leaves
+	}
+	trees := stubTrees(depths, nil)
+	f := &forest{trees: trees, depth: depths, L: 6, parts: make([]Batch, len(trees))}
+	// built runs a constructor and returns what it constructed of each tree.
+	built := func(construct func() Batch) (events [3]string) {
+		for _, tr := range trees {
+			tr.(permStub).log = nil
+		}
+		construct()
+		for i, tr := range trees {
+			events[i] = strings.TrimPrefix(strings.Join(tr.(permStub).log, " "), "new ")
+		}
+		return events
+	}
+	whole := func(kind string, l int) string { return fmt.Sprintf("%s@%d[0,%d)", kind, l, 1<<l) }
+	for l, levels := range own {
+		var divide, combine, back [3]string
+		for i, lvl := range levels {
+			if lvl != absent && l < f.L {
+				divide[i], combine[i] = whole("gpu-divide", lvl), whole("gpu-combine", lvl)
+			}
+			if lvl == 0 {
+				back[i] = whole("permute-back", 0)
+			}
+		}
+		if l < f.L {
+			if got := built(func() Batch { return f.GPUDivideBatch(l, 0, 3) }); got != divide {
+				t.Errorf("divide at forest level %d constructs %q, want %q", l, got, divide)
+			}
+			if got := built(func() Batch { return f.GPUCombineBatch(l, 0, 3) }); got != combine {
+				t.Errorf("combine at forest level %d constructs %q, want %q", l, got, combine)
+			}
+		}
+		if got := built(func() Batch { return f.PermuteBack(l, 0, 3) }); got != back {
+			t.Errorf("permute back at forest level %d constructs %q, want %q", l, got, back)
+		}
+	}
+	leaves := [3]string{whole("gpu-base", 6), whole("gpu-base", 4), whole("gpu-base", 3)}
+	if got := built(func() Batch { return f.GPUBaseBatch(0, 3) }); got != leaves {
+		t.Errorf("base constructs %q, want %q", got, leaves)
+	}
+	permute := [3]string{whole("permute", 6), whole("permute", 4), whole("permute", 3)}
+	if got := built(func() Batch { return f.PermuteForGPU(f.L, 0, 3) }); got != permute {
+		t.Errorf("permute constructs %q, want %q", got, permute)
+	}
+	// A range is a stripe of trees: the second transfer chunk alone.
+	chunk := [3]string{"", whole("gpu-divide", 1), whole("gpu-divide", 0)}
+	if got := built(func() Batch { return f.GPUDivideBatch(3, 1, 3) }); got != chunk {
+		t.Errorf("divide of trees [1,3) at forest level 3 constructs %q, want %q", got, chunk)
+	}
+	if got, want := f.GPUBytes(0, 1, 3), int64(2); got != want {
+		t.Errorf("GPUBytes of trees [1,3) = %d, want %d (one per tree)", got, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/algos/scan"
 	. "repro/internal/core"
 	"repro/internal/dcerr"
+	"repro/internal/faults"
 	"repro/internal/hpu"
 	"repro/internal/native"
 )
@@ -210,22 +211,36 @@ func TestFusedCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		a := newCancelAlg(5)
-		a.hook = func(phase string, level int) {
-			if phase == "gpu-combine" && level == 3 {
-				cancel()
+		// A group of depths 5, 4 and 2 — two chunk chains, the combine chain
+		// and three egress chains, ending on arbitrary goroutines — canceled
+		// from inside each kind of device batch: on the way down, at the
+		// leaves, in the first and a late combine step, and in the last one,
+		// when two groups are already on their way home.
+		for _, at := range []struct {
+			phase string
+			level int
+		}{
+			{"gpu-divide", 1}, {"gpu-base", -1}, {"gpu-combine", 4}, {"gpu-combine", 3}, {"gpu-combine", 0},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			a := newCancelAlg(5)
+			a.hook = func(phase string, level int) {
+				if phase == at.phase && level == at.level {
+					cancel()
+				}
 			}
-		}
-		b := newCancelAlg(4)
-		reps, err := RunFusedGPUCtx(ctx, be, []GPUAlg{a, b})
-		if !errors.Is(err, dcerr.ErrCanceled) {
-			t.Fatalf("err = %v, want ErrCanceled", err)
-		}
-		for i, r := range reps {
-			if !r.Partial {
-				t.Errorf("member %d not partial after cancellation", i)
+			reps, err := RunFusedGPUCtx(ctx, be, []GPUAlg{a, newCancelAlg(4), newCancelAlg(2)})
+			cancel()
+			if !errors.Is(err, dcerr.ErrCanceled) {
+				t.Fatalf("canceled in %s@%d: err = %v, want ErrCanceled", at.phase, at.level, err)
+			}
+			for i, r := range reps {
+				if !r.Partial {
+					t.Errorf("canceled in %s@%d: member %d not partial", at.phase, at.level, i)
+				}
+			}
+			if st := be.Segments().Stats(); st.LeasedBytes != 0 {
+				t.Errorf("canceled in %s@%d: %d bytes still leased", at.phase, at.level, st.LeasedBytes)
 			}
 		}
 		be.Close()
@@ -285,5 +300,56 @@ func TestFusedAmortizesLaunches(t *testing.T) {
 	if fused*1.5 > solo {
 		t.Errorf("fused makespan %v not ≥1.5× better than %v for %d jobs of n=%d",
 			fused, solo, k, n)
+	}
+}
+
+// finishProbe is a scan that counts its Finish calls.
+type finishProbe struct {
+	*scan.Scanner
+	finished *int
+}
+
+func (p finishProbe) Finish() { *p.finished++ }
+
+// TestFusedDeviceFault: a fused run settles like every other run, so a
+// device fault recorded by a Faulter layer beneath it is the run's error.
+// With every kernel launch failing, no member's data was touched: the error
+// classifies under ErrDeviceFault, every report is Partial, no member is
+// finished and every leased segment has been given back.
+func TestFusedDeviceFault(t *testing.T) {
+	inj, err := faults.New(faults.Config{KernelErrorRate: 1, TriggerSpan: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := hpu.MustSim(hpu.HPU1())
+	be := inj.Wrap(sim)
+	rng := rand.New(rand.NewSource(11))
+	finished := 0
+	algs := make([]GPUAlg, 4)
+	for i := range algs {
+		s, err := scan.New(randomData(rng, 1<<(6+i%2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		algs[i] = finishProbe{s, &finished}
+	}
+	reps, err := RunFusedGPUCtx(context.Background(), be, algs)
+	if be.Fault() == nil {
+		t.Fatal("the injector recorded no fault")
+	}
+	if !errors.Is(err, dcerr.ErrDeviceFault) {
+		t.Errorf("err = %v, want ErrDeviceFault", err)
+	}
+	for i, r := range reps {
+		if !r.Partial {
+			t.Errorf("member %d not partial after a device fault", i)
+		}
+	}
+	if finished != 0 {
+		t.Errorf("%d members finished after a device fault", finished)
+	}
+	st := sim.SimGPU().Segments().Stats()
+	if st.LeasedBytes != 0 || st.Allocs+st.Reuses != uint64(len(algs)) {
+		t.Errorf("segments after the run: %+v; want %d leases, all given back", st, len(algs))
 	}
 }

@@ -57,9 +57,9 @@ func RunMultiGPUCtx(ctx context.Context, be MultiGPUBackend, alg GPUAlg, alpha f
 		return Report{}, err
 	}
 	r := execute(ctx, ibe, &cfg, alg, alg, fmt.Sprintf("advanced-%dgpu", len(d.devs)), d)
-	r.rep.CPUPortionSeconds = r.cpu.end - r.forkAt
-	for i := range r.devs {
-		r.rep.GPUPortionSeconds = max(r.rep.GPUPortionSeconds, r.devs[i].end-r.forkAt)
+	r.rep[0].CPUPortionSeconds = since(r.chains[chCPU].end, r.forkAt())
+	for i := range r.devs() {
+		r.rep[0].GPUPortionSeconds = max(r.rep[0].GPUPortionSeconds, r.devs()[i].end-r.forkAt())
 	}
-	return r.settle(&cfg)
+	return r.report(&cfg)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -11,8 +12,10 @@ import (
 // split level s, give the CPU the subproblems [0, cpu) of that level and
 // stripe the rest over the devices, bring each stripe home at the transfer
 // level y, combine full width back to the root. The schedule is data — a
-// chain is a []op — built by two phase builders and walked by one
-// interpreter.
+// chain is a []op — built by the phase builders and walked by one
+// interpreter; chains start each other at fork ops and wait for each other
+// at joins, and the fused executor (fused.go) is the same interpreter over a
+// forest of trees.
 
 // opKind says what an op asks of the platform. The kinds before opGPUDivide
 // are CPU batches, opGPUDivide..opPermuteBack are device batches.
@@ -28,10 +31,12 @@ const (
 	opGPUCombine
 	opPermute     // Transformable.PermuteForGPU(level, lo, hi)
 	opPermuteBack // Transformable.PermuteBack(level, lo, hi)
-	opLease       // lease a device segment for the chain's footprint
+	opLease       // lease a device segment for GPUBytes(level, lo, hi)
+	opRelease     // give back the run's segments [lo, hi)
 	opUpload      // host→device transfer of the chain's footprint
 	opDownload    // device→host transfer of the same bytes
 	opStamp       // record Now() in the chain's stamps[level]
+	opFork        // start chains [lo, hi) of the run, in order, then go on
 )
 
 // The three stamps of a device chain; every strategy's portion times are
@@ -54,23 +59,29 @@ type op struct {
 }
 
 // chain is a cursor over a sequence of ops that execute one after another,
-// each submitted when the previous one completes.
+// each submitted when the previous one completes. A chain is started by a
+// fork op of another chain or, when it has a join (waits > 0), by the last
+// of the chains that end in it.
 type chain struct {
-	run  *run
-	ops  []op
-	pc   int
-	next func() // c.advance, bound once: the chain's only completion callback
-	end  float64
+	run   *run
+	ops   []op
+	pc    int
+	next  func() // c.advance, bound at the first op that completes later: the chain's only completion callback
+	end   float64
+	waits atomic.Int32 // its join: how many chains have yet to end before it starts
+	then  *chain       // the chain in whose join this one ends, if any
 
 	// Device chains only.
 	dev    LevelExecutor
-	bytes  int64 // link footprint: GPUBytes of the stripe at the split level
-	seg    *Segment
+	bytes  int64      // link footprint: what its upload and download move
+	segs   []*Segment // the window of run.segs its lease ops fill
 	stamps [3]float64
 }
 
-// run sequences one execution: top chain, then the forked portions (the CPU
-// portion and one chain per device stripe), their join, then the tail chain.
+// run is one execution: its chains, and what they share. A single tree's
+// chains are the top (divide to the split level, then fork), the forked
+// portions — the CPU's and one per device stripe — and the tail, which is
+// their join; a forest's are listed in fused.go.
 type run struct {
 	ctx        context.Context
 	cancelable bool
@@ -81,17 +92,33 @@ type run struct {
 	sa         SegmentAllocator // nil when the backend does not pool device memory
 	a, L       int
 	fold       *fold // sequential: every CPU batch folded onto one core
+	forest     bool  // galg is a forest, whose launches span levels and come stamped
 
-	ops            []op // backing store of all chains
-	top, cpu, tail chain
-	devs           []chain
+	ops    []op // backing store of all chains
+	chains []chain
+	segs   []*Segment // device staging: one per device chain, or per tree of a forest
 
-	rep           Report
-	start, forkAt float64
-	pending       atomic.Int32 // portions still running
-	stopped       atomic.Bool  // a chain found ctx done and stopped at its boundary
-	done          chan struct{}
+	rep     [1]Report // a single tree's report; a forest's are its caller's
+	start   float64
+	pending atomic.Int32   // chains started and not yet ended
+	stopped atomic.Bool    // a chain found ctx done and stopped at its boundary
+	done    sync.WaitGroup // released by the last chain to end
 }
+
+// The chains of a single tree, by index; the device chains follow.
+const (
+	chTop = iota
+	chTail
+	chCPU
+	chDev
+)
+
+// devs are the device chains of a single tree's run.
+func (r *run) devs() []chain { return r.chains[chDev:] }
+
+// forkAt is when a single tree's portions were forked: the top chain ends
+// with the fork op (or short of it, stopped: then no portion ran).
+func (r *run) forkAt() float64 { return r.chains[chTop].end }
 
 // fold is what a folding run keeps of the batch in flight (its chains run
 // one after another, one batch at a time) and the fold's one task, bound
@@ -114,52 +141,82 @@ type division struct {
 	fold  bool            // every CPU batch folded onto one core (the sequential baseline)
 }
 
-// execute plans the division, runs it to completion (or to the level
-// boundary where ctx stopped it) and returns the run for the caller to
-// derive its portion times from and settle.
-func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAlg, strategy string, d division) *run {
+// newRun is a run with nothing planned yet.
+func newRun(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAlg) *run {
 	r := &run{
 		ctx: ctx, cancelable: ctx.Done() != nil,
-		be: be, alg: alg, galg: galg, a: alg.Arity(), L: alg.Levels(),
-		rep:  Report{Algorithm: alg.Name(), Strategy: strategy},
-		done: make(chan struct{}),
+		be: be, alg: alg, galg: galg, sa: segmentAllocator(be), a: alg.Arity(), L: alg.Levels(),
 	}
 	if cfg.Coalesce {
 		r.tr, _ = alg.(Transformable)
 	}
-	width := TasksAtLevel(r.a, d.s)
+	return r
+}
+
+// execute plans the division, runs it to completion (or to the level
+// boundary where ctx stopped it) and returns the run for the caller to
+// derive its portion times from and settle.
+func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAlg, strategy string, d division) *run {
 	k := len(d.devs)
-	if k > 0 {
-		r.sa = segmentAllocator(be)
-		r.devs = make([]chain, k)
+	r := newRun(ctx, be, cfg, alg, galg)
+	r.rep[0] = Report{Algorithm: alg.Name(), Strategy: strategy}
+	r.chains = make([]chain, chDev+k)
+	if r.sa != nil {
+		r.segs = make([]*Segment, k)
 	}
 	// An upper bound, so that planning is one allocation whatever L is:
-	// top and tail are s ops each, the CPU phase at most 2(L−s)+1, a device
-	// phase 2(L−s) batches plus nine fixed ops.
+	// top and tail are s ops each plus the fork, the CPU phase at most
+	// 2(L−s)+1, a device phase 2(L−s) batches plus nine fixed ops.
 	below := 2 * (r.L - d.s)
-	r.ops = make([]op, 0, 2*d.s+below+1+k*(below+9))
+	r.ops = make([]op, 0, 2*d.s+1+below+1+k*(below+9))
 
-	r.top.ops = r.levels(opDivide, 0, d.s-1, 0, 0, 1)
-	r.cpu.ops = r.cpuPhase(d.s, 0, d.cpu, d.grain)
+	// The top forks the CPU portion first, then the device stripes in index
+	// order, which fixes the simulator's event order; the tail is their join.
+	top, tail := &r.chains[chTop], &r.chains[chTail]
+	r.levels(opDivide, 0, d.s-1, 0, 0, 1)
+	r.ops = append(r.ops, op{kind: opFork, lo: chCPU, hi: len(r.chains)})
+	top.ops = r.ops
+	tail.waits.Store(int32(1 + k))
+	r.chains[chCPU].ops = r.cpuPhase(d.s, 0, d.cpu, d.grain)
+	r.chains[chCPU].then = tail
+	width := TasksAtLevel(r.a, d.s)
 	c0 := d.cpu
-	for i := range r.devs {
+	for i := range r.devs() {
 		c1 := c0 + (width-d.cpu)/k
 		if i < (width-d.cpu)%k {
 			c1++
 		}
-		r.devs[i].ops = r.devicePhase(&r.devs[i], d.devs[i], d.s, d.y, c0, c1)
+		c := &r.devs()[i]
+		c.ops = r.devicePhase(c, d.devs[i], i, d.s, d.y, c0, c1)
+		c.then = tail
 		c0 = c1
 	}
-	r.tail.ops = r.levels(opCombine, d.s-1, 0, 0, 0, 1)
+	tail.ops = r.levels(opCombine, d.s-1, 0, 0, 0, 1)
 
 	if d.fold {
 		r.fold = new(fold)
 		r.fold.task = r.fold.all
 	}
-	r.start = be.Now()
-	r.top.start(r)
-	awaitChain(be, r.done)
+	r.drive(top)
 	return r
+}
+
+// drive starts the run at its first chain and blocks until its last chain
+// has ended. An event-loop backend is driven through Wait; on an autonomous
+// one the run blocks on its own signal alone, so concurrent runs sharing the
+// backend do not wait for each other.
+func (r *run) drive(first *chain) {
+	r.start = r.be.Now()
+	r.done.Add(1)
+	r.begin(first)
+	if autonomous(r.be) {
+		r.done.Wait()
+		return
+	}
+	r.be.Wait()
+	if r.pending.Load() != 0 {
+		panic("core: execution did not complete")
+	}
 }
 
 // levels appends one op of the kind per level over the portion [c0, c1) of
@@ -208,23 +265,20 @@ func (r *run) cpuPhase(s, c0, c1, grain int) []op {
 }
 
 // devicePhase appends, and returns, device dev's solution of subproblems
-// [c0, c1) of level s as chain c: ship them, solve them bottom-up through
-// level y on the device (inside the §6.3 layout switch when coalescing),
-// bring them home, and combine y−1..s on the CPU, where the chain competes
-// with the CPU portion for cores as in the paper's two-thread
-// implementation.
-func (r *run) devicePhase(c *chain, dev LevelExecutor, s, y, c0, c1 int) []op {
-	c.dev, c.bytes = dev, r.galg.GPUBytes(s, c0, c1)
+// [c0, c1) of level s as chain c, the run's i-th device chain: ship them,
+// solve them bottom-up through level y on the device (inside the §6.3 layout
+// switch when coalescing), bring them home, and combine y−1..s on the CPU,
+// where the chain competes with the CPU portion for cores as in the paper's
+// two-thread implementation.
+func (r *run) devicePhase(c *chain, dev LevelExecutor, i, s, y, c0, c1 int) []op {
 	n := len(r.ops)
+	c.dev, c.bytes = dev, r.galg.GPUBytes(s, c0, c1)
 	if r.sa != nil {
-		r.ops = append(r.ops, op{kind: opLease})
+		c.segs = r.segs[i : i : i+1]
+		r.emit(opLease, s, s, c0, c1)
 	}
 	r.ops = append(r.ops, op{kind: opUpload}, op{kind: opStamp, level: stampResident})
-	r.levels(opGPUDivide, s, r.L-1, s, c0, c1)
-	if r.tr != nil {
-		r.emit(opPermute, r.L, s, c0, c1)
-	}
-	r.emit(opGPUBase, r.L, s, c0, c1)
+	r.descend(s, s, c0, c1)
 	r.levels(opGPUCombine, r.L-1, y, s, c0, c1)
 	if r.tr != nil {
 		r.emit(opPermuteBack, y, s, c0, c1)
@@ -234,12 +288,21 @@ func (r *run) devicePhase(c *chain, dev LevelExecutor, s, y, c0, c1 int) []op {
 	return r.ops[n:]
 }
 
-// start begins walking the chain.
-func (c *chain) start(r *run) {
-	c.run = r
-	if len(c.ops) > 0 {
-		c.next = c.advance
+// descend appends the device's way down over the portion [c0, c1) of level
+// s: divide from..L−1, the switch to the device layout when coalescing, the
+// leaves.
+func (r *run) descend(from, s, c0, c1 int) {
+	r.levels(opGPUDivide, from, r.L-1, s, c0, c1)
+	if r.tr != nil {
+		r.emit(opPermute, r.L, s, c0, c1)
 	}
+	r.emit(opGPUBase, r.L, s, c0, c1)
+}
+
+// begin starts walking the chain.
+func (r *run) begin(c *chain) {
+	r.pending.Add(1)
+	c.run = r
 	c.advance()
 }
 
@@ -251,23 +314,38 @@ func (c *chain) advance() {
 	for {
 		if r.cancelable && r.ctx.Err() != nil {
 			r.stopped.Store(true)
-			r.chainDone(c)
+			c.ended()
 			return
 		}
 		if c.pc == len(c.ops) {
-			r.chainDone(c)
+			c.ended()
 			return
 		}
 		o := c.ops[c.pc]
 		c.pc++
-		var b Batch
-		switch o.kind {
+		switch o.kind { // the ops that are done when they return
 		case opLease:
-			c.seg = r.sa.AllocSegment(c.bytes)
+			c.segs = append(c.segs, r.sa.AllocSegment(r.galg.GPUBytes(o.level, o.lo, o.hi)))
+			continue
+		case opRelease:
+			for _, seg := range r.segs[o.lo:o.hi] {
+				seg.Release()
+			}
 			continue
 		case opStamp:
 			c.stamps[o.level] = r.be.Now()
 			continue
+		case opFork:
+			for i := o.lo; i < o.hi; i++ {
+				r.begin(&r.chains[i])
+			}
+			continue
+		}
+		if c.next == nil {
+			c.next = c.advance
+		}
+		var b Batch
+		switch o.kind {
 		case opUpload:
 			r.be.TransferToGPU(c.bytes, c.next)
 			return
@@ -293,7 +371,9 @@ func (c *chain) advance() {
 		case opPermuteBack:
 			b = r.tr.PermuteBack(o.level, o.lo, o.hi)
 		}
-		b.Level = o.level // for observability layers (trace spans, per-level metrics)
+		if !r.forest {
+			b.Level = o.level // for observability layers (trace spans, per-level metrics)
+		}
 		switch {
 		case o.kind >= opGPUDivide:
 			c.dev.Submit(b, c.next)
@@ -320,37 +400,20 @@ func (c *chain) submitFolded(b Batch) {
 	c.run.be.CPU().Submit(seq, c.next)
 }
 
-// chainDone sequences the run: the top chain forks the portions — the CPU
-// portion first, then the device stripes in index order, which fixes the
-// simulator's event order — the last portion to finish joins into the tail,
-// and the tail (or a cancellation at the fork or the join) ends the run.
-// Portions finish on arbitrary goroutines on the native backend; the
-// pending counter orders their writes before the join's reads.
-func (r *run) chainDone(c *chain) {
-	switch c {
-	case &r.top:
-		if r.stopped.Load() {
-			close(r.done)
-			return
-		}
-		r.forkAt = r.be.Now()
-		r.pending.Store(int32(1 + len(r.devs)))
-		r.cpu.start(r)
-		for i := range r.devs {
-			r.devs[i].start(r)
-		}
-	case &r.tail:
-		close(r.done)
-	default:
-		c.end = r.be.Now()
-		if r.pending.Add(-1) > 0 {
-			return
-		}
-		if r.stopped.Load() {
-			close(r.done)
-			return
-		}
-		r.tail.start(r)
+// ended is the end of a chain, at its last op or at the boundary where ctx
+// stopped it: the last chain to end in a join starts the chain that waits
+// there — which, in a stopped run, ends at its own first boundary — and the
+// last chain of all to end ends the run. Chains end on arbitrary goroutines
+// on the native backend; the two counters order their writes before the
+// reads of the chain they start and of the run's caller.
+func (c *chain) ended() {
+	r := c.run
+	c.end = r.be.Now()
+	if t := c.then; t != nil && t.waits.Add(-1) == 0 {
+		r.begin(t)
+	}
+	if r.pending.Add(-1) == 0 {
+		r.done.Done()
 	}
 }
 
@@ -363,35 +426,48 @@ func since(stamp, ref float64) float64 {
 	return stamp - ref
 }
 
-// settle finalizes the report of a finished run: stamps the makespan, runs
-// the Finish hook (only for complete, fault-free runs — a partial result is
-// not valid data), applies observers, and builds the cancellation or
-// device-fault error. A device fault recorded by a Faulter layer takes
-// precedence over cancellation: the fault is the more specific cause, and
-// its error already classifies under dcerr.ErrDeviceFault.
-func (r *run) settle(cfg *RunConfig) (Report, error) {
-	for i := range r.devs {
-		r.devs[i].seg.Release()
+// settle finalizes the reports of a finished run — a single tree's one, a
+// forest's one per tree: releases what is still leased, books the makespan,
+// runs the Finish hook (only for complete, fault-free runs — a partial
+// result is not valid data), builds the cancellation or device-fault error
+// and applies the observers. A device fault recorded by a Faulter layer
+// takes precedence over cancellation: the fault is the more specific cause,
+// and its error already classifies under dcerr.ErrDeviceFault. Seconds is
+// the makespan unless the caller derived the report's own from its stamps,
+// which stands only in a complete run.
+func (r *run) settle(cfg *RunConfig, reps []Report) error {
+	for _, seg := range r.segs {
+		seg.Release()
 	}
-	rep := &r.rep
-	rep.Seconds = r.be.Now() - r.start
-	rep.AutoStrategy = cfg.AutoStrategy
+	makespan := r.be.Now() - r.start
 	if mb, ok := r.be.(*meteredBackend); ok {
-		mb.finish(rep.Seconds)
+		mb.finish(makespan)
 	}
 	var err error
 	switch fault := deviceFault(r.be); {
 	case fault != nil:
-		rep.Partial = true
-		err = fmt.Errorf("core: %s %s: %w", rep.Algorithm, rep.Strategy, fault)
+		err = fmt.Errorf("core: %s %s: %w", r.alg.Name(), reps[0].Strategy, fault)
 	case r.stopped.Load():
-		rep.Partial = true
-		err = canceledErr(r.ctx, r.alg, rep.Strategy)
+		err = canceledErr(r.ctx, r.alg, reps[0].Strategy)
 	default:
 		finish(r.alg)
 	}
-	if cfg.Observe != nil {
-		cfg.Observe(rep)
+	for i := range reps {
+		rep := &reps[i]
+		rep.AutoStrategy = cfg.AutoStrategy
+		rep.Partial = err != nil
+		if rep.Partial || rep.Seconds == 0 {
+			rep.Seconds = makespan
+		}
+		if cfg.Observe != nil {
+			cfg.Observe(rep)
+		}
 	}
-	return *rep, err
+	return err
+}
+
+// report settles a single tree's run.
+func (r *run) report(cfg *RunConfig) (Report, error) {
+	err := r.settle(cfg, r.rep[:])
+	return r.rep[0], err
 }

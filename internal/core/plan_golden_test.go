@@ -19,7 +19,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updatePlans = flag.Bool("update", false, "rewrite testdata/plans.golden from this commit's executors")
+var updatePlans = flag.Bool("update", false, "rewrite testdata/plans.golden and testdata/fused.golden from this commit's executors")
 
 // planRecorder is a backend decorator that writes down, in call order and
 // with the virtual time of the call, everything an executor asks of the
@@ -256,14 +256,12 @@ func goldenRow(key string, v planVariant, p hpu.Platform, alg GPUAlg, out func()
 // honour WithGrain; their output hashes did not move. One row per variant: the report's
 // strategy, the number of recorded lines and a hash over them — the platform
 // calls with their virtual times and, for the probe, the phases it saw. A
-// mismatch logs the change side's full stream.
+// mismatch logs the change side's full stream. The fused executor's rows
+// (fused_golden_test.go) live beside them in testdata/fused.golden, generated
+// on the commit before the fused run became a plan (PR 24).
 func TestGoldenPlans(t *testing.T) {
-	type result struct {
-		row    string
-		detail []string
-	}
-	var rows []result
-	add := func(row string, detail []string) { rows = append(rows, result{row, detail}) }
+	var rows []goldenResult
+	add := func(row string, detail []string) { rows = append(rows, goldenResult{row, detail}) }
 
 	// Structure: the probe over three arities, the full matrix.
 	for _, tree := range []struct{ a, L int }{{2, 6}, {3, 4}, {8, 3}} {
@@ -327,7 +325,22 @@ func TestGoldenPlans(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "plans.golden")
+	compareGolden(t, "plans.golden", rows)
+	compareGolden(t, "fused.golden", fusedGoldenRows(t))
+}
+
+// goldenResult is one golden row and, for a failing comparison, the full
+// recorded stream behind it.
+type goldenResult struct {
+	row    string
+	detail []string
+}
+
+// compareGolden compares rows with testdata/<name> line by line, or rewrites
+// the file under -update. A mismatch logs the change side's full stream.
+func compareGolden(t *testing.T, name string, rows []goldenResult) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updatePlans {
 		var sb strings.Builder
 		for _, r := range rows {
@@ -358,11 +371,11 @@ func TestGoldenPlans(t *testing.T) {
 			continue
 		}
 		if bad++; bad <= show {
-			t.Errorf("row %d differs\n want %s\n  got %s\n%s", i+1, want[i], r.row, strings.Join(r.detail, "\n"))
+			t.Errorf("%s row %d differs\n want %s\n  got %s\n%s", name, i+1, want[i], r.row, strings.Join(r.detail, "\n"))
 		}
 	}
 	if bad > show {
-		t.Errorf("%d rows differ in all (first %d shown)", bad, show)
+		t.Errorf("%s: %d rows differ in all (first %d shown)", name, bad, show)
 	}
 }
 

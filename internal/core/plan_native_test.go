@@ -15,9 +15,9 @@ import (
 // TestRunEndsOnceFourDeviceChains drives the fork/join with five portions
 // finishing on arbitrary goroutines — the CPU portion and k = 4 device
 // chains on the native backend — complete and canceled from inside each kind
-// of batch. A run whose end fired twice would close its done channel twice
-// and panic; one whose end never fired would hang; the race detector checks
-// that the last portion to finish sees what the others wrote.
+// of batch. A run whose end fired twice would release its done WaitGroup
+// twice and panic; one whose end never fired would hang; the race detector
+// checks that the last portion to finish sees what the others wrote.
 func TestRunEndsOnceFourDeviceChains(t *testing.T) {
 	be := newMultiNative(t, 4)
 	triggers := []struct {

@@ -147,7 +147,7 @@ type class[T Scalar] struct {
 
 // Pool is a size-classed freelist of []T buffers. The zero value is not
 // usable; construct with New. Package-level typed pools (Bytes, Int32s,
-// Int64s, Ints, Float64s) cover every element type used on the hot path
+// Int64s) cover every element type used on the hot path
 // and share the global enable/poison/metrics switches.
 type Pool[T Scalar] struct {
 	name     string
@@ -164,11 +164,9 @@ func New[T Scalar](name string) *Pool[T] {
 // constructing their own so the budget, stats and leak tests see one
 // global picture.
 var (
-	Bytes    = New[byte]("byte")
-	Int32s   = New[int32]("int32")
-	Int64s   = New[int64]("int64")
-	Ints     = New[int]("int")
-	Float64s = New[float64]("float64")
+	Bytes  = New[byte]("byte")
+	Int32s = New[int32]("int32")
+	Int64s = New[int64]("int64")
 )
 
 // classFor returns the class index whose capacity (1<<(minShift+idx))
@@ -346,7 +344,7 @@ func (p *Pool[T]) Reset() {
 // Stats snapshots every package-level typed pool.
 func Stats() []PoolStats {
 	return []PoolStats{
-		Bytes.Stats(), Int32s.Stats(), Int64s.Stats(), Ints.Stats(), Float64s.Stats(),
+		Bytes.Stats(), Int32s.Stats(), Int64s.Stats(),
 	}
 }
 
@@ -359,6 +357,4 @@ func ResetAll() {
 	Bytes.Reset()
 	Int32s.Reset()
 	Int64s.Reset()
-	Ints.Reset()
-	Float64s.Reset()
 }

@@ -180,8 +180,14 @@ func (s *Server) runFused(d *device, head *queued) bool {
 	if len(live) == 1 && live[0] == head && len(canceled) == 0 {
 		return false // fusion declined: nothing to fuse, zero overhead
 	}
-	for _, q := range canceled {
-		s.settleQueuedCanceled(q)
+	if len(canceled) > 0 {
+		for _, q := range canceled {
+			q.h.queueWait = time.Since(q.wallIn).Seconds()
+			q.h.rep, q.h.err = q.neverRan(canceledWhileQueued, dcerr.ErrCanceled)
+		}
+		s.mu.Lock()
+		s.settleLocked(canceled...)
+		s.mu.Unlock()
 	}
 	if len(live) == 0 {
 		// The head itself was canceled: release its slot (and its probe
@@ -234,51 +240,9 @@ func (s *Server) runFused(d *device, head *queued) bool {
 		s.mFusedRuns.Inc()
 		s.mFusedJobs.Add(uint64(len(live)))
 	}
-	for _, q := range live {
-		s.accountFinishedLocked(q, q.h.rep, q.h.err)
-	}
-	s.updateFusionRatioLocked()
+	s.settleLocked(live...)
 	s.mu.Unlock()
-	for _, q := range live {
-		close(q.h.done)
-	}
 	return true
-}
-
-// settleQueuedCanceled settles a member whose context was canceled before
-// execution, mirroring run()'s canceled-while-queued path (but without an
-// execution slot to release).
-func (s *Server) settleQueuedCanceled(q *queued) {
-	q.h.queueWait = time.Since(q.wallIn).Seconds()
-	q.h.rep = core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true}
-	q.h.err = fmt.Errorf("serve: job %d canceled while queued: %w", q.h.ID, dcerr.ErrCanceled)
-	s.mu.Lock()
-	s.accountFinishedLocked(q, q.h.rep, q.h.err)
-	s.updateFusionRatioLocked()
-	s.mu.Unlock()
-	close(q.h.done)
-}
-
-// accountFinishedLocked records one finished job's outcome counters, wait
-// accounting and latency histograms. Must hold s.mu.
-func (s *Server) accountFinishedLocked(q *queued, rep core.Report, err error) {
-	s.waitSum += q.h.queueWait
-	s.waitN++
-	s.stats.BusySeconds += rep.Seconds
-	switch {
-	case err == nil:
-		s.stats.Completed++
-		s.mCompleted.Inc()
-	case errors.Is(err, dcerr.ErrCanceled):
-		s.stats.Canceled++
-		s.mCanceled.Inc()
-	default:
-		s.stats.Failed++
-		s.mFailed.Inc()
-	}
-	wait, turnaround := s.latencyHists(q.weight)
-	wait.Observe(q.h.queueWait)
-	turnaround.Observe(time.Since(q.wallIn).Seconds())
 }
 
 // executeFused runs the group on the head's placed device, mirroring

@@ -238,7 +238,10 @@ func (s *Server) placeHeadLocked() bool {
 			s.pass = q.vfinish
 		}
 		s.noteDegraded()
-		s.shedLocked(q, fmt.Errorf("serve: job %d: GPU path shed at dispatch: %w", q.h.ID, dcerr.ErrDegraded))
+		q.h.queueWait = time.Since(q.wallIn).Seconds()
+		q.h.rep, q.h.err = q.neverRan(shedAtDispatch, dcerr.ErrDegraded)
+		s.mQueueDepth.Set(int64(s.totalQueuedLocked()))
+		s.settleLocked(q)
 		return true
 	}
 	if gpu && best.breaker != nil {
@@ -271,18 +274,6 @@ func (s *Server) placeHeadLocked() bool {
 	}
 	s.assignLocked(best, q)
 	return true
-}
-
-// shedLocked settles a job that never reaches a backend (breaker shed at
-// placement). Must hold s.mu.
-func (s *Server) shedLocked(q *queued, err error) {
-	q.h.queueWait = time.Since(q.wallIn).Seconds()
-	q.h.rep = core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true}
-	q.h.err = err
-	s.accountFinishedLocked(q, q.h.rep, q.h.err)
-	s.updateFusionRatioLocked()
-	s.mQueueDepth.Set(int64(s.totalQueuedLocked()))
-	close(q.h.done)
 }
 
 // assignLocked hands a job to a device's FIFO. Must hold s.mu.

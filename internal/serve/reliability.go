@@ -349,8 +349,7 @@ func (s *Server) policyLoop(ctx context.Context, d *device, q *queued, scope *tr
 			forceCPU = true
 		default:
 			s.noteDegraded()
-			return core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true},
-				fmt.Errorf("serve: job %d: GPU path shed at dispatch: %w", q.h.ID, dcerr.ErrDegraded)
+			return q.neverRan(shedAtDispatch, dcerr.ErrDegraded)
 		}
 	}
 	if forceCPU {

@@ -813,8 +813,7 @@ func (s *Server) run(d *device, q *queued) {
 		// Canceled while still queued: never touches the backend. A probe
 		// token held since placement is released without a verdict.
 		s.feedBreaker(d, q, verdictAbandon)
-		rep = core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true}
-		err = fmt.Errorf("serve: job %d canceled while queued: %w", q.h.ID, dcerr.ErrCanceled)
+		rep, err = q.neverRan(canceledWhileQueued, dcerr.ErrCanceled)
 	} else {
 		rep, err = s.executeReliable(d, q)
 	}
@@ -839,19 +838,58 @@ func (s *Server) run(d *device, q *queued) {
 		s.mu.Unlock()
 		// Closing: the dispatcher may already be gone; shed instead.
 		s.noteDegraded()
-		rep = core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true}
-		err = fmt.Errorf("serve: job %d: GPU path shed at dispatch: %w", q.h.ID, dcerr.ErrDegraded)
+		rep, err = q.neverRan(shedAtDispatch, dcerr.ErrDegraded)
 	}
 
-	// Account first, settle last: whoever sees the handle done also sees
-	// the job in Stats.
 	q.h.rep, q.h.err = rep, err
 	s.mu.Lock()
 	s.finishJobLocked(d, q)
-	s.accountFinishedLocked(q, rep, err)
-	s.updateFusionRatioLocked()
+	s.settleLocked(q)
 	s.mu.Unlock()
-	close(q.h.done)
+}
+
+// The two ways a job settles without reaching a backend.
+const (
+	canceledWhileQueued = "serve: job %d canceled while queued: %w"
+	shedAtDispatch      = "serve: job %d: GPU path shed at dispatch: %w"
+)
+
+// neverRan is the outcome of a job that settles without reaching a backend:
+// a partial report, and the reason wrapping the sentinel callers classify it
+// by.
+func (q *queued) neverRan(reason string, sentinel error) (core.Report, error) {
+	return core.Report{Algorithm: q.job.Alg.Name(), Strategy: q.job.Strategy.String(), Partial: true},
+		fmt.Errorf(reason, q.h.ID, sentinel)
+}
+
+// settleLocked settles jobs whose outcome — h.rep, h.err, h.queueWait — is
+// written: outcome counters, wait accounting and latency histograms first,
+// done last, so whoever sees a handle done also sees the job in Stats. Must
+// hold s.mu.
+func (s *Server) settleLocked(jobs ...*queued) {
+	for _, q := range jobs {
+		s.waitSum += q.h.queueWait
+		s.waitN++
+		s.stats.BusySeconds += q.h.rep.Seconds
+		switch err := q.h.err; {
+		case err == nil:
+			s.stats.Completed++
+			s.mCompleted.Inc()
+		case errors.Is(err, dcerr.ErrCanceled):
+			s.stats.Canceled++
+			s.mCanceled.Inc()
+		default:
+			s.stats.Failed++
+			s.mFailed.Inc()
+		}
+		wait, turnaround := s.latencyHists(q.weight)
+		wait.Observe(q.h.queueWait)
+		turnaround.Observe(time.Since(q.wallIn).Seconds())
+	}
+	s.updateFusionRatioLocked()
+	for _, q := range jobs {
+		close(q.h.done)
+	}
 }
 
 // updateFusionRatioLocked pushes the current fused-jobs-over-finished-jobs
