@@ -206,8 +206,10 @@ func (s *Summer) PermuteBack(level, lo, hi int) core.Batch {
 			Divergent:  false,
 			WorkingSet: int64(k) * int64(sz) * 8,
 		},
-		Run: func(i int) {
-			if i != 0 {
+		// The range holding task 0 moves every sum; Tasks counts them for
+		// the cost model.
+		RunRange: func(lo, hi int) {
+			if lo != 0 {
 				return
 			}
 			// Descending order: the target idx·sz of sum idx never

@@ -95,59 +95,124 @@ func mergeUneven(out, a, b []int32) {
 	copy(out[k:], b[j:])
 }
 
-// mergeInterleaved merges runs 2t and 2t+1 of an interleaved region (count
-// runs of runSize elements at base) into run t of the output layout (count/2
-// runs of 2·runSize elements at the same base): mergeRuns' equal-halves case
-// with strided cursors, a step along an input run being count words and along
-// the output run count/2.
-func mergeInterleaved(dst, src []int32, base, count, runSize, t int) {
-	outCount := count / 2
-	ia := base + 2*t             // head of run 2t
-	ib := ia + 1                 // head of run 2t+1: the two runs sit in adjacent words
-	pa := ia + (runSize-1)*count // last element of run 2t
-	pb := pa + 1                 // and of run 2t+1
-	lo := base + t               // first element of output run t
-	mid := lo + runSize*outCount
-	switch {
-	case src[pa] <= src[ib]:
-		copyStrided(dst, lo, outCount, src, ia, count, runSize)
-		copyStrided(dst, mid, outCount, src, ib, count, runSize)
-		return
-	case src[pb] < src[ia]:
-		copyStrided(dst, lo, outCount, src, ib, count, runSize)
-		copyStrided(dst, mid, outCount, src, ia, count, runSize)
-		return
-	}
-	hi := mid + (runSize-1)*outCount // last element of output run t
-	for k := 0; k < runSize; k++ {
-		x, y := src[ia], src[ib]
-		v, fromA := y, 0
-		if x <= y {
-			v, fromA = x, 1
-		}
-		dst[lo] = v
-		lo += outCount
-		ia += count & -fromA
-		ib += count & (fromA - 1)
+// wavefront is how many lanes mergeInterleaved advances in lock-step: the
+// paper's AMD wavefront and simgpu's default WavefrontWidth. A constant, not
+// a knob: it sizes the kernel's stack arrays.
+const wavefront = 64
 
-		u, w := src[pa], src[pb]
-		z, fromB := u, 0
-		if u <= w {
-			z, fromB = w, 1
+// lane is one merging work-item between steps: its output run t and the
+// cursors ia and pa of mergeHalves' front and back pairs into run 2t (a step
+// along a run is count words). Their partners into run 2t+1 follow from the
+// step number.
+type lane struct{ t, ia, pa int }
+
+// mergeInterleaved performs work-items lo..hi−1 of one interleaved device
+// level: work-item t merges runs 2t and 2t+1 of the region (count runs of
+// runSize elements at base, element j of run r at base + j·count + r) into
+// run t of the output layout (count/2 runs of 2·runSize elements at the same
+// base). It is mergeRuns' equal-halves case with strided cursors, executed the
+// way the §6.3 layout was designed to be read: a wavefront of adjacent lanes
+// at a time, each step of every lane before the next step of any, so that one
+// step of the wavefront reads and writes a few cache lines instead of one
+// line per lane (DESIGN.md §11, "Leaf kernels").
+func mergeInterleaved(dst, src []int32, base, count, runSize, lo, hi int) {
+	last := (runSize - 1) * count // from the head of a run to its last element
+	var merging [wavefront]lane
+	var copying [wavefront]int
+	for g := lo; g < hi; g += wavefront {
+		m, c := 0, 0
+		for t := g; t < min(g+wavefront, hi); t++ {
+			ia := base + 2*t // runs 2t and 2t+1 sit in adjacent words
+			pa := ia + last
+			if src[pa] <= src[ia+1] || src[pa+1] < src[ia] {
+				copying[c] = t
+				c++
+				continue
+			}
+			merging[m] = lane{t, ia, pa}
+			m++
 		}
-		dst[hi] = z
-		hi -= outCount
-		pb -= count & -fromB
-		pa -= count & (fromB - 1)
+		if c > 0 {
+			copyRows(dst, src, base, count, runSize, copying[:c])
+		}
+		if m > 0 {
+			lockStep(dst, src, base, count, runSize, merging[:m])
+		}
 	}
 }
 
-// copyStrided copies n words, src[from], src[from+fromStep], … to dst[to],
-// dst[to+toStep], ….
-func copyStrided(dst []int32, to, toStep int, src []int32, from, fromStep, n int) {
-	for ; n > 0; n-- {
-		dst[to] = src[from]
-		to += toStep
-		from += fromStep
+// copyRows settles the lanes whose runs do not overlap — mergeRuns'
+// block-copy shortcuts. For such a lane row j of the output run is row j of
+// its two input runs, ordered, so the lanes go row by row together.
+func copyRows(dst, src []int32, base, count, runSize int, lanes []int) {
+	outCount := count / 2
+	in, front, back := base, base, base+runSize*outCount
+	for j := 0; j < runSize; j++ {
+		for _, t := range lanes {
+			dst[front+t], dst[back+t] = ordered(src[in+2*t], src[in+2*t+1])
+		}
+		in += count
+		front += outCount
+		back += outCount
 	}
+}
+
+// lockStep merges the lanes whose runs overlap: runSize two-ended steps,
+// each taken by every lane before the next, so the front and back outputs of
+// a step are one row each for all lanes.
+func lockStep(dst, src []int32, base, count, runSize int, lanes []lane) {
+	outCount := count / 2
+	front, back := base, base+(2*runSize-1)*outCount
+	if len(lanes) == 1 {
+		// One lane — the top level — has no other lane to overlap its steps
+		// with: its four cursors stay in registers.
+		t, ia, pa := lanes[0].t, lanes[0].ia, lanes[0].pa
+		ib, pb := ia+1, pa+1
+		for k := 0; k < runSize; k++ {
+			fromA := smaller(dst, src, ia, ib, front+t)
+			ia += count & -fromA
+			ib += count & (fromA - 1)
+			fromB := larger(dst, src, pa, pb, back+t)
+			pb -= count & -fromB
+			pa -= count & (fromB - 1)
+			front, back = front+outCount, back-outCount
+		}
+		return
+	}
+	// After k steps a lane's front cursors have consumed k elements between
+	// them, so ia+ib = 2·head+1 + k·count, and likewise pa+pb = 2·head+1 +
+	// 2·(runSize−1)·count − k·count: a lane carries only ia and pa.
+	fsum, bsum := 2*base+1, 2*base+1+2*(runSize-1)*count
+	for k := 0; k < runSize; k++ {
+		for i := range lanes {
+			l := &lanes[i]
+			l.ia += count & -smaller(dst, src, l.ia, fsum+4*l.t-l.ia, front+l.t)
+			l.pa -= count & (larger(dst, src, l.pa, bsum+4*l.t-l.pa, back+l.t) - 1)
+		}
+		front, back, fsum, bsum = front+outCount, back-outCount, fsum+count, bsum-count
+	}
+}
+
+// smaller writes the smaller of src[i] and src[j] to dst[out], src[i] on a
+// tie, and reports 1 if it took src[i]: the front half of a two-ended step.
+func smaller(dst, src []int32, i, j, out int) int {
+	x, y := src[i], src[j]
+	v, fromI := y, 0
+	if x <= y {
+		v, fromI = x, 1
+	}
+	dst[out] = v
+	return fromI
+}
+
+// larger writes the larger of src[i] and src[j] to dst[out], src[j] on a
+// tie, and reports 1 if it took src[j]: the back half of a two-ended step.
+func larger(dst, src []int32, i, j, out int) int {
+	u, w := src[i], src[j]
+	z, fromJ := u, 0
+	if u <= w {
+		z, fromJ = w, 1
+	}
+	dst[out] = z
+	return fromJ
 }

@@ -62,6 +62,62 @@ func refMergeInterleaved(dst, src []int32, base, count, runSize, t int) {
 	}
 }
 
+// perLaneMergeInterleaved is the kernel mergeInterleaved replaced (PR 19):
+// the same two-ended select, one work-item run to completion per call, as
+// Batch.Each ran it through a Run body. BenchmarkMergeInterleavedLevel's
+// baseline.
+func perLaneMergeInterleaved(dst, src []int32, base, count, runSize, t int) {
+	outCount := count / 2
+	ia := base + 2*t
+	ib := ia + 1
+	pa := ia + (runSize-1)*count
+	pb := pa + 1
+	lo := base + t
+	mid := lo + runSize*outCount
+	switch {
+	case src[pa] <= src[ib]:
+		copyStrided(dst, lo, outCount, src, ia, count, runSize)
+		copyStrided(dst, mid, outCount, src, ib, count, runSize)
+		return
+	case src[pb] < src[ia]:
+		copyStrided(dst, lo, outCount, src, ib, count, runSize)
+		copyStrided(dst, mid, outCount, src, ia, count, runSize)
+		return
+	}
+	hi := mid + (runSize-1)*outCount
+	for k := 0; k < runSize; k++ {
+		x, y := src[ia], src[ib]
+		v, fromA := y, 0
+		if x <= y {
+			v, fromA = x, 1
+		}
+		dst[lo] = v
+		lo += outCount
+		ia += count & -fromA
+		ib += count & (fromA - 1)
+
+		u, w := src[pa], src[pb]
+		z, fromB := u, 0
+		if u <= w {
+			z, fromB = w, 1
+		}
+		dst[hi] = z
+		hi -= outCount
+		pb -= count & -fromB
+		pa -= count & (fromB - 1)
+	}
+}
+
+// copyStrided copies n words, src[from], src[from+fromStep], … to dst[to],
+// dst[to+toStep], ….
+func copyStrided(dst []int32, to, toStep int, src []int32, from, fromStep, n int) {
+	for ; n > 0; n-- {
+		dst[to] = src[from]
+		to += toStep
+		from += fromStep
+	}
+}
+
 // sortedRuns returns every nondecreasing run of up to maxLen keys.
 func sortedRuns(keys []int32, maxLen int) [][]int32 {
 	runs := [][]int32{nil}
@@ -141,50 +197,135 @@ func interleave(vals []int32, runSize int) []int32 {
 	return out
 }
 
+// checkMergeInterleaved lays vals out as one interleaved region of runs of
+// runSize keys (each run sorted first) at offset base, with guard words on
+// both sides, merges every pair of runs through mergeInterleaved called once
+// per range of cuts, and requires the buffer refMergeInterleaved leaves
+// lane by lane, the words around the region included.
+func checkMergeInterleaved(t *testing.T, vals []int32, runSize, base int, cuts []int) {
+	t.Helper()
+	for off := 0; off < len(vals); off += runSize {
+		slices.Sort(vals[off : off+runSize])
+	}
+	count := len(vals) / runSize
+	const guard = 3 // words after the region; base words precede it
+	src := make([]int32, base+len(vals)+guard)
+	copy(src[base:], interleave(vals, runSize))
+	got := make([]int32, len(src))
+	for i := range got {
+		got[i] = int32(0x5a5a5a5a) + int32(i)
+	}
+	want := slices.Clone(got)
+	outside := slices.Clone(got)
+	for i := 1; i < len(cuts); i++ {
+		mergeInterleaved(got, src, base, count, runSize, cuts[i-1], cuts[i])
+	}
+	for lane := 0; lane < count/2; lane++ {
+		refMergeInterleaved(want, src, base, count, runSize, lane)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("count=%d runSize=%d base=%d cuts=%v: got %v, want %v", count, runSize, base, cuts, got, want)
+	}
+	if !slices.Equal(got[:base], outside[:base]) || !slices.Equal(got[base+len(vals):], outside[base+len(vals):]) {
+		t.Fatalf("count=%d runSize=%d base=%d cuts=%v: wrote outside the region: %v", count, runSize, base, cuts, got)
+	}
+}
+
 // FuzzMergeInterleaved merges every pair of runs of an arbitrary interleaved
-// region with the new and the reference kernel and requires identical
-// buffers, the words around the region included.
+// region of up to 200 lanes — past the first three wavefronts — with the
+// kernel's range form cut at random points and with the reference kernel,
+// and requires identical buffers, the words around the region included.
+// cutSeed 0 is one call over all lanes.
 func FuzzMergeInterleaved(f *testing.F) {
-	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 4, 0, 0, 0}, uint8(1), uint8(1), uint8(0))
-	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint8(3), uint8(0), uint8(2))             // unit runs
-	f.Add([]byte{7, 0, 0, 0}, uint8(0), uint8(8), uint8(5))                                     // all equal
-	f.Add([]byte{0, 0, 0, 128, 255, 255, 255, 127}, uint8(7), uint8(4), uint8(1))               // both ends of the range
-	f.Add([]byte{9, 0, 0, 0, 8, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0}, uint8(2), uint8(2), uint8(3)) // runs that do not overlap
-	f.Fuzz(func(t *testing.T, data []byte, pairsRaw, runSizeRaw, baseRaw uint8) {
+	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 4, 0, 0, 0}, uint8(1), uint8(1), uint8(0), uint64(0))
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint8(3), uint8(0), uint8(2), uint64(0))             // unit runs
+	f.Add([]byte{7, 0, 0, 0}, uint8(0), uint8(8), uint8(5), uint64(0))                                     // all equal
+	f.Add([]byte{0, 0, 0, 128, 255, 255, 255, 127}, uint8(7), uint8(4), uint8(1), uint64(0))               // both ends of the range
+	f.Add([]byte{9, 0, 0, 0, 8, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0}, uint8(2), uint8(2), uint8(3), uint64(0)) // runs that do not overlap
+	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 1, 0, 0, 0, 5, 0, 0, 0}, uint8(199), uint8(16), uint8(0), uint64(7))
+	f.Add([]byte{2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0}, uint8(129), uint8(2), uint8(4), uint64(3))
+	f.Fuzz(func(t *testing.T, data []byte, lanesRaw, runSizeRaw, baseRaw uint8, cutSeed uint64) {
 		keys := decodeInt32s(data)
 		if len(keys) == 0 {
 			t.Skip()
 		}
-		count := 2 * (1 + int(pairsRaw)%8)
+		lanes := 1 + int(lanesRaw)%200
 		runSize := 1 + int(runSizeRaw)%17
-		base := int(baseRaw) % 9
-		vals := make([]int32, count*runSize)
+		vals := make([]int32, 2*lanes*runSize)
 		for i := range vals {
 			vals[i] = keys[i%len(keys)]
 		}
-		for off := 0; off < len(vals); off += runSize {
-			slices.Sort(vals[off : off+runSize])
+		cuts := []int{0, lanes}
+		if cutSeed != 0 {
+			rng := rand.New(rand.NewSource(int64(cutSeed)))
+			cuts = cuts[:1]
+			for lo := 0; lo < lanes; {
+				lo += 1 + rng.Intn(lanes-lo)
+				cuts = append(cuts, lo)
+			}
 		}
-		const guard = 3 // words after the region; base words precede it
-		src := make([]int32, base+len(vals)+guard)
-		copy(src[base:], interleave(vals, runSize))
-		got := make([]int32, len(src))
-		for i := range got {
-			got[i] = int32(0x5a5a5a5a) + int32(i)
-		}
-		want := slices.Clone(got)
-		outside := slices.Clone(got)
-		for task := 0; task < count/2; task++ {
-			mergeInterleaved(got, src, base, count, runSize, task)
-			refMergeInterleaved(want, src, base, count, runSize, task)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("count=%d runSize=%d base=%d: got %v, want %v", count, runSize, base, got, want)
-		}
-		if !slices.Equal(got[:base], outside[:base]) || !slices.Equal(got[base+len(vals):], outside[base+len(vals):]) {
-			t.Fatalf("count=%d runSize=%d base=%d: wrote outside the region: %v", count, runSize, base, got)
-		}
+		checkMergeInterleaved(t, vals, runSize, int(baseRaw)%9, cuts)
 	})
+}
+
+// TestMergeInterleavedLockStep runs the range kernel over one call per
+// region at lane counts on both sides of one, two and three wavefronts, run
+// sizes on both sides of a power of two, and the five benchmark classes plus
+// a class that mixes both shortcuts and merging lanes inside every
+// wavefront.
+func TestMergeInterleavedLockStep(t *testing.T) {
+	classes := map[string]func(lanes, runSize int) []int32{"mixed": mixedLanes}
+	for _, class := range benchClasses {
+		gen := class.gen
+		classes[class.name] = func(lanes, runSize int) []int32 { return gen(2 * lanes * runSize) }
+	}
+	for name, gen := range classes {
+		for _, lanes := range []int{1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129} {
+			for _, runSize := range []int{1, 2, 3, 16, 17} {
+				t.Run(fmt.Sprintf("%s/lanes=%d/run=%d", name, lanes, runSize), func(t *testing.T) {
+					checkMergeInterleaved(t, gen(lanes, runSize), runSize, 1, []int{0, lanes})
+				})
+			}
+		}
+	}
+}
+
+// mixedLanes returns the runs of lanes work-items whose lanes take, in turn,
+// the first shortcut (run 2t below run 2t+1), the second (above it) and the
+// select loop (random keys in both).
+func mixedLanes(lanes, runSize int) []int32 {
+	vals := workload.Uniform(2*lanes*runSize, 3)
+	for i := range vals {
+		vals[i] &= 1023
+	}
+	for lane := 0; lane < lanes; lane++ {
+		a := vals[2*lane*runSize : (2*lane+1)*runSize]
+		b := vals[(2*lane+1)*runSize : (2*lane+2)*runSize]
+		switch lane % 3 {
+		case 0:
+			for i := range b {
+				b[i] += 1024
+			}
+		case 1:
+			for i := range a {
+				a[i] += 1024
+			}
+		}
+	}
+	return vals
+}
+
+// TestMergeInterleavedAllocs pins the range kernel's per-wavefront state to
+// the stack: one call over three wavefronts allocates nothing.
+func TestMergeInterleavedAllocs(t *testing.T) {
+	const lanes, runSize = 3 * wavefront, 16
+	src := interleave(mixedLanes(lanes, runSize), runSize)
+	dst := make([]int32, len(src))
+	if allocs := testing.AllocsPerRun(10, func() {
+		mergeInterleaved(dst, src, 0, 2*lanes, runSize, 0, lanes)
+	}); allocs != 0 {
+		t.Errorf("mergeInterleaved allocates %.0f times per call, want 0", allocs)
+	}
 }
 
 // benchClasses are the input classes of the kernel benchmarks, as the sort
@@ -247,12 +388,21 @@ func BenchmarkMergeRuns(b *testing.B) {
 
 // BenchmarkMergeInterleaved is the same table for the device layout: the
 // arena's half-blocks become the runs of one interleaved region, and one
-// operation is one work-item's merge of two of them into n keys.
+// operation is one work-item's merge of two of them into n keys — the range
+// kernel called for one lane, as the top levels of a device run call it,
+// against the per-lane kernel it replaced and the reference. One work-item
+// cannot show lock-step; BenchmarkMergeInterleavedLevel times whole levels.
 func BenchmarkMergeInterleaved(b *testing.B) {
 	kernels := []struct {
 		name  string
 		merge func(dst, src []int32, base, count, runSize, t int)
-	}{{"new", mergeInterleaved}, {"ref", refMergeInterleaved}}
+	}{
+		{"new", func(dst, src []int32, base, count, runSize, t int) {
+			mergeInterleaved(dst, src, base, count, runSize, t, t+1)
+		}},
+		{"per-lane", perLaneMergeInterleaved},
+		{"ref", refMergeInterleaved},
+	}
 	for _, class := range benchClasses {
 		for _, n := range benchSizes {
 			src := interleave(benchArena(class.gen, n), n/2)
@@ -269,6 +419,46 @@ func BenchmarkMergeInterleaved(b *testing.B) {
 							t = 0
 						}
 					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkMergeInterleavedLevel times one whole interleaved device level —
+// every work-item of one GPUCombineBatch — as the per-lane kernel in a loop
+// (how Batch.Each ran a Run body) and as one call of the range kernel, per
+// input class. The levels are where the per-lane order collapses (EXPERIMENTS.md,
+// "Lock-step lanes"): the widest (runs of 8 merged), the middle one, and level
+// 5, 32 lanes, half a wavefront.
+func BenchmarkMergeInterleavedLevel(b *testing.B) {
+	for _, logN := range []int{16, 20, 22} {
+		n := 1 << logN
+		for _, level := range []int{logN - 4, logN / 2, 5} {
+			runSize := n >> (level + 1)
+			count := n / runSize
+			for _, class := range benchClasses {
+				b.Run(fmt.Sprintf("n=2^%d/level=%d/%s", logN, level, class.name), func(b *testing.B) {
+					vals := class.gen(n)
+					for off := 0; off < n; off += runSize {
+						slices.Sort(vals[off : off+runSize])
+					}
+					src := interleave(vals, runSize)
+					dst := make([]int32, n)
+					b.Run("per-lane", func(b *testing.B) {
+						b.SetBytes(int64(4 * n))
+						for i := 0; i < b.N; i++ {
+							for t := 0; t < count/2; t++ {
+								perLaneMergeInterleaved(dst, src, 0, count, runSize, t)
+							}
+						}
+					})
+					b.Run("range", func(b *testing.B) {
+						b.SetBytes(int64(4 * n))
+						for i := 0; i < b.N; i++ {
+							mergeInterleaved(dst, src, 0, count, runSize, 0, count/2)
+						}
+					})
 				})
 			}
 		}

@@ -183,21 +183,24 @@ func (s *Sorter) GPUCombineBatch(level, lo, hi int) core.Batch {
 	}
 	// Interleaved merge: the region holds count runs of size sz/2 in src;
 	// the batch merges them pairwise into count/2 runs of size sz in dst,
-	// preserving the interleaved layout.
-	run := func(t int) {
-		mergeInterleaved(dst, src, base, count, sz/2, t)
+	// preserving the interleaved layout. The range body lets the kernel run
+	// its work-items a wavefront at a time (DESIGN.md §3).
+	runRange := func(from, to int) {
+		mergeInterleaved(dst, src, base, count, sz/2, from, to)
 	}
 	if sz == 2 {
 		// Unit runs: words 2t and 2t+1, ordered, become elements 0 and 1 of
 		// output run t, count/2 words apart.
-		run = func(t int) {
-			dst[base+t], dst[base+count/2+t] = ordered(src[base+2*t], src[base+2*t+1])
+		runRange = func(from, to int) {
+			for t := from; t < to; t++ {
+				dst[base+t], dst[base+count/2+t] = ordered(src[base+2*t], src[base+2*t+1])
+			}
 		}
 	}
 	return core.Batch{
-		Tasks: hi - lo,
-		Cost:  mergeCost(sz, hi-lo, true),
-		Run:   run,
+		Tasks:    hi - lo,
+		Cost:     mergeCost(sz, hi-lo, true),
+		RunRange: runRange,
 	}
 }
 

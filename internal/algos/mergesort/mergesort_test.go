@@ -75,7 +75,7 @@ func TestMergeInterleaved(t *testing.T) {
 	// Interleaved layout (count=2): [1,2, 3,4, 5,6, 7,8] by j-major order.
 	src := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 	dst := make([]int32, 8)
-	mergeInterleaved(dst, src, 0, 2, 4, 0)
+	mergeInterleaved(dst, src, 0, 2, 4, 0, 1)
 	// Output: 1 run of 8 with count/2 = 1 → contiguous sorted.
 	want := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 	if !equal(dst, want) {
@@ -86,8 +86,8 @@ func TestMergeInterleaved(t *testing.T) {
 	// j=0: 5,1,3,0 ; j=1: 9,4,3,8.
 	src = []int32{5, 1, 3, 0, 9, 4, 3, 8}
 	dst = make([]int32, 8)
-	mergeInterleaved(dst, src, 0, 4, 2, 0) // runs 0,1 → out run 0
-	mergeInterleaved(dst, src, 0, 4, 2, 1) // runs 2,3 → out run 1
+	mergeInterleaved(dst, src, 0, 4, 2, 0, 1) // runs 0,1 → out run 0
+	mergeInterleaved(dst, src, 0, 4, 2, 1, 2) // runs 2,3 → out run 1
 	// Output layout: 2 runs of 4 interleaved (outCount=2):
 	// run0 = {1,4,5,9}, run1 = {0,3,3,8} → [1,0, 4,3, 5,3, 9,8].
 	want = []int32{1, 0, 4, 3, 5, 3, 9, 8}

@@ -52,14 +52,20 @@ func (s *Sorter) PermuteBack(level, lo, hi int) core.Batch {
 
 // permutationBatch builds the batch that (de)interleaves count runs of
 // runSize elements at element offset base within cur, using the idle parity
-// buffer as scratch. The whole data movement happens in task 0 (two passes
-// over the region); Tasks still reflects the element count so the device
-// cost model charges one uniform work-item per element.
+// buffer as scratch. The whole data movement happens in the range holding
+// task 0 (two passes over the region); Tasks still reflects the element
+// count so the device cost model charges one uniform work-item per element,
+// and every other range returns at once.
 func (s *Sorter) permutationBatch(cur []int32, base, count, runSize int, toInterleaved bool) core.Batch {
 	m := count * runSize
 	scratch := s.buf[0]
 	if &scratch[0] == &cur[0] {
 		scratch = s.buf[1]
+	}
+	from, to := cur[base:base+m], scratch[base:base+m]
+	rows, cols := count, runSize // the contiguous layout: one row per run
+	if !toInterleaved {
+		rows, cols = runSize, count // the interleaved layout: one row per element index
 	}
 	return core.Batch{
 		Tasks: m,
@@ -70,22 +76,33 @@ func (s *Sorter) permutationBatch(cur []int32, base, count, runSize int, toInter
 			Divergent:  false,
 			WorkingSet: int64(m) * 8,
 		},
-		Run: func(i int) {
-			if i != 0 {
+		RunRange: func(lo, hi int) {
+			if lo != 0 {
 				return
 			}
-			for run := 0; run < count; run++ {
-				for j := 0; j < runSize; j++ {
-					contiguous := base + run*runSize + j
-					interleaved := base + j*count + run
-					if toInterleaved {
-						scratch[interleaved] = cur[contiguous]
-					} else {
-						scratch[contiguous] = cur[interleaved]
-					}
-				}
-			}
-			copy(cur[base:base+m], scratch[base:base+m])
+			transpose(to, from, rows, cols)
+			copy(from, to)
 		},
+	}
+}
+
+// transposeBlock is how many columns transpose moves per walk down the
+// rows: 8 adjacent words read per row, 8 sequential write streams. The
+// streams sit rows words apart, usually a power of two, so their current
+// lines share one L1 set: 16 streams exceed the 12 ways of the benchmark
+// host's L1d and measured no faster than the strided walk, 8 do not.
+const transposeBlock = 8
+
+// transpose writes the rows×cols matrix src (row-major) to dst as its
+// cols×rows transpose, a block of columns at a time, so that neither side
+// is walked one strided word per cache line.
+func transpose(dst, src []int32, rows, cols int) {
+	for c0 := 0; c0 < cols; c0 += transposeBlock {
+		c1 := min(c0+transposeBlock, cols)
+		for r := 0; r < rows; r++ {
+			for c, v := range src[r*cols+c0 : r*cols+c1] {
+				dst[(c0+c)*rows+r] = v
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	. "repro/internal/core"
@@ -15,8 +16,10 @@ import (
 // lo..hi−1, and a Run batch is trivially its own loop. Every batch of every
 // level of all eight algorithms goes through each way, built by the CPU
 // constructors, by the device constructors, and by the device constructors
-// inside the §6.3 layout switch where the algorithm has one; and no
-// constructor may set both bodies.
+// inside the §6.3 layout switch where the algorithm has one — switched back
+// at the root, where both switches are identities, and at a mid level,
+// whose PermuteBack really moves data, with the CPU constructors above it as
+// in a hybrid run; and no constructor may set both bodies.
 func TestRangeBodyEqualsTaskLoop(t *testing.T) {
 	whole := func(b Batch, _ *rand.Rand) { b.Each(0, b.Tasks) }
 	singles := func(b Batch, _ *rand.Rand) {
@@ -47,7 +50,12 @@ func TestRangeBodyEqualsTaskLoop(t *testing.T) {
 		a, L := alg.Arity(), alg.Levels()
 		galg := alg.(GPUAlg)
 		tr, _ := alg.(Transformable)
-		if ctors != "gpu-coalesced" {
+		y := 0 // the level the layout switches back at
+		switch ctors {
+		case "gpu-coalesced":
+		case "gpu-coalesced-mid":
+			y = L / 2
+		default:
 			tr = nil
 		}
 		for l := 0; l < L; l++ {
@@ -66,21 +74,21 @@ func TestRangeBodyEqualsTaskLoop(t *testing.T) {
 			run(galg.GPUBaseBatch(0, TasksAtLevel(a, L)))
 		}
 		for l := L - 1; l >= 0; l-- {
-			if ctors == "cpu" {
+			if ctors == "cpu" || l < y {
 				run(alg.CombineBatch(l, 0, TasksAtLevel(a, l)))
 			} else {
 				run(galg.GPUCombineBatch(l, 0, TasksAtLevel(a, l)))
 			}
-		}
-		if tr != nil {
-			run(tr.PermuteBack(0, 0, 1))
+			if tr != nil && l == y {
+				run(tr.PermuteBack(y, 0, TasksAtLevel(a, y)))
+			}
 		}
 		alg.(interface{ Finish() }).Finish()
 	}
 	for _, tc := range grainCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, ctors := range []string{"cpu", "gpu", "gpu-coalesced"} {
-				if _, ok := tc.build(t).(Transformable); !ok && ctors == "gpu-coalesced" {
+			for _, ctors := range []string{"cpu", "gpu", "gpu-coalesced", "gpu-coalesced-mid"} {
+				if _, ok := tc.build(t).(Transformable); !ok && strings.HasPrefix(ctors, "gpu-coalesced") {
 					continue
 				}
 				ref := tc.build(t)
