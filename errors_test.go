@@ -181,15 +181,7 @@ func TestExecutorErrorTaxonomy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Wait for the blocker to occupy the single slot, then fill the
-		// one-deep queue.
-		deadline := time.Now().Add(2 * time.Second)
-		for srv.Stats().InFlight != 1 {
-			if time.Now().After(deadline) {
-				t.Fatal("blocker never dispatched")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		// The blocker occupies the single slot; fill the one-deep queue.
 		h2, err := srv.Submit(ctx, hybriddc.JobSpec{Alg: &gatedJob{}})
 		if err != nil {
 			t.Fatal(err)
@@ -352,16 +344,6 @@ func TestHandleWaitDoneContract(t *testing.T) {
 		})
 		return srv
 	}
-	waitInFlight := func(t *testing.T, srv *hybriddc.Server) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for srv.Stats().InFlight != 1 {
-			if time.Now().After(deadline) {
-				t.Fatal("blocker never dispatched")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	t.Run("finished-job-beats-expired-wait-ctx", func(t *testing.T) {
 		srv := newSrv(t)
@@ -391,7 +373,6 @@ func TestHandleWaitDoneContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitInFlight(t, srv)
 		short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 		defer cancel()
 		if _, err := h.Wait(short); !errors.Is(err, context.DeadlineExceeded) {
@@ -421,7 +402,6 @@ func TestHandleWaitDoneContract(t *testing.T) {
 		if _, err := srv.Submit(ctx, hybriddc.JobSpec{Alg: &gatedJob{gate: gate}}); err != nil {
 			t.Fatal(err)
 		}
-		waitInFlight(t, srv)
 		cctx, cancelJob := context.WithCancel(ctx)
 		h, err := srv.Submit(cctx, hybriddc.JobSpec{Alg: &gatedJob{}})
 		if err != nil {

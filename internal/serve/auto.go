@@ -50,15 +50,15 @@ func strategyFromChoice(name string) Strategy {
 	return BreadthFirstCPU
 }
 
-// decideAutoLocked makes (or remakes) the job's auto decision against a
-// device's calibration. allowGPU=false restricts pricing to the CPU path —
-// used while the device's breaker is shedding. The decision's predicted
-// makespan replaces the job's placement cost, so PlaceModeledWork accounts
-// the device's backlog with the same model that chose the strategy. Must
-// hold s.mu (the tuner and breaker take only their own locks).
+// decideAutoLocked sets the job's plan to the auto decision against a
+// device's calibration (BreadthFirstCPU when the algorithm cannot be
+// priced). allowGPU=false restricts pricing to the CPU path — used while the
+// device's breaker is shedding. The decision's predicted makespan replaces
+// the job's placement cost, so PlaceModeledWork accounts the device's
+// backlog with the same model that chose the strategy. Must hold s.mu (the
+// tuner and breaker take only their own locks).
 func (s *Server) decideAutoLocked(d *device, q *queued, allowGPU bool) {
-	q.autoDecided = true
-	q.autoStrat = BreadthFirstCPU
+	q.plan = plan{strat: BreadthFirstCPU}
 	sp, ok := autoSpec(q.job.Alg, d.be)
 	if !ok {
 		return
@@ -68,18 +68,19 @@ func (s *Server) decideAutoLocked(d *device, q *queued, allowGPU bool) {
 	if err != nil {
 		return
 	}
-	q.autoStrat = strategyFromChoice(dec.Strategy)
-	q.autoCross, q.autoAlpha, q.autoY = dec.Crossover, dec.Alpha, dec.Y
-	q.autoPredicted = dec.Predicted
-	q.autoCalibr = dec.Calibrated
+	q.plan = plan{
+		strat:     strategyFromChoice(dec.Strategy),
+		crossover: dec.Crossover, alpha: dec.Alpha, y: dec.Y,
+		predicted: dec.Predicted, calibrated: dec.Calibrated,
+	}
 	q.cost = dec.Predicted
 }
 
-// feedAutotune folds one clean, complete, metered attempt into the placed
-// device's calibration. Attempts whose meter saw nothing (a job's own
-// backend wrapper replaced the server's instrumentation) are skipped — an
-// empty sample would poison the rates.
-func (s *Server) feedAutotune(d *device, q *queued, alg core.Alg, strat Strategy, m *autotune.Meter, rep core.Report) {
+// feedAutotune folds one clean, complete, metered attempt of alg under p
+// into the placed device's calibration. Attempts whose meter saw nothing (a
+// job's own backend wrapper replaced the server's instrumentation) are
+// skipped — an empty sample would poison the rates.
+func (s *Server) feedAutotune(d *device, alg core.Alg, p plan, m *autotune.Meter, rep core.Report) {
 	if m.Empty() {
 		return
 	}
@@ -87,17 +88,13 @@ func (s *Server) feedAutotune(d *device, q *queued, alg core.Alg, strat Strategy
 	if !ok {
 		return
 	}
-	crossover, alpha, y := q.job.Crossover, q.job.Alpha, q.job.Y
 	predicted := 0.0
-	if q.job.Strategy == Auto && q.autoDecided {
-		crossover, alpha, y = q.autoCross, q.autoAlpha, q.autoY
-		if strat == q.autoStrat && q.autoCalibr {
-			// Only a calibrated prediction of the strategy that actually ran
-			// is a meaningful model-error sample.
-			predicted = q.autoPredicted
-		}
+	if p.calibrated {
+		// Only a calibrated prediction of the plan that actually ran is a
+		// meaningful model-error sample.
+		predicted = p.predicted
 	}
-	cpuU, gpuU, err := s.tuner.ForDevice(d.id).UnitsFor(sp, strat.String(), crossover, alpha, y)
+	cpuU, gpuU, err := s.tuner.ForDevice(d.id).UnitsFor(sp, p.strat.String(), p.crossover, p.alpha, p.y)
 	if err != nil {
 		return
 	}

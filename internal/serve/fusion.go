@@ -15,8 +15,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Job fusion. When the stride scheduler dispatches a GPUOnly job whose
-// algorithm kind matches other queued GPUOnly jobs, the dispatched job — the
+// Job fusion. When the stride scheduler starts a GPUOnly job whose
+// algorithm kind matches other queued GPUOnly jobs, the started job — the
 // head — absorbs up to MaxFusedJobs-1 of them and the whole group executes
 // as one fused breadth-first run (core.RunFusedGPUCtx) on the head's placed
 // device: one kernel launch per recursion level across every member,
@@ -33,9 +33,8 @@ import (
 // the queue ahead of it faster).
 //
 // In a pool, batches form per device: companions are collected from the
-// global heap (where capacity-gated placement keeps contended jobs) when
-// the head reaches the front of its device's queue, and the whole group
-// runs on that one device.
+// queue (where capacity-gated placement keeps contended jobs) when the head
+// starts on its device, and the whole group runs on that one device.
 //
 // Fusion is declined — the job runs the ordinary single path — when no
 // companion is found in the queue (and within the batch window, if one is
@@ -110,7 +109,7 @@ func (s *Server) collectLocked(key string, members []*queued, bytes int64) ([]*q
 	}
 	s.queue = s.queue[:len(kept)]
 	heap.Init(&s.queue)
-	s.mQueueDepth.Set(int64(s.totalQueuedLocked()))
+	s.mQueueDepth.Set(int64(len(s.queue)))
 	return members, bytes
 }
 

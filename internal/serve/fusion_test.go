@@ -85,8 +85,8 @@ func newFusedJob(t *testing.T, kind int, data []int32) fusedJob {
 	}
 }
 
-// blockServer submits a Sequential blocker job and waits until it occupies
-// the server's single in-flight slot, so jobs submitted next accumulate in
+// blockServer submits a Sequential blocker job, which occupies the server's
+// single in-flight slot from Submit on, so jobs submitted next accumulate in
 // the queue; the returned release starts them.
 func blockServer(t *testing.T, srv *serve.Server) (release func()) {
 	t.Helper()
@@ -95,7 +95,6 @@ func blockServer(t *testing.T, srv *serve.Server) (release func()) {
 		serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}, Strategy: serve.Sequential}); err != nil {
 		t.Fatal(err)
 	}
-	waitInFlight(t, srv, 1)
 	return func() { close(gate) }
 }
 

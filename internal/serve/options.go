@@ -46,7 +46,7 @@ func WithRecorder(rec *trace.Recorder) Option {
 	return func(c *Config) { c.Trace = rec }
 }
 
-// WithMaxFusedJobs enables job fusion: when the dispatcher starts a GPUOnly
+// WithMaxFusedJobs enables job fusion: when the server starts a GPUOnly
 // job whose algorithm kind matches other queued GPUOnly jobs, up to n of
 // them execute as one fused breadth-first run — one kernel launch per
 // recursion level across all members, pipelined transfers — with per-job
@@ -128,21 +128,13 @@ func WithPlacement(p Placement) Option {
 }
 
 // WithAutoDrain lets a device whose circuit breaker trips drain itself out
-// of the pool: its queued jobs rebalance to the global queue (and healthier
-// devices), its in-flight jobs finish, and the device is removed. The last
-// active device never auto-drains — a server keeps at least one execution
-// path. Off by default; meaningful only with WithBreaker.
+// of the pool: it takes no further placements, its in-flight jobs finish
+// (GPU-bound ones that had not started yet go back to the queue for
+// healthier devices), and the device is removed. The last active device
+// never auto-drains — a server keeps at least one execution path. Off by
+// default; meaningful only with WithBreaker.
 func WithAutoDrain() Option {
 	return func(c *Config) { c.AutoDrain = true }
-}
-
-// WithSplitOversized lets an AdvancedHybrid job whose whole-instance
-// transfer size is at least bytes stripe across a device's internal GPUs
-// (core.RunMultiGPUCtx) when that device is a core.MultiGPUBackend with two
-// or more GPUs and has no other work — the pool's answer to one oversized
-// job arriving at an idle multi-die device. 0, the default, never splits.
-func WithSplitOversized(bytes int64) Option {
-	return func(c *Config) { c.SplitBytes = bytes }
 }
 
 // Metric names recorded when WithMetrics is configured; semantics in
@@ -180,16 +172,15 @@ const (
 	// transitions to open summed over all devices.
 	MetricBreakerState = "serve_breaker_state"
 	MetricBreakerTrips = "serve_breaker_trips_total"
-	// MetricRebalances counts jobs moved off a tripped or draining device
-	// back to the global queue; MetricDrains counts completed device drains.
+	// MetricRebalances counts placed jobs sent back to the queue because
+	// their device's breaker tripped before their first attempt;
+	// MetricDrains counts completed device drains.
 	MetricRebalances = "serve_rebalances_total"
 	MetricDrains     = "serve_drains_total"
 )
 
 // Per-device metric name formats (the %d is the device id).
 const (
-	// MetricDeviceQueueDepthFmt is the device's dispatch-FIFO occupancy.
-	MetricDeviceQueueDepthFmt = "serve_device_queue_depth_dev%d"
 	// MetricDevicePlacementsFmt counts jobs placed on the device.
 	MetricDevicePlacementsFmt = "serve_placements_total_dev%d"
 	// MetricDeviceBreakerStateFmt and MetricDeviceBreakerTripsFmt are the

@@ -1,23 +1,19 @@
 package serve
 
-// Backend pool: per-device dispatch queues, load-aware placement, runtime
-// topology control (AddBackend / DrainBackend) and per-device health.
-// DESIGN.md §13.
+// Backend pool: load-aware placement, runtime topology control (AddBackend /
+// DrainBackend) and per-device health. DESIGN.md §13.
 //
-// The stride scheduler stays global — one virtual-time heap orders every
-// queued job — and placement happens only at the head: when a device has a
-// free execution slot, the job with the smallest virtual finish tag is
-// handed to the best-scoring device's FIFO. Placement is capacity-gated
-// (a device accepts at most cap jobs between its queue and its in-flight
-// set), so under contention jobs accumulate in the global heap, where both
-// the fairness order and job fusion keep working exactly as in the
-// single-backend server.
+// One virtual-time heap orders every queued job, and placement happens only
+// at its head: whenever work or capacity appears (Submit, a job releasing
+// its slot, AddBackend), the job with the smallest virtual finish tag takes
+// a free execution slot on the best-scoring device and starts there. Under
+// contention jobs accumulate in the heap, where both the fairness order and
+// job fusion work exactly as in the single-backend server.
 
 import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,12 +29,12 @@ type Placement int
 
 const (
 	// PlaceModeledWork is join-shortest-modeled-work, the default: each
-	// device's backlog is the sum of its queued and in-flight jobs' modeled
-	// sequential costs (internal/model, via the algorithms' ModelF/ModelLeaf
-	// hooks), and the head job goes to the device with the least backlog.
-	// Jobs without a cost model fall back to an N·(L+1) work proxy.
+	// device's backlog is the sum of its in-flight jobs' modeled sequential
+	// costs (internal/model, via the algorithms' ModelF/ModelLeaf hooks), and
+	// the head job goes to the device with the least backlog. Jobs without a
+	// cost model fall back to an N·(L+1) work proxy.
 	PlaceModeledWork Placement = iota
-	// PlaceJSQ is plain join-shortest-queue: occupancy (queued + in flight)
+	// PlaceJSQ is plain join-shortest-queue: occupancy (jobs in flight)
 	// only, ignoring job sizes.
 	PlaceJSQ
 )
@@ -54,25 +50,22 @@ func (p Placement) String() string {
 	return fmt.Sprintf("placement(%d)", int(p))
 }
 
-// device is one pool member: a backend plus its dispatch queue, execution
-// slots, health (circuit breaker, fault injector) and drain state. All
-// mutable fields are guarded by Server.mu except the breaker (own lock) and
-// the trip counter (atomic, incremented under the breaker's lock).
+// device is one pool member: a backend plus its execution slots, health
+// (circuit breaker, fault injector) and drain state. All mutable fields are
+// guarded by Server.mu except the breaker (own lock) and the trip counter
+// (atomic, incremented under the breaker's lock).
 type device struct {
 	id   int
 	be   core.Backend
 	cap  int  // execution slots; 1 for non-autonomous backends
 	auto bool // backend runs submitted work on its own goroutines
 
-	queue    []*queued // FIFO handoff between placement and the runner
 	inflight int
-	work     float64 // modeled backlog (queued + in flight), for placement
+	work     float64 // modeled backlog of the jobs in flight, for placement
 
 	draining bool          // no new placements; drains to removal
 	removed  bool          // drained and gone; kept in the slice for ids
 	drained  chan struct{} // closed when the drain completes
-
-	cond *sync.Cond // on Server.mu; wakes the device's runner loop
 
 	breaker *breaker
 	faults  *faults.Injector
@@ -80,7 +73,6 @@ type device struct {
 	placements uint64
 	trips      atomic.Uint64
 
-	mQueueDepth   *metrics.Gauge
 	mPlacements   *metrics.Counter
 	mBreakerState *metrics.Gauge
 	mBreakerTrips *metrics.Counter
@@ -90,8 +82,8 @@ type device struct {
 type DeviceStats struct {
 	// ID is the device's stable pool index (AddBackend order).
 	ID int
-	// QueueDepth and InFlight are the device's current occupancies.
-	QueueDepth, InFlight int
+	// InFlight is the device's current occupancy.
+	InFlight int
 	// Placements counts jobs placed on this device.
 	Placements uint64
 	// Draining and Removed are the drain state machine's two terminal-bound
@@ -114,13 +106,11 @@ func (s *Server) newDevice(id int, be core.Backend) *device {
 		// goroutines at once.
 		d.cap = 1
 	}
-	d.cond = sync.NewCond(&s.mu)
 	d.faults = s.cfg.Faults
 	if in, ok := s.cfg.DeviceFaults[id]; ok {
 		d.faults = in
 	}
 	if reg := s.cfg.Metrics; reg != nil {
-		d.mQueueDepth = reg.Gauge(fmt.Sprintf(MetricDeviceQueueDepthFmt, id))
 		d.mPlacements = reg.Counter(fmt.Sprintf(MetricDevicePlacementsFmt, id))
 		d.mBreakerState = reg.Gauge(fmt.Sprintf(MetricDeviceBreakerStateFmt, id))
 		d.mBreakerTrips = reg.Counter(fmt.Sprintf(MetricDeviceBreakerTripsFmt, id))
@@ -163,22 +153,12 @@ func (s *Server) activeLocked() int {
 	return n
 }
 
-// totalQueuedLocked is the admission-queue occupancy: the global heap plus
-// every device's handoff FIFO (placed but not yet executing). Must hold s.mu.
-func (s *Server) totalQueuedLocked() int {
-	n := len(s.queue)
+// anyHealthyGPULocked reports whether some active device other than except
+// (nil for any device) would admit a GPU-bound job right now (breaker
+// closed, probing, or past cooldown). Must hold s.mu.
+func (s *Server) anyHealthyGPULocked(except *device) bool {
 	for _, d := range s.devices {
-		n += len(d.queue)
-	}
-	return n
-}
-
-// anyHealthyGPULocked reports whether some active device would admit a
-// GPU-bound job right now (breaker closed, probing, or past cooldown).
-// Must hold s.mu.
-func (s *Server) anyHealthyGPULocked() bool {
-	for _, d := range s.devices {
-		if d.removed || d.draining {
+		if d == except || d.removed || d.draining {
 			continue
 		}
 		if d.breaker == nil || d.breaker.canAdmit() {
@@ -191,17 +171,24 @@ func (s *Server) anyHealthyGPULocked() bool {
 // scoreLocked is the placement score (lower is better). Must hold s.mu.
 func (s *Server) scoreLocked(d *device) float64 {
 	if s.cfg.Placement == PlaceJSQ {
-		return float64(d.inflight + len(d.queue))
+		return float64(d.inflight)
 	}
 	return d.work
 }
 
-// placeHeadLocked tries to place the global heap's head job on a device.
-// It returns false when nothing changed and the dispatcher should wait: the
-// head stays queued (preserving the stride order) until a slot frees. Must
-// hold s.mu; may temporarily settle a shed job. A true return means the
-// loop should re-evaluate (a job was placed, rerouted to the CPU path, or
-// shed).
+// pumpLocked places queued jobs, head first, until the head has to wait for
+// a slot. Called wherever work or capacity appears. Must hold s.mu.
+func (s *Server) pumpLocked() {
+	for len(s.queue) > 0 && s.placeHeadLocked() {
+	}
+	s.mQueueDepth.Set(int64(len(s.queue)))
+}
+
+// placeHeadLocked tries to place the heap's head job on a device and start
+// it there. It returns false when nothing changed: the head stays queued
+// (preserving the stride order) until a slot frees. Must hold s.mu; may
+// settle a shed job. A true return means the caller should re-evaluate (a
+// job was started, rerouted to the CPU path, or shed).
 func (s *Server) placeHeadLocked() bool {
 	q := s.queue[0]
 	gpu := gpuBound(q.job.Strategy) && !q.forceCPU
@@ -216,7 +203,7 @@ func (s *Server) placeHeadLocked() bool {
 			continue
 		}
 		gpuCapable = true
-		if d.inflight+len(d.queue) >= d.cap {
+		if d.inflight >= d.cap {
 			continue
 		}
 		if best == nil || s.scoreLocked(d) < s.scoreLocked(best) ||
@@ -233,161 +220,91 @@ func (s *Server) placeHeadLocked() bool {
 			q.forceCPU = true
 			return true // re-place as a CPU-path job
 		}
-		heap.Pop(&s.queue)
-		if q.vfinish > s.pass {
-			s.pass = q.vfinish
-		}
-		s.noteDegraded()
-		q.h.queueWait = time.Since(q.wallIn).Seconds()
-		q.h.rep, q.h.err = q.neverRan(shedAtDispatch, dcerr.ErrDegraded)
-		s.mQueueDepth.Set(int64(s.totalQueuedLocked()))
-		s.settleLocked(q)
-		return true
-	}
-	if gpu && best.breaker != nil {
+	} else if gpu && best.breaker != nil {
 		ok, probe := best.breaker.admit(proberOf(best))
 		if !ok {
 			return true // raced with a state change; re-evaluate
 		}
 		q.probe = probe
 	}
-	if q.job.Strategy == Auto && !q.autoDecided {
+	heap.Pop(&s.queue)
+	s.pass = max(s.pass, q.vfinish)
+	if best == nil {
+		s.noteDegraded()
+		q.h.queueWait = time.Since(q.wallIn).Seconds()
+		q.h.rep, q.h.err = q.neverRan(shedAtDispatch, dcerr.ErrDegraded)
+		s.settleLocked(q)
+		return true
+	}
+	if q.job.Strategy == Auto {
 		// Price the job against the chosen device's calibration. A breaker
 		// that would shed GPU-bound work restricts pricing to the CPU path;
 		// a GPU-bound choice then takes the admission slot a fixed GPU-bound
-		// job would have taken at the top of this function.
+		// job takes above.
 		s.decideAutoLocked(best, q, best.breaker == nil || best.breaker.canAdmit())
-		if gpuBound(q.autoStrat) && best.breaker != nil {
-			ok, probe := best.breaker.admit(proberOf(best))
-			if !ok {
+		if gpuBound(q.plan.strat) && best.breaker != nil {
+			if ok, probe := best.breaker.admit(proberOf(best)); ok {
+				q.probe = probe
+			} else {
 				// Slammed shut between the peek and the admit: re-decide on
 				// the CPU path rather than spinning on this device.
 				s.decideAutoLocked(best, q, false)
-			} else {
-				q.probe = probe
 			}
 		}
+	} else {
+		q.plan = plan{strat: q.job.Strategy, crossover: q.job.Crossover, alpha: q.job.Alpha, y: q.job.Y}
 	}
-	heap.Pop(&s.queue)
-	if q.vfinish > s.pass {
-		s.pass = q.vfinish
-	}
-	s.assignLocked(best, q)
+	best.inflight++
+	best.work += q.cost
+	best.placements++
+	best.mPlacements.Inc()
+	s.inflight++
+	s.mInFlight.Set(int64(s.inflight))
+	s.jobs.Add(1)
+	go s.run(best, q)
 	return true
 }
 
-// assignLocked hands a job to a device's FIFO. Must hold s.mu.
-func (s *Server) assignLocked(d *device, q *queued) {
-	d.queue = append(d.queue, q)
-	d.work += q.cost
-	d.placements++
-	d.mPlacements.Inc()
-	d.mQueueDepth.Set(int64(len(d.queue)))
-	d.cond.Signal()
-}
-
-// deviceLoop is a pool member's runner: it pops the device FIFO into
-// execution slots, and retires the device when a drain (or server close)
-// completes. One goroutine per device, registered on s.runners.
-func (s *Server) deviceLoop(d *device) {
-	defer s.runners.Done()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(d.queue) > 0 && d.inflight < d.cap {
-			q := d.queue[0]
-			copy(d.queue, d.queue[1:])
-			d.queue[len(d.queue)-1] = nil
-			d.queue = d.queue[:len(d.queue)-1]
-			d.mQueueDepth.Set(int64(len(d.queue)))
-			s.mQueueDepth.Set(int64(s.totalQueuedLocked()))
-			d.inflight++
-			s.inflight++
-			s.mInFlight.Set(int64(s.inflight))
-			s.jobs.Add(1)
-			go s.run(d, q)
-		}
-		if d.inflight == 0 && len(d.queue) == 0 &&
-			(d.draining || (s.closed && len(s.queue) == 0)) {
-			if d.draining && !d.removed {
-				d.removed = true
-				d.draining = false
-				s.stats.Drains++
-				s.mDrains.Inc()
-				close(d.drained)
-				s.cond.Broadcast()
-			}
-			return
-		}
-		d.cond.Wait()
-	}
-}
-
-// finishJobLocked releases a device execution slot. Must hold s.mu.
+// finishJobLocked releases a device execution slot: a draining device that
+// has just gone idle retires, and the freed slot takes the next queued job.
+// Must hold s.mu.
 func (s *Server) finishJobLocked(d *device, q *queued) {
 	d.inflight--
 	s.inflight--
 	d.work -= q.cost
 	s.mInFlight.Set(int64(s.inflight))
-	d.cond.Signal()
-	s.cond.Signal()
+	s.retireIfDrainedLocked(d)
+	s.pumpLocked()
 }
 
-// rebalanceLocked pushes a device's queued GPU-bound jobs back to the global
-// heap — virtual finish tags intact, so the stride order is preserved — for
-// placement on a healthier device. all also moves the CPU-path jobs (used by
-// auto-drain, where the whole device is going away). Must hold s.mu.
-func (s *Server) rebalanceLocked(d *device, all bool) {
-	kept := d.queue[:0]
-	for _, q := range d.queue {
-		// Auto jobs move when their decided strategy is GPU-bound: the
-		// decision was priced against this device, so it is cleared and the
-		// job re-decides where it lands next.
-		if all || (gpuBound(q.effective()) && !q.forceCPU) {
-			if q.probe {
-				d.breaker.abandon()
-				q.probe = false
-			}
-			d.work -= q.cost
-			if q.job.Strategy == Auto {
-				q.clearAutoDecision()
-			}
-			heap.Push(&s.queue, q)
-			s.stats.Rebalanced++
-			s.mRebalances.Inc()
-		} else {
-			kept = append(kept, q)
-		}
+// retireIfDrainedLocked completes a drain once the device's last job has
+// left it. Must hold s.mu.
+func (s *Server) retireIfDrainedLocked(d *device) {
+	if !d.draining || d.inflight > 0 {
+		return
 	}
-	for i := len(kept); i < len(d.queue); i++ {
-		d.queue[i] = nil
-	}
-	d.queue = kept
-	d.mQueueDepth.Set(int64(len(d.queue)))
-	s.cond.Broadcast()
+	d.draining = false
+	d.removed = true
+	s.stats.Drains++
+	s.mDrains.Inc()
+	close(d.drained)
 }
 
 // reactBreaker runs the pool's trip reaction after a device-fault verdict:
-// queued GPU-bound work leaves the tripped device, and — with WithAutoDrain,
-// when another device remains — the device drains itself out of the pool.
+// with WithAutoDrain, when another device remains, a device whose breaker
+// is open drains itself out of the pool. Placed jobs whose first attempt
+// finds the breaker open go back to the queue on their own (errRequeued).
 // Called without s.mu (the breaker callbacks themselves must not take it).
 func (s *Server) reactBreaker(d *device) {
-	if d.breaker == nil || d.breaker.stateNow() != BreakerOpen {
+	if !s.cfg.AutoDrain || d.breaker == nil || d.breaker.stateNow() != BreakerOpen {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d.removed {
-		return
-	}
-	if s.cfg.AutoDrain && !d.draining && s.activeLocked() > 1 {
+	if !d.removed && !d.draining && s.activeLocked() > 1 {
 		d.draining = true
-		s.rebalanceLocked(d, true)
-		d.cond.Broadcast()
-	} else if !d.draining {
-		s.rebalanceLocked(d, false)
+		s.retireIfDrainedLocked(d)
 	}
-	s.updateBreakerGaugeLocked()
 }
 
 // updateBreakerGaugeLocked refreshes the aggregate serve_breaker_state gauge
@@ -422,16 +339,13 @@ func (s *Server) AddBackend(be core.Backend) (int, error) {
 	}
 	d := s.newDevice(len(s.devices), be)
 	s.devices = append(s.devices, d)
-	s.runners.Add(1)
-	go s.deviceLoop(d)
-	s.cond.Broadcast()
+	s.pumpLocked()
 	return d.id, nil
 }
 
 // DrainBackend removes a device from the pool gracefully: placement stops
-// immediately, already-placed and in-flight jobs run to completion, then the
-// device is retired (Stats.Devices shows it Removed) and DrainBackend
-// returns. The last active device cannot be drained (ErrBadParam) — a server
+// immediately, in-flight jobs run to completion, then the device is retired
+// (Stats.Devices shows it Removed) and DrainBackend returns. The last active device cannot be drained (ErrBadParam) — a server
 // must keep one execution path. ctx bounds only the wait: on expiry the
 // drain itself continues in the background.
 func (s *Server) DrainBackend(ctx context.Context, id int) error {
@@ -454,7 +368,7 @@ func (s *Server) DrainBackend(ctx context.Context, id int) error {
 			return fmt.Errorf("serve: device %d is the last active device: %w", id, dcerr.ErrBadParam)
 		}
 		d.draining = true
-		d.cond.Broadcast()
+		s.retireIfDrainedLocked(d)
 	}
 	s.mu.Unlock()
 	select {

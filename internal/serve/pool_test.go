@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -218,12 +219,9 @@ func TestPoolPlacementSkew(t *testing.T) {
 			}
 			return h
 		}
+		// The huge job holds a device-0 slot.
 		handles := []*serve.Handle{submit("huge", 1<<20)}
-		waitInFlight(t, srv, 1) // the huge job holds a device-0 slot
 		handles = append(handles, submit("small-1", 2), submit("small-2", 2))
-		// Wait until both small jobs are placed (slots are free, so placement
-		// pops them into execution).
-		waitInFlight(t, srv, 3)
 		st := srv.Stats()
 		openGate()
 		for _, h := range handles {
@@ -363,8 +361,8 @@ func TestPoolDrainValidation(t *testing.T) {
 
 // TestPoolDrainAddStress hammers a pool with concurrent submissions while a
 // device drains out and a replacement joins: every accepted job must settle
-// cleanly, queued work on the drained device included. Run under -race this
-// is the concurrency gate for the topology-control path.
+// cleanly, jobs in flight on the drained device included. Run under -race
+// this is the concurrency gate for the topology-control path.
 func TestPoolDrainAddStress(t *testing.T) {
 	const jobs = 48
 	ctx := context.Background()
@@ -441,9 +439,66 @@ func TestPoolDrainAddStress(t *testing.T) {
 	for _, d := range st.Devices {
 		placed += d.Placements
 	}
-	// Rebalanced jobs are placed again, so placements may exceed the job
-	// count but never undershoot it.
-	if placed < jobs {
-		t.Errorf("placements sum = %d, want >= %d", placed, jobs)
+	// No breaker is configured, so nothing is requeued: every job is placed
+	// exactly once.
+	if placed != jobs {
+		t.Errorf("placements sum = %d, want %d", placed, jobs)
+	}
+}
+
+// TestPlacementIsSynchronous pins that Submit's return is the
+// synchronisation point: a job that finds a free slot is placed and counted
+// in flight before Submit returns, the next goes to the other idle device,
+// and one that finds none waits in the queue. The server itself runs no
+// goroutine while idle.
+func TestPlacementIsSynchronous(t *testing.T) {
+	pool := newPoolBackends(t, 2)
+	base := runtime.NumGoroutine()
+	srv, err := serve.NewPool(pool, serve.WithMaxInFlight(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("an idle server runs %d goroutines of its own, want 0", n-base)
+	}
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
+	var handles []*serve.Handle
+	submit := func() serve.Stats {
+		t.Helper()
+		h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "gated", Gate: gate}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+		return srv.Stats()
+	}
+
+	if st := submit(); st.InFlight != 1 || st.QueueDepth != 0 || st.Devices[0].Placements != 1 {
+		t.Fatalf("after the first Submit: in flight %d, queued %d, device 0 placements %d; want 1, 0, 1",
+			st.InFlight, st.QueueDepth, st.Devices[0].Placements)
+	}
+	if st := submit(); st.InFlight != 2 || st.QueueDepth != 0 || st.Devices[1].Placements != 1 {
+		t.Fatalf("after the second Submit: in flight %d, queued %d, device 1 placements %d; want 2, 0, 1",
+			st.InFlight, st.QueueDepth, st.Devices[1].Placements)
+	}
+	if st := submit(); st.InFlight != 2 || st.QueueDepth != 1 {
+		t.Fatalf("after the third Submit: in flight %d, queued %d; want 2, 1", st.InFlight, st.QueueDepth)
+	}
+
+	openGate()
+	for _, h := range handles {
+		if _, err := h.Report(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.InFlight != 0 || st.QueueDepth != 0 || st.Completed != 3 ||
+		st.Devices[0].Placements+st.Devices[1].Placements != 3 {
+		t.Errorf("after release: %+v, want 3 completed, 3 placements, nothing queued or in flight", st)
 	}
 }

@@ -228,8 +228,8 @@ const (
 
 // feedBreaker reports one device-path attempt's verdict to the device's
 // breaker and consumes the job's probe token (a probe reports exactly
-// once). A fault verdict also runs the pool's trip reaction (rebalance,
-// auto-drain), so it must be called without s.mu held.
+// once). A fault verdict also runs the pool's trip reaction (auto-drain),
+// so it must be called without s.mu held.
 func (s *Server) feedBreaker(d *device, q *queued, verdict int) {
 	if d.breaker == nil {
 		return
@@ -268,9 +268,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // errRequeued is the policy loop's signal that the job never started: its
-// device's breaker tripped between placement and dispatch while another
-// device can still serve the GPU path, so run() should push it back to the
-// global heap instead of settling the handle.
+// device's breaker tripped between placement and the first attempt while
+// another device can still serve the GPU path, so run() should push it back
+// to the queue instead of settling the handle.
 var errRequeued = errors.New("serve: requeue on healthier device")
 
 // executeReliable runs one dispatched job on its device under the job's
@@ -306,23 +306,12 @@ func (s *Server) executeReliable(d *device, q *queued) (core.Report, error) {
 }
 
 // shouldRequeue reports whether a job whose device just shed it can instead
-// go back to the global heap: the server is still open and some other
-// active device would admit GPU-bound work.
+// go back to the queue: some other active device would admit GPU-bound
+// work.
 func (s *Server) shouldRequeue(d *device) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	for _, o := range s.devices {
-		if o == d || o.removed || o.draining {
-			continue
-		}
-		if o.breaker == nil || o.breaker.canAdmit() {
-			return true
-		}
-	}
-	return false
+	return s.anyHealthyGPULocked(d)
 }
 
 // policyLoop is the attempt loop. Attempt 1 runs the submitted instance
@@ -331,13 +320,11 @@ func (s *Server) shouldRequeue(d *device) bool {
 // word. GPU-bound verdicts feed the device's circuit breaker.
 func (s *Server) policyLoop(ctx context.Context, d *device, q *queued, scope *trace.Scope) (core.Report, error) {
 	pol := q.pol
-	strat := q.effective() // Auto resolves to its placement-time decision
-	gpu := gpuBound(strat)
+	gpu := gpuBound(q.plan.strat)
 	forceCPU := q.forceCPU
 
-	// Dispatch-time breaker check: the device's breaker may have tripped
-	// while the job sat in its queue (or healed — a queued probe keeps its
-	// token).
+	// First-attempt breaker check: the device's breaker may have tripped
+	// since placement (or healed — a placed probe keeps its token).
 	if gpu && !forceCPU && !q.probe && d.breaker != nil {
 		ok, probe := d.breaker.admit(proberOf(d))
 		switch {
@@ -370,9 +357,9 @@ func (s *Server) policyLoop(ctx context.Context, d *device, q *queued, scope *tr
 		var rep core.Report
 		var err, devErr error
 		if attempt == 1 && pol.HedgeSet && gpu && d.auto && q.job.Fresh != nil {
-			rep, err, devErr = s.hedgedAttempt(ctx, d, q, scope, alg, strat)
+			rep, err, devErr = s.hedgedAttempt(ctx, d, q, scope, alg)
 		} else {
-			rep, err = s.runAttempt(ctx, d, q, scope, alg, strat, attempt, "attempt")
+			rep, err = s.runAttempt(ctx, d, q, scope, alg, q.plan, attempt, "attempt")
 			devErr = err
 			if err == nil {
 				q.h.resultAlg = alg
@@ -438,7 +425,7 @@ func (s *Server) policyLoop(ctx context.Context, d *device, q *queued, scope *tr
 func (s *Server) fallback(ctx context.Context, d *device, q *queued, scope *trace.Scope, alg core.Alg) (core.Report, error) {
 	s.noteFallback()
 	q.h.attempts++
-	rep, err := s.runAttempt(ctx, d, q, scope, alg, BreadthFirstCPU, q.h.attempts, "fallback")
+	rep, err := s.runAttempt(ctx, d, q, scope, alg, plan{strat: BreadthFirstCPU}, q.h.attempts, "fallback")
 	if err == nil {
 		q.h.fellBack = true
 		q.h.resultAlg = alg
@@ -457,7 +444,7 @@ var errHedgeUnresolved = errors.New("serve: hedge won before the device path set
 // registered on the server's job WaitGroup, so Close still waits for every
 // executor to come home. devErr is the device path's own verdict (for the
 // breaker), or errHedgeUnresolved when the winner outran it.
-func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope *trace.Scope, alg core.Alg, strat Strategy) (rep core.Report, err, devErr error) {
+func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope *trace.Scope, alg core.Alg) (rep core.Report, err, devErr error) {
 	type outcome struct {
 		rep    core.Report
 		err    error
@@ -471,7 +458,7 @@ func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope 
 
 	resc := make(chan outcome, 2)
 	go func() {
-		r, e := s.runAttempt(pctx, d, q, scope, alg, strat, 1, "attempt")
+		r, e := s.runAttempt(pctx, d, q, scope, alg, q.plan, 1, "attempt")
 		resc <- outcome{r, e, alg, false}
 	}()
 	inFlight := 1
@@ -507,7 +494,7 @@ func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope 
 			}
 			inFlight++
 			go func() {
-				r, e := s.runAttempt(hctx, d, q, scope, halg, BreadthFirstCPU, 1, "hedge")
+				r, e := s.runAttempt(hctx, d, q, scope, halg, plan{strat: BreadthFirstCPU}, 1, "hedge")
 				resc <- outcome{r, e, halg, true}
 			}()
 		}
@@ -548,8 +535,8 @@ func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope 
 	}
 }
 
-// runAttempt executes one attempt of a job under a given strategy on the
-// job's placed device. The job's options are prefixed with the server's
+// runAttempt executes one attempt of a job under plan p on the job's placed
+// device. The job's options are prefixed with the server's
 // instrumentation: the metrics registry, and a backend wrapper composing the
 // device's fault injector (innermost, so injected faults pass through
 // tracing and metering like real ones) with the per-job trace scope and —
@@ -558,11 +545,11 @@ func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope 
 // or WithBackendWrapper still wins — and then opts out of server-side fault
 // injection, tracing, and calibration feedback for that job.
 func (s *Server) runAttempt(ctx context.Context, d *device, q *queued, scope *trace.Scope, alg core.Alg,
-	strat Strategy, attempt int, kind string) (core.Report, error) {
+	p plan, attempt int, kind string) (core.Report, error) {
 	be := d.be
 	injector := d.faults
 	meterOn := s.autoActive.Load()
-	autoTag := q.job.Strategy == Auto && q.autoDecided
+	autoTag := q.job.Strategy == Auto
 	var meter *autotune.Meter
 	opts := q.opts
 	if s.cfg.Metrics != nil || scope != nil || injector != nil || meterOn || autoTag {
@@ -571,7 +558,7 @@ func (s *Server) runAttempt(ctx context.Context, d *device, q *queued, scope *tr
 			pre = append(pre, core.WithMetrics(s.cfg.Metrics))
 		}
 		if autoTag {
-			pre = append(pre, core.WithAutoStrategy(q.autoStrat.String()))
+			pre = append(pre, core.WithAutoStrategy(q.plan.strat.String()))
 		}
 		if scope != nil || injector != nil || meterOn {
 			pre = append(pre, core.WithBackendWrapper(func(inner core.Backend) core.Backend {
@@ -593,9 +580,9 @@ func (s *Server) runAttempt(ctx context.Context, d *device, q *queued, scope *tr
 		opts = append(pre, q.opts...)
 	}
 	start := be.Now()
-	rep, err := s.runStrategy(ctx, be, alg, strat, q, opts)
+	rep, err := runStrategy(ctx, be, alg, p, opts)
 	if err == nil && !rep.Partial && meter != nil {
-		s.feedAutotune(d, q, alg, strat, meter, rep)
+		s.feedAutotune(d, alg, p, meter, rep)
 	}
 	if scope != nil {
 		verdict := "ok"
@@ -609,7 +596,7 @@ func (s *Server) runAttempt(ctx context.Context, d *device, q *queued, scope *tr
 			verdict = "failed"
 		}
 		scope.Add(trace.Span{Unit: "attempt",
-			Label: fmt.Sprintf("job %d %s %d %s %s dev%d", q.h.ID, kind, attempt, strat, verdict, d.id),
+			Label: fmt.Sprintf("job %d %s %d %s %s dev%d", q.h.ID, kind, attempt, p.strat, verdict, d.id),
 			Start: start, End: be.Now()})
 	}
 	return rep, err

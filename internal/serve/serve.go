@@ -11,14 +11,17 @@
 // dcerr.ErrQueueFull once QueueDepth jobs are waiting, pushing load shedding
 // to the caller. Dispatch is stride scheduling over the job weights set with
 // core.WithPriority: each queued job receives a virtual finish tag
-// pass + 1/weight, and the dispatcher always places the smallest tag, which
+// pass + 1/weight, and placement always takes the smallest tag, which
 // degrades to strict FIFO when all weights are equal and approaches
 // weight-proportional service under contention while remaining
-// starvation-free. Placement is join-shortest-modeled-work (or plain JSQ;
-// see Placement) over the pool's devices, each with its own dispatch FIFO,
-// circuit breaker and drain state (pool.go). Execution itself reuses the
-// context-aware executors of internal/core, so a canceled job stops at its
-// next level boundary and yields a partial core.Report.
+// starvation-free. The server runs no scheduler goroutine: placement happens
+// synchronously wherever work or capacity appears (Submit, a job releasing
+// its slot, AddBackend), and a placed job starts at once. Placement is
+// join-shortest-modeled-work (or plain JSQ; see Placement) over the pool's
+// devices, each with its own execution slots, circuit breaker and drain
+// state (pool.go). Execution itself reuses the context-aware executors of
+// internal/core, so a canceled job stops at its next level boundary and
+// yields a partial core.Report.
 //
 // Backends that are not core.Autonomous (the virtual-time simulator, whose
 // event engine is single-goroutine) are driven with at most one job in
@@ -59,7 +62,7 @@ const (
 	AdvancedHybrid
 	// GPUOnly runs everything on the device.
 	GPUOnly
-	// Auto lets the server pick the strategy at dispatch: the device's
+	// Auto lets the server pick the strategy at placement: the device's
 	// online calibration (internal/autotune) prices BreadthFirstCPU,
 	// GPUOnly, every BasicHybrid crossover and an (α, y) grid of
 	// AdvancedHybrid divisions for the job's N, and the argmin runs. The
@@ -161,15 +164,9 @@ type Config struct {
 	// half-open probe job. Defaults to 100ms when the breaker is enabled.
 	BreakerCooldown time.Duration
 	// AutoDrain lets a device whose breaker trips drain itself out of the
-	// pool (unless it is the last active device): its queued jobs rebalance
-	// to the global queue and the device is removed once idle.
+	// pool (unless it is the last active device): it takes no further
+	// placements and is removed once idle.
 	AutoDrain bool
-	// SplitBytes, when positive, lets an otherwise-idle device split an
-	// AdvancedHybrid job whose whole-instance transfer size is at least this
-	// many bytes across its internal GPUs (core.RunMultiGPUCtx), when its
-	// backend is a core.MultiGPUBackend with two or more devices. 0 (the
-	// default) never splits.
-	SplitBytes int64
 	// Faults, if non-nil, wraps every attempt's backend with the fault
 	// injector — the chaos-testing hook (see internal/faults). Fused
 	// executions and jobs carrying their own WithBackendWrapper bypass it.
@@ -194,9 +191,9 @@ type Stats struct {
 	// and cancellations while still queued), and runs whose executor
 	// returned any other error.
 	Completed, Canceled, Failed uint64
-	// QueueDepth and InFlight are current occupancies (global queue plus
-	// per-device queues, and all devices' execution slots); MaxQueueDepth is
-	// the high-water mark of the admission queue.
+	// QueueDepth and InFlight are current occupancies (the admission queue,
+	// and all devices' execution slots); MaxQueueDepth is the high-water mark
+	// of the admission queue.
 	QueueDepth, InFlight, MaxQueueDepth int
 	// AvgQueueWaitSeconds is the mean wall-clock time dispatched jobs spent
 	// queued.
@@ -220,9 +217,10 @@ type Stats struct {
 	// when the breakers are disabled.
 	BreakerTrips uint64
 	BreakerState int
-	// Rebalanced counts jobs moved off a tripped or auto-draining device
-	// back to the global queue (re-placed elsewhere, fairness order
-	// intact); Drains counts completed device drains.
+	// Rebalanced counts placed jobs whose device's breaker tripped before
+	// their first attempt and that went back to the queue (re-placed
+	// elsewhere, fairness order intact); Drains counts completed device
+	// drains.
 	Rebalanced, Drains uint64
 	// Devices snapshots each pool member, indexed by device id (including
 	// removed ones, whose ids stay reserved).
@@ -343,7 +341,7 @@ type queued struct {
 	wallIn  time.Time
 	// fuseKey is the fusion compatibility class ("" when the job cannot
 	// fuse); gpuBytes is the job's whole-instance transfer size, used
-	// against FusedBytesCap and SplitBytes; cost is the modeled work used by
+	// against FusedBytesCap; cost is the modeled work used by
 	// PlaceModeledWork. All computed at admission.
 	fuseKey  string
 	gpuBytes int64
@@ -351,47 +349,27 @@ type queued struct {
 	// pol is the job's reliability policy; probe marks it as a circuit
 	// breaker's half-open probe (it must report its verdict exactly once);
 	// forceCPU routes it straight to the CPU fallback path (admitted or
-	// placed while every breaker was open); multi marks an oversized
-	// AdvancedHybrid job placed on an idle multi-GPU device, to be striped
-	// across its internal devices.
+	// placed while every breaker was open).
 	pol      core.Reliability
 	probe    bool
 	forceCPU bool
-	multi    bool
-	// Auto-strategy decision, made at placement (so it prices against the
-	// placed device's calibration) and cleared whenever the job leaves its
-	// device (requeue, rebalance) to be re-decided elsewhere. autoPredicted
-	// is the decision's calibrated makespan, fed back as the prediction
-	// error sample.
-	autoDecided   bool
-	autoStrat     Strategy
-	autoAlpha     float64
-	autoY         int
-	autoCross     int
-	autoPredicted float64
-	autoCalibr    bool
+	// plan is what the job runs on its device, set at placement and reset
+	// when the job goes back to the queue.
+	plan plan
 }
 
-// effective is the strategy the job will actually dispatch under: the
-// submitted one, or — for Strategy Auto — the placement-time decision
-// (BreadthFirstCPU until one is made: the undecided path must never
-// require a device).
-func (q *queued) effective() Strategy {
-	if q.job.Strategy != Auto {
-		return q.job.Strategy
-	}
-	if q.autoDecided {
-		return q.autoStrat
-	}
-	return BreadthFirstCPU
-}
-
-// clearAutoDecision forgets a placement-time decision so the job re-decides
-// against its next device's calibration.
-func (q *queued) clearAutoDecision() {
-	q.autoDecided = false
-	q.autoStrat, q.autoAlpha, q.autoY, q.autoCross = 0, 0, 0, 0
-	q.autoPredicted, q.autoCalibr = 0, false
+// plan is a placed job's strategy and parameters: the Job's own for a fixed
+// strategy, or the placement-time decision for Strategy Auto, priced against
+// the placed device's calibration. predicted is that decision's makespan,
+// fed back as the model-error sample when calibrated says the calibration
+// backed it.
+type plan struct {
+	strat      Strategy
+	crossover  int
+	alpha      float64
+	y          int
+	predicted  float64
+	calibrated bool
 }
 
 // jobHeap orders queued jobs by (virtual finish tag, arrival), the stride
@@ -421,7 +399,6 @@ type Server struct {
 	cfg Config
 
 	mu       sync.Mutex
-	cond     *sync.Cond
 	queue    jobHeap
 	devices  []*device
 	pass     float64 // stride scheduling global pass (advances on placement)
@@ -432,9 +409,7 @@ type Server struct {
 	waitSum  float64
 	waitN    uint64
 
-	dispatcherDone chan struct{}
-	jobs           sync.WaitGroup
-	runners        sync.WaitGroup
+	jobs sync.WaitGroup // one count per running job and per hedge-loser drain
 
 	// tuner is the auto-strategy calibrator (never nil after New).
 	// autoActive gates the per-attempt metering: it flips on when a tuner
@@ -480,7 +455,7 @@ func New(be core.Backend, opts ...Option) (*Server, error) {
 }
 
 // NewPool starts a server sharding jobs across a pool of backends — one
-// device per backend, each with its own dispatch queue, circuit breaker and
+// device per backend, each with its own execution slots, circuit breaker and
 // drain state — placed by the policy set with WithPlacement. The pool can
 // grow and shrink at runtime with AddBackend and DrainBackend.
 func NewPool(pool []core.Backend, opts ...Option) (*Server, error) {
@@ -491,7 +466,7 @@ func NewPool(pool []core.Backend, opts ...Option) (*Server, error) {
 }
 
 // newServer resolves opts onto cfg, validates and defaults the result, and
-// starts the server's goroutines.
+// builds the server's devices.
 func newServer(cfg Config, opts []Option) (*Server, error) {
 	for _, o := range opts {
 		if o != nil {
@@ -530,9 +505,6 @@ func newServer(cfg Config, opts []Option) (*Server, error) {
 	if cfg.FusedBytesCap < 0 {
 		return nil, fmt.Errorf("serve: FusedBytesCap %d: %w", cfg.FusedBytesCap, dcerr.ErrBadParam)
 	}
-	if cfg.SplitBytes < 0 {
-		return nil, fmt.Errorf("serve: SplitBytes %d: %w", cfg.SplitBytes, dcerr.ErrBadParam)
-	}
 	if cfg.BreakerThreshold < 0 || cfg.BreakerCooldown < 0 {
 		return nil, fmt.Errorf("serve: breaker threshold %d cooldown %v: %w",
 			cfg.BreakerThreshold, cfg.BreakerCooldown, dcerr.ErrBadParam)
@@ -541,10 +513,9 @@ func newServer(cfg Config, opts []Option) (*Server, error) {
 		cfg.BreakerCooldown = 100 * time.Millisecond
 	}
 	s := &Server{
-		cfg:            cfg,
-		dispatcherDone: make(chan struct{}),
-		fuseWaiters:    map[string][]chan struct{}{},
-		tuner:          cfg.Tuner,
+		cfg:         cfg,
+		fuseWaiters: map[string][]chan struct{}{},
+		tuner:       cfg.Tuner,
 	}
 	if s.tuner == nil {
 		s.tuner = autotune.NewTuner()
@@ -577,14 +548,9 @@ func newServer(cfg Config, opts []Option) (*Server, error) {
 		s.waitHists = map[int]*metrics.Histogram{}
 		s.turnHists = map[int]*metrics.Histogram{}
 	}
-	s.cond = sync.NewCond(&s.mu)
 	for i, be := range cfg.Pool {
-		d := s.newDevice(i, be)
-		s.devices = append(s.devices, d)
-		s.runners.Add(1)
-		go s.deviceLoop(d)
+		s.devices = append(s.devices, s.newDevice(i, be))
 	}
-	go s.dispatch()
 	return s, nil
 }
 
@@ -633,13 +599,13 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 	if s.closed {
 		return nil, fmt.Errorf("serve: %w", dcerr.ErrServerClosed)
 	}
-	if qd := s.totalQueuedLocked(); qd >= s.cfg.QueueDepth {
+	if qd := len(s.queue); qd >= s.cfg.QueueDepth {
 		s.stats.Rejected++
 		s.mRejected.Inc()
 		return nil, fmt.Errorf("serve: %d jobs queued: %w", qd, dcerr.ErrQueueFull)
 	}
 	var forceCPU bool
-	if gpuBound(job.Strategy) && s.cfg.BreakerThreshold > 0 && !s.anyHealthyGPULocked() {
+	if gpuBound(job.Strategy) && s.cfg.BreakerThreshold > 0 && !s.anyHealthyGPULocked(nil) {
 		if pol.Fallback == core.FallbackCPUOnly {
 			forceCPU = true
 		} else {
@@ -675,13 +641,13 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 	}
 	s.stats.Submitted++
 	s.mSubmitted.Inc()
-	qd := s.totalQueuedLocked()
-	s.mQueueDepth.Set(int64(qd))
+	// The high-water mark counts the job before placement can take it.
+	qd := len(s.queue)
 	s.mQueueMax.Max(int64(qd))
 	if qd > s.stats.MaxQueueDepth {
 		s.stats.MaxQueueDepth = qd
 	}
-	s.cond.Signal()
+	s.pumpLocked()
 	return h, nil
 }
 
@@ -708,7 +674,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.QueueDepth = s.totalQueuedLocked()
+	st.QueueDepth = len(s.queue)
 	st.InFlight = s.inflight
 	if s.waitN > 0 {
 		st.AvgQueueWaitSeconds = s.waitSum / float64(s.waitN)
@@ -722,7 +688,6 @@ func (s *Server) Stats() Stats {
 	for i, d := range s.devices {
 		ds := DeviceStats{
 			ID:         d.id,
-			QueueDepth: len(d.queue),
 			InFlight:   d.inflight,
 			Placements: d.placements,
 			Draining:   d.draining,
@@ -751,59 +716,25 @@ func (s *Server) Close() error {
 		return fmt.Errorf("serve: %w", dcerr.ErrServerClosed)
 	}
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	<-s.dispatcherDone
-	s.mu.Lock()
-	for _, d := range s.devices {
-		d.cond.Broadcast()
-	}
-	s.mu.Unlock()
-	// Device runners exit only once their FIFOs are empty and nothing is in
-	// flight, so after runners.Wait no further s.jobs.Add can start from a
-	// zero counter; only then is jobs.Wait race-free against the pop-time
-	// Add. It still catches run goroutines in their final deferred Done and
-	// hedge losers outliving their parent's settlement.
-	s.runners.Wait()
+	// Queued jobs need no help to drain: a job waits in the queue only while
+	// some device it could run on is full, and each job leaving a slot
+	// places the next. Waiting is race-free: with closed set, Submit and
+	// AddBackend start nothing, so every later jobs.Add — the placement in
+	// finishJobLocked, the hedge-loser drain — runs inside a job that still
+	// holds its own count, and the counter never rises from zero.
 	s.jobs.Wait()
 	return nil
 }
 
-// dispatch is the scheduler loop: whenever a device can take work, it places
-// the queued job with the smallest virtual finish tag on the best-scoring
-// device (pool.go).
-func (s *Server) dispatch() {
-	defer close(s.dispatcherDone)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.queue) > 0 && s.placeHeadLocked() {
-		}
-		if s.closed && len(s.queue) == 0 {
-			for _, d := range s.devices {
-				d.cond.Broadcast()
-			}
-			return
-		}
-		s.cond.Wait()
-	}
-}
-
-// run executes one dispatched job on its placed device and settles its
-// handle. A fusable job first tries to absorb same-kind queued companions
-// into one fused execution (see fusion.go); the single-job path below is
-// both the normal case and the fusion-declined fallback.
+// run executes one placed job on its device and settles its handle. A
+// fusable job first tries to absorb same-kind queued companions into one
+// fused execution (see fusion.go); the single-job path below is both the
+// normal case and the fusion-declined fallback.
 func (s *Server) run(d *device, q *queued) {
 	defer s.jobs.Done()
 	if q.fuseKey != "" && s.runFused(d, q) {
 		return
-	}
-	if s.cfg.SplitBytes > 0 && q.job.Strategy == AdvancedHybrid && q.gpuBytes >= s.cfg.SplitBytes {
-		if mbe, ok := d.be.(core.MultiGPUBackend); ok && len(mbe.GPUs()) >= 2 {
-			s.mu.Lock()
-			q.multi = d.inflight == 1 && len(d.queue) == 0
-			s.mu.Unlock()
-		}
 	}
 	q.h.queueWait = time.Since(q.wallIn).Seconds()
 
@@ -818,34 +749,25 @@ func (s *Server) run(d *device, q *queued) {
 		rep, err = s.executeReliable(d, q)
 	}
 
-	if errors.Is(err, errRequeued) {
-		// The device's breaker tripped while the job waited in its FIFO and
-		// another device can still serve the GPU path: put the job back in
-		// the global heap (fairness tag intact) instead of degrading it.
-		s.mu.Lock()
-		if !s.closed {
-			q.probe = false
-			q.multi = false
-			q.clearAutoDecision() // re-decide against the next device
-			heap.Push(&s.queue, q)
-			s.stats.Rebalanced++
-			s.mRebalances.Inc()
-			s.finishJobLocked(d, q)
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
-		// Closing: the dispatcher may already be gone; shed instead.
-		s.noteDegraded()
-		rep, err = q.neverRan(shedAtDispatch, dcerr.ErrDegraded)
-	}
-
-	q.h.rep, q.h.err = rep, err
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if errors.Is(err, errRequeued) {
+		// The device's breaker tripped between placement and the first
+		// attempt and another device can still serve the GPU path: put the
+		// job back in the queue (fairness tag intact) instead of degrading
+		// it. The slot release below places it again, and an Auto job is
+		// priced afresh against its next device.
+		q.probe = false
+		q.plan = plan{}
+		heap.Push(&s.queue, q)
+		s.stats.Rebalanced++
+		s.mRebalances.Inc()
+		s.finishJobLocked(d, q)
+		return
+	}
+	q.h.rep, q.h.err = rep, err
 	s.finishJobLocked(d, q)
 	s.settleLocked(q)
-	s.mu.Unlock()
 }
 
 // The two ways a job settles without reaching a backend.
@@ -908,22 +830,13 @@ func (s *Server) updateFusionRatioLocked() {
 	s.lastFusionRatio = ratio
 }
 
-// runStrategy dispatches one attempt of alg under strat to the matching
-// context-aware executor. alg and strat are parameters (not read off q)
-// because reliability policies substitute both: retries and hedges run
-// fresh instances, and the hedge/fallback paths run BreadthFirstCPU
-// whatever the job's submitted strategy was.
-func (s *Server) runStrategy(ctx context.Context, be core.Backend, alg core.Alg, strat Strategy, q *queued, opts []core.Option) (core.Report, error) {
-	crossover, alpha, y := q.job.Crossover, q.job.Alpha, q.job.Y
-	if strat == Auto {
-		// Resolve an auto job to its placement-time decision (the policy
-		// loop normally resolves before calling; this is the safety net).
-		strat = q.effective()
-	}
-	if q.job.Strategy == Auto && q.autoDecided {
-		crossover, alpha, y = q.autoCross, q.autoAlpha, q.autoY
-	}
-	switch strat {
+// runStrategy runs one attempt of alg under p to the matching context-aware
+// executor. alg and p are parameters (not read off the job) because
+// reliability policies substitute both: retries and hedges run fresh
+// instances, and the hedge/fallback paths run BreadthFirstCPU whatever the
+// job's plan was.
+func runStrategy(ctx context.Context, be core.Backend, alg core.Alg, p plan, opts []core.Option) (core.Report, error) {
+	switch p.strat {
 	case Sequential:
 		return core.RunSequentialCtx(ctx, be, alg, opts...)
 	case BreadthFirstCPU:
@@ -932,21 +845,16 @@ func (s *Server) runStrategy(ctx context.Context, be core.Backend, alg core.Alg,
 		galg, ok := alg.(core.GPUAlg)
 		if !ok {
 			return core.Report{}, fmt.Errorf("serve: %s is not a GPUAlg (strategy %s): %w",
-				alg.Name(), strat, dcerr.ErrBadParam)
+				alg.Name(), p.strat, dcerr.ErrBadParam)
 		}
-		switch strat {
+		switch p.strat {
 		case BasicHybrid:
-			return core.RunBasicHybridCtx(ctx, be, galg, crossover, opts...)
+			return core.RunBasicHybridCtx(ctx, be, galg, p.crossover, opts...)
 		case AdvancedHybrid:
-			if q.multi {
-				if mbe, ok := be.(core.MultiGPUBackend); ok && len(mbe.GPUs()) >= 2 {
-					return core.RunMultiGPUCtx(ctx, mbe, galg, alpha, y, opts...)
-				}
-			}
-			return core.RunAdvancedHybridCtx(ctx, be, galg, alpha, y, opts...)
+			return core.RunAdvancedHybridCtx(ctx, be, galg, p.alpha, p.y, opts...)
 		default:
 			return core.RunGPUOnlyCtx(ctx, be, galg, opts...)
 		}
 	}
-	return core.Report{}, fmt.Errorf("serve: unknown strategy %d: %w", int(strat), dcerr.ErrBadParam)
+	return core.Report{}, fmt.Errorf("serve: unknown strategy %d: %w", int(p.strat), dcerr.ErrBadParam)
 }

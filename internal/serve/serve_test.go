@@ -44,18 +44,6 @@ func waitGoroutines(t *testing.T, base int) {
 // point; shared with the tests of the layers above serve.
 type gateAlg = servetest.GateAlg
 
-// waitInFlight polls until the server reports n jobs executing.
-func waitInFlight(t *testing.T, s *serve.Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().InFlight != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("in-flight never reached %d (stats %+v)", n, s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestServerStressMixedJobs is the acceptance gate: at least 64 concurrent
 // mixed jobs (mergesort + scan + sum) across all five strategies on one
 // shared native backend, with random priorities and random cancellations,
@@ -222,7 +210,6 @@ func TestServerQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitInFlight(t, srv, 1)
 
 	queued, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "queued"}})
 	if err != nil {
@@ -266,7 +253,6 @@ func TestServerPriorityOrder(t *testing.T) {
 	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}}); err != nil {
 		t.Fatal(err)
 	}
-	waitInFlight(t, srv, 1)
 
 	var mu sync.Mutex
 	var order []string
@@ -331,7 +317,6 @@ func TestServerCancelWhileQueued(t *testing.T) {
 	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}}); err != nil {
 		t.Fatal(err)
 	}
-	waitInFlight(t, srv, 1)
 
 	ran := false
 	ctx, cancel := context.WithCancel(context.Background())
@@ -504,7 +489,6 @@ func TestServerQueueWait(t *testing.T) {
 	if _, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "blocker", Gate: gate}}); err != nil {
 		t.Fatal(err)
 	}
-	waitInFlight(t, srv, 1)
 	h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "waiter"}})
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +526,6 @@ func TestServerCloseDrainsMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	handles = append(handles, h0)
-	waitInFlight(t, srv, 1)
 	for i := 0; i < 2; i++ {
 		h, err := srv.Submit(context.Background(), serve.Job{Alg: &gateAlg{Label: "queued", Gate: gate}})
 		if err != nil {
@@ -667,7 +650,6 @@ func TestServerCancelDuringClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitInFlight(t, srv, 1)
 
 	jobCtx, cancelJob := context.WithCancel(context.Background())
 	defer cancelJob()

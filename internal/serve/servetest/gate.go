@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -51,10 +50,8 @@ func (g *GateAlg) BaseBatch(lo, hi int) core.Batch {
 func (g *GateAlg) CombineBatch(level, lo, hi int) core.Batch { return core.Batch{} }
 
 // Hold occupies n execution slots of an otherwise idle pool with gated jobs
-// submitted in process and returns once all n are executing. release lets
-// them finish and is safe to call more than once. The jobs go in one at a
-// time: one still in the admission queue would count against the queue depth
-// the next is admitted under.
+// submitted in process; each holds its slot from the moment Submit returns.
+// release lets them finish and is safe to call more than once.
 func Hold(pool *serve.Server, n int) (release func(), err error) {
 	gate := make(chan struct{})
 	release = sync.OnceFunc(func() { close(gate) })
@@ -63,12 +60,10 @@ func Hold(pool *serve.Server, n int) (release func(), err error) {
 			release()
 			return release, fmt.Errorf("servetest: blocker %d of %d: %w", held, n, err)
 		}
-		for deadline := time.Now().Add(10 * time.Second); pool.Stats().InFlight != held; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				release()
-				return release, fmt.Errorf("servetest: blocker %d of %d never started (stats %+v)", held, n, pool.Stats())
-			}
-		}
+	}
+	if st := pool.Stats(); st.InFlight != n {
+		release()
+		return release, fmt.Errorf("servetest: %d blockers hold %d slots (stats %+v)", n, st.InFlight, st)
 	}
 	return release, nil
 }

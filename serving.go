@@ -166,7 +166,7 @@ func NewServer(be Backend, opts ...ServerOption) (*Server, error) {
 }
 
 // NewServerPool starts a job server sharded across a pool of backends —
-// one dispatch queue, breaker, and fault domain per device — with
+// one set of execution slots, breaker, and fault domain per device — with
 // load-aware placement (WithPlacement) on top of the same weighted-fair
 // global schedule. The pool changes at runtime through Server.AddBackend
 // and Server.DrainBackend:
@@ -197,7 +197,7 @@ func WithServerMetrics(reg *Metrics) ServerOption { return serve.WithMetrics(reg
 // job ID. Combine with NewTraceRecorderLimit for bounded memory.
 func WithServerRecorder(rec *TraceRecorder) ServerOption { return serve.WithRecorder(rec) }
 
-// WithMaxFusedJobs enables job fusion: when the dispatcher starts a GPUOnly
+// WithMaxFusedJobs enables job fusion: when the server starts a GPUOnly
 // job whose algorithm kind matches other queued GPUOnly jobs, up to n of
 // them execute as one fused breadth-first run — one kernel launch per
 // recursion level across all members, pipelined transfers — while each
@@ -240,9 +240,9 @@ func WithDeviceFaults(dev int, in *FaultInjector) ServerOption {
 func WithPlacement(p PlacementPolicy) ServerOption { return serve.WithPlacement(p) }
 
 // WithAutoDrain lets a device whose circuit breaker trips drain itself out
-// of the pool: queued jobs rebalance to healthier devices, in-flight work
-// finishes, and the device is removed. The last active device never
-// auto-drains. Off by default; meaningful only with WithBreaker.
+// of the pool: it takes no further placements, in-flight work finishes, and
+// the device is removed. The last active device never auto-drains. Off by
+// default; meaningful only with WithBreaker.
 func WithAutoDrain() ServerOption { return serve.WithAutoDrain() }
 
 // AutoTuner is the online calibrator behind JobAuto: per-device,
@@ -264,11 +264,6 @@ func LoadAutoTuner(data []byte) (*AutoTuner, error) { return autotune.LoadTuner(
 // calibrator for JobAuto, so a restarted server keeps its learned cost
 // model instead of re-deriving it from live traffic.
 func WithAutoTuner(t *AutoTuner) ServerOption { return serve.WithAutoTuner(t) }
-
-// WithSplitOversized lets an AdvancedHybrid job whose whole-instance
-// transfer size is at least bytes stripe across an idle multi-GPU device's
-// internal GPUs via RunMultiGPUCtx. 0, the default, never splits.
-func WithSplitOversized(bytes int64) ServerOption { return serve.WithSplitOversized(bytes) }
 
 // Per-job reliability policies, accepted (like any Option) by JobSpec.Opts
 // or Server.Submit. All re-executing policies require JobSpec.Fresh.
