@@ -75,14 +75,14 @@ func main() {
 		return
 	}
 
-	rawBe, closeBe, err := newBackend()
+	be, closeBe, err = newBackend()
 	check(err)
 	defer closeBe()
-	be = rawBe
 	var rec *trace.Recorder
+	var opts []hybriddc.Option
 	if *showTrace || *traceOut != "" {
 		rec = trace.NewRecorder()
-		be = trace.Wrap(rawBe, rec)
+		opts = append(opts, trace.Record(rec))
 	}
 	s, err = hybriddc.NewMergesort(in)
 	check(err)
@@ -90,11 +90,11 @@ func main() {
 	var rep hybriddc.Report
 	switch *strategy {
 	case "bf":
-		rep, err = hybriddc.RunBreadthFirstCPUCtx(context.Background(), be, s)
+		rep, err = hybriddc.RunBreadthFirstCPUCtx(context.Background(), be, s, opts...)
 		check(err)
 	case "basic":
 		x := 10
-		if sim, ok := rawBe.(*hybriddc.Sim); ok {
+		if sim, ok := be.(*hybriddc.Sim); ok {
 			if c, ok := hybriddc.BasicCrossover(2, hybriddc.MachineOf(sim)); ok {
 				x = c
 			}
@@ -102,7 +102,7 @@ func main() {
 		if x > *logN {
 			x = *logN
 		}
-		rep, err = hybriddc.RunBasicHybridCtx(context.Background(), be, s, x, hybriddc.WithCoalesce())
+		rep, err = hybriddc.RunBasicHybridCtx(context.Background(), be, s, x, append(opts, hybriddc.WithCoalesce())...)
 		check(err)
 	case "advanced":
 		a, yy := *alpha, *y
@@ -125,7 +125,7 @@ func main() {
 			a, yy = res.Alpha, res.Y
 			fmt.Printf("tuned over %d trials\n", res.Trials)
 		}
-		if sim, ok := rawBe.(*hybriddc.Sim); ok && (a < 0 || yy < 0) {
+		if sim, ok := be.(*hybriddc.Sim); ok && (a < 0 || yy < 0) {
 			pa, py := hybriddc.PlanAdvanced(sim, s)
 			if a < 0 {
 				a = pa
@@ -142,12 +142,12 @@ func main() {
 		}
 		fmt.Printf("advanced parameters: alpha=%.3f y=%d\n", a, yy)
 		rep, err = hybriddc.RunAdvancedHybridCtx(context.Background(), be, s,
-			a, yy, hybriddc.WithCoalesce())
+			a, yy, append(opts, hybriddc.WithCoalesce())...)
 		check(err)
 	case "gpu":
 		ps, err2 := hybriddc.NewParallelMergesort(in)
 		check(err2)
-		rep, err = hybriddc.RunGPUOnlyCtx(context.Background(), be, ps)
+		rep, err = hybriddc.RunGPUOnlyCtx(context.Background(), be, ps, opts...)
 		check(err)
 		verify(ps.Result())
 		fmt.Printf("%s: total %.4fs (device %.4fs), speedup %.2fx (%.2fx sort-only)\n",

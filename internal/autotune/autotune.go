@@ -1,6 +1,7 @@
 // Package autotune closes the loop from observability back into scheduling:
-// an online calibrator that ingests the per-level span timings and
-// transfer-byte meters the executors already emit, continuously refits the
+// an online calibrator that ingests what the executors already measure — the
+// batch and transfer intervals of every run (core.WithIntervals), summed into
+// one Observation per run by the serving layer — continuously refits the
 // platform model's per-algorithm cost parameters, and at dispatch time
 // prices every executable strategy for a job's N and picks the argmin.
 //

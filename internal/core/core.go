@@ -72,7 +72,7 @@ type Batch struct {
 	// cost-model batch (no data movement) — and is executed through Each.
 	RunRange func(lo, hi int)
 	// Level is the recursion level this batch belongs to (0 = root),
-	// stamped by the executors for observability layers (tracing, metrics).
+	// stamped by the interpreter, which reports it as Interval.Level.
 	// Backends do not interpret it.
 	Level int
 }

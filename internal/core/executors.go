@@ -118,19 +118,6 @@ func checkOpen(be Backend) error {
 	return nil
 }
 
-// instrument applies the run's observability layers to the backend: first
-// the user wrapper (tracing), then — outermost, so it accounts the run
-// exactly as driven — the metrics meter.
-func instrument(be Backend, cfg *RunConfig) Backend {
-	if cfg.Wrap != nil {
-		be = cfg.Wrap(be)
-	}
-	if cfg.Metrics != nil {
-		be = meter(be, cfg.Metrics)
-	}
-	return be
-}
-
 // canceledErr wraps the cancellation cause under the typed sentinel.
 func canceledErr(ctx context.Context, alg Alg, strategy string) error {
 	if cause := context.Cause(ctx); cause != nil && cause != context.Canceled {
@@ -147,12 +134,10 @@ func finish(alg Alg) {
 	}
 }
 
-// open resolves a run's options, applies its observability layers to the
-// backend and refuses a closed one: the prologue of every executor.
-func open(be Backend, opts []Option) (Backend, RunConfig, error) {
-	cfg := NewRunConfig(opts...)
-	be = instrument(be, &cfg)
-	return be, cfg, checkOpen(be)
+// open resolves a run's options and refuses a closed backend: the prologue
+// of every executor.
+func open(be Backend, opts []Option) (RunConfig, error) {
+	return NewRunConfig(opts...), checkOpen(be)
 }
 
 // RunSequentialCtx executes the algorithm on a single CPU core (the paper's
@@ -161,7 +146,7 @@ func open(be Backend, opts []Option) (Backend, RunConfig, error) {
 // WithGrain is accepted but has no effect — the run is already one task per
 // level on one core.
 func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
-	be, cfg, err := open(be, opts)
+	cfg, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -173,7 +158,7 @@ func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) 
 // at every level boundary. With WithGrain the bottom levels collapse into
 // depth-first coarse chunks (grain.go); the result is bit-identical.
 func RunBreadthFirstCPUCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
-	be, cfg, err := open(be, opts)
+	cfg, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -190,7 +175,7 @@ func RunBreadthFirstCPUCtx(ctx context.Context, be Backend, alg Alg, opts ...Opt
 // effect: the CPU portion holds only the levels above the crossover, never
 // a leaf-adjacent phase that coarsening could collapse.
 func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover int, opts ...Option) (Report, error) {
-	be, cfg, err := open(be, opts)
+	cfg, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -211,7 +196,7 @@ func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover in
 // GPUPortionSeconds excludes the two host↔device transfers ("sort only" in
 // the paper); Seconds includes them.
 func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) (Report, error) {
-	be, cfg, err := open(be, opts)
+	cfg, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -262,7 +247,7 @@ func splitDivision(be Backend, cfg *RunConfig, alg Alg, alpha float64, y int, de
 // implementation. The split level defaults to DefaultSplit; override it with
 // WithSplit. ctx is checked at every level boundary of all three chains.
 func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha float64, y int, opts ...Option) (Report, error) {
-	be, cfg, err := open(be, opts)
+	cfg, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}

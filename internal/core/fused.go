@@ -55,7 +55,7 @@ const FusedStrategy = "fused-gpu"
 // switch fused too: one permute launch before the base phase per chunk, and
 // one permute-back launch per group of members finishing the same step.
 func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Option) ([]Report, error) {
-	be, cfg, err := open(be, opts)
+	cfg, err := open(be, opts)
 	if err != nil {
 		return nil, err
 	}

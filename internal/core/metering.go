@@ -2,7 +2,7 @@ package core
 
 import "repro/internal/metrics"
 
-// Metric names recorded by the metered backend. They are package-level so
+// Metric names recorded by the interpreter's tap. They are package-level so
 // exposition layers and tests can reference them without typos; semantics
 // are documented in DESIGN.md §9.
 const (
@@ -20,155 +20,152 @@ const (
 	MetricToCPUBytes      = "core_transfer_to_cpu_bytes"
 )
 
-// meteredBackend interposes on a backend to account every batch and
-// transfer into a metrics registry. One instance is created per run (by
-// instrument), so it can also accumulate the run's own busy time and charge
-// the unit idle remainder when the run settles.
-type meteredBackend struct {
-	inner Backend
-	cpu   *meteredExecutor
-	gpu   *meteredExecutor
+// Unit is the resource an Interval occupied.
+type Unit uint8
 
-	toGPUCount, toCPUCount *metrics.Counter
-	toGPUBytes, toCPUBytes *metrics.Counter
-	runs                   *metrics.Counter
-	runSeconds             *metrics.Histogram
-	cpuIdle, gpuIdle       *metrics.Float
+const (
+	UnitCPU  Unit = iota // a batch on the CPU
+	UnitGPU              // a batch on a device, any of a multi-device run's
+	UnitLink             // a host↔device transfer
+)
+
+// Interval is one measured platform call of a run: a non-empty batch or a
+// transfer, from just before the interpreter hands it to the platform to the
+// top of its completion callback — queueing plus service — in the backend's
+// clock (virtual seconds on the simulator, wall clock on native). A folded
+// sequential level is the one batch actually submitted: one task of the
+// whole level's ops.
+type Interval struct {
+	Unit Unit
+	// Level, Tasks and Ops describe a batch: its recursion level
+	// (Batch.Level), task count and per-task op count.
+	Level int
+	Tasks int
+	Ops   float64
+	// Bytes and ToGPU describe a transfer: its size and direction.
+	Bytes int64
+	ToGPU bool
+	// Start and End are backend timestamps in seconds.
+	Start, End float64
 }
 
-var _ Backend = (*meteredBackend)(nil)
+// tap is where a run's intervals go: the metrics of WithMetrics and the
+// hook of WithIntervals. A run with neither has no tap, and its interpreter
+// reads no clock and writes nothing for one.
+type tap struct {
+	hook func(Interval)
+	open []openInterval // per chain (chain.id): the batch or transfer in flight
 
-// meter wraps be so every batch and transfer is accounted into reg.
-func meter(be Backend, reg *metrics.Registry) *meteredBackend {
-	m := &meteredBackend{
-		inner:      be,
-		toGPUCount: reg.Counter(MetricToGPUTransfers),
-		toCPUCount: reg.Counter(MetricToCPUTransfers),
-		toGPUBytes: reg.Counter(MetricToGPUBytes),
-		toCPUBytes: reg.Counter(MetricToCPUBytes),
-		runs:       reg.Counter(MetricRuns),
-		runSeconds: reg.Histogram(MetricRunSeconds),
-		cpuIdle:    reg.Float(MetricCPUIdleSeconds),
-		gpuIdle:    reg.Float(MetricGPUIdleSeconds),
-	}
-	m.cpu = &meteredExecutor{
-		inner: be.CPU(), be: be,
-		batch: reg.Histogram(MetricCPUBatchSeconds),
-		busy:  reg.Float(MetricCPUBusySeconds),
-	}
-	if g := be.GPU(); g != nil {
-		m.gpu = &meteredExecutor{
-			inner: g, be: be,
-			batch: reg.Histogram(MetricGPUBatchSeconds),
-			busy:  reg.Float(MetricGPUBusySeconds),
-		}
-	}
-	return m
+	// The run's instruments, nil (no-op) without WithMetrics; batch and busy
+	// are indexed by Unit (the GPU's nil on a CPU-only backend), the transfer
+	// counters by direction (1 = to the GPU).
+	batch           [2]*metrics.Histogram
+	busy, idle      [2]*metrics.Float
+	runBusy         [2]metrics.Float // this run's batch time per unit, for its idle remainder
+	xfers, xferByte [2]*metrics.Counter
+	runs            *metrics.Counter
+	runSeconds      *metrics.Histogram
 }
 
-// finish settles the run's derived metrics: the makespan observation and the
-// per-unit idle remainder makespan − Σ batch time. Batches overlapping on a
-// unit (two chains of the advanced division sharing the CPU) can push the
-// busy sum past the makespan, in which case the idle charge clamps at zero.
-func (m *meteredBackend) finish(makespan float64) {
-	m.runs.Inc()
-	m.runSeconds.Observe(makespan)
-	charge := func(idle *metrics.Float, e *meteredExecutor) {
-		if e == nil {
-			return
-		}
-		if d := makespan - e.runBusy.Value(); d > 0 {
-			idle.Add(d)
-		}
-	}
-	charge(m.cpuIdle, m.cpu)
-	charge(m.gpuIdle, m.gpu)
+// openInterval is a chain's measured op in flight.
+type openInterval struct {
+	Interval
+	live bool
 }
 
-// CPU implements Backend.
-func (m *meteredBackend) CPU() LevelExecutor { return m.cpu }
-
-// GPU implements Backend.
-func (m *meteredBackend) GPU() LevelExecutor {
-	if m.gpu == nil {
+// newTap is the tap of a run under cfg on be, nil when nothing listens.
+func newTap(cfg *RunConfig, be Backend) *tap {
+	if cfg.Metrics == nil && cfg.Intervals == nil {
 		return nil
 	}
-	return m.gpu
+	reg := cfg.Metrics
+	t := &tap{
+		hook:       cfg.Intervals,
+		runs:       reg.Counter(MetricRuns),
+		runSeconds: reg.Histogram(MetricRunSeconds),
+		batch:      [2]*metrics.Histogram{reg.Histogram(MetricCPUBatchSeconds)},
+		busy:       [2]*metrics.Float{reg.Float(MetricCPUBusySeconds)},
+		idle:       [2]*metrics.Float{reg.Float(MetricCPUIdleSeconds), reg.Float(MetricGPUIdleSeconds)},
+		xfers:      [2]*metrics.Counter{reg.Counter(MetricToCPUTransfers), reg.Counter(MetricToGPUTransfers)},
+		xferByte:   [2]*metrics.Counter{reg.Counter(MetricToCPUBytes), reg.Counter(MetricToGPUBytes)},
+	}
+	if be.GPU() != nil {
+		t.batch[UnitGPU] = reg.Histogram(MetricGPUBatchSeconds)
+		t.busy[UnitGPU] = reg.Float(MetricGPUBusySeconds)
+	}
+	return t
 }
 
-// GPUGamma implements Backend.
-func (m *meteredBackend) GPUGamma() float64 { return m.inner.GPUGamma() }
-
-// TransferToGPU implements Backend.
-func (m *meteredBackend) TransferToGPU(n int64, done func()) {
-	m.toGPUCount.Inc()
-	m.toGPUBytes.Add(uint64(n))
-	m.inner.TransferToGPU(n, done)
+// watch sizes the tap for a planned run's chains.
+func (t *tap) watch(chains []chain) {
+	t.open = make([]openInterval, len(chains))
+	for i := range chains {
+		chains[i].id = int32(i)
+	}
 }
 
-// TransferToCPU implements Backend.
-func (m *meteredBackend) TransferToCPU(n int64, done func()) {
-	m.toCPUCount.Inc()
-	m.toCPUBytes.Add(uint64(n))
-	m.inner.TransferToCPU(n, done)
+// measureBatch opens the interval of the batch chain c is about to submit
+// to unit u; an empty batch is not measured.
+func (c *chain) measureBatch(u Unit, b *Batch) {
+	if t := c.run.tap; t != nil && !b.Empty() {
+		t.start(c, Interval{Unit: u, Level: b.Level, Tasks: b.Tasks, Ops: b.Cost.Ops})
+	}
 }
 
-// Now implements Backend.
-func (m *meteredBackend) Now() float64 { return m.inner.Now() }
-
-// Unwrap implements Unwrapper so capability probes (segment allocation)
-// reach the wrapped backend.
-func (m *meteredBackend) Unwrap() Backend { return m.inner }
-
-// Wait implements Backend.
-func (m *meteredBackend) Wait() { m.inner.Wait() }
-
-// Autonomous forwards the wrapped backend's marker so executors drive a
-// metered backend exactly like the bare one.
-func (m *meteredBackend) Autonomous() bool { return autonomous(m.inner) }
-
-// Closed forwards the wrapped backend's Closer state.
-func (m *meteredBackend) Closed() bool {
-	c, ok := m.inner.(Closer)
-	return ok && c.Closed()
+// measureTransfer opens the interval of the chain's upload or download.
+func (c *chain) measureTransfer(toGPU bool) {
+	if t := c.run.tap; t != nil {
+		t.start(c, Interval{Unit: UnitLink, Bytes: c.bytes, ToGPU: toGPU})
+	}
 }
 
-// Fault forwards the wrapped backend's Faulter state, so a device fault
-// recorded beneath the meter still reaches the executor's settlement.
-func (m *meteredBackend) Fault() error { return deviceFault(m.inner) }
-
-// meteredExecutor accounts every submitted batch: its queue+service latency
-// into a histogram (whose Sum is total batch time), and into both the
-// registry-wide and the per-run busy accumulators.
-type meteredExecutor struct {
-	inner   LevelExecutor
-	be      Backend
-	batch   *metrics.Histogram
-	busy    *metrics.Float
-	runBusy metrics.Float // per-run accumulation, feeds the idle remainder
+// start opens chain c's interval iv now.
+func (t *tap) start(c *chain, iv Interval) {
+	iv.Start = c.run.be.Now()
+	t.open[c.id] = openInterval{iv, true}
 }
 
-var _ LevelExecutor = (*meteredExecutor)(nil)
-
-// Parallelism implements LevelExecutor.
-func (e *meteredExecutor) Parallelism() int { return e.inner.Parallelism() }
-
-// Submit implements LevelExecutor.
-func (e *meteredExecutor) Submit(b Batch, done func()) {
-	if b.Empty() {
-		if done != nil {
-			done()
-		}
+// landed closes chain c's interval in flight, if one is open, and reports
+// it: the top of the chain's completion callback.
+func (t *tap) landed(c *chain) {
+	o := &t.open[c.id]
+	if !o.live {
 		return
 	}
-	start := e.be.Now()
-	e.inner.Submit(b, func() {
-		d := e.be.Now() - start
-		e.batch.Observe(d)
-		e.busy.Add(d)
-		e.runBusy.Add(d)
-		if done != nil {
-			done()
+	o.live = false
+	iv := o.Interval
+	iv.End = c.run.be.Now()
+	d := iv.End - iv.Start
+	if iv.Unit == UnitLink {
+		dir := 0
+		if iv.ToGPU {
+			dir = 1
 		}
-	})
+		t.xfers[dir].Inc()
+		t.xferByte[dir].Add(uint64(iv.Bytes))
+	} else {
+		t.batch[iv.Unit].Observe(d)
+		t.busy[iv.Unit].Add(d)
+		t.runBusy[iv.Unit].Add(d)
+	}
+	if t.hook != nil {
+		t.hook(iv)
+	}
+}
+
+// finish books a settled run: its makespan, and per unit the idle remainder
+// makespan − Σ batch time. Batches overlapping on a unit (two chains of the
+// advanced division sharing the CPU) can push the busy sum past the
+// makespan, in which case the idle charge clamps at zero.
+func (t *tap) finish(makespan float64) {
+	t.runs.Inc()
+	t.runSeconds.Observe(makespan)
+	for u := range t.idle {
+		if t.batch[u] == nil {
+			continue
+		}
+		if d := makespan - t.runBusy[u].Value(); d > 0 {
+			t.idle[u].Add(d)
+		}
+	}
 }

@@ -11,9 +11,10 @@ import (
 // batch immediately and advances a fake clock, so metered durations are
 // deterministic and nonzero.
 type fakeBackend struct {
-	now float64
-	cpu *fakeExec
-	gpu *fakeExec
+	now   float64
+	reads int // Now calls
+	cpu   *fakeExec
+	gpu   *fakeExec
 }
 
 type fakeExec struct{ be *fakeBackend }
@@ -52,7 +53,7 @@ func (f *fakeBackend) TransferToCPU(n int64, done func()) {
 	f.now += 0.0005
 	done()
 }
-func (f *fakeBackend) Now() float64 { return f.now }
+func (f *fakeBackend) Now() float64 { f.reads++; return f.now }
 func (f *fakeBackend) Wait()        {}
 
 // meterAlg is a minimal two-level GPUAlg for metering tests.
@@ -124,12 +125,29 @@ func TestMeteredHybridTransfers(t *testing.T) {
 	}
 }
 
-// TestNilMetricsUnchanged pins that a run without WithMetrics drives the
-// bare backend (no metering wrapper interposed).
+// TestNilMetricsUnchanged pins that a run without WithMetrics or
+// WithIntervals has no tap, and that a tap reads the clock twice per
+// interval it reports and nowhere else: the run without one reads it only
+// for its own stamps.
 func TestNilMetricsUnchanged(t *testing.T) {
 	be := newFakeBackend(true)
-	cfg := NewRunConfig()
-	if got := instrument(be, &cfg); got != Backend(be) {
-		t.Errorf("instrument without metrics wrapped the backend: %T", got)
+	for _, opts := range [][]Option{nil, {WithMetrics(nil)}, {WithIntervals(nil)}} {
+		cfg := NewRunConfig(opts...)
+		if newTap(&cfg, be) != nil {
+			t.Errorf("options %d long: a run with no listener has a tap", len(opts))
+		}
+	}
+	reads := func(opts ...Option) int {
+		be := newFakeBackend(true)
+		if _, err := RunAdvancedHybridCtx(context.Background(), be, meterAlg{}, 0.5, 1, opts...); err != nil {
+			t.Fatal(err)
+		}
+		return be.reads
+	}
+	intervals := 0
+	bare, heard := reads(), reads(WithIntervals(func(Interval) { intervals++ }))
+	if intervals == 0 || heard-bare != 2*intervals {
+		t.Errorf("clock reads: %d without a listener, %d with one hearing %d intervals; want a difference of 2 per interval",
+			bare, heard, intervals)
 	}
 }

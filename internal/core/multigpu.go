@@ -33,30 +33,24 @@ type MultiGPUBackend interface {
 // the slowest stripe, its CPU combines above y included.
 //
 // ctx is checked at every level boundary of every chain; on cancellation the
-// partial Report's error wraps dcerr.ErrCanceled. A WithBackendWrapper layer
-// that does not itself implement MultiGPUBackend (tracing, metering) sees
-// the CPU and transfer traffic but not the per-device submissions, which go
-// to the raw device executors.
+// partial Report's error wraps dcerr.ErrCanceled.
 func RunMultiGPUCtx(ctx context.Context, be MultiGPUBackend, alg GPUAlg, alpha float64, y int, opts ...Option) (Report, error) {
-	ibe, cfg, err := open(be, opts)
+	cfg, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
 	devices := be.GPUs()
-	if mg, ok := ibe.(MultiGPUBackend); ok {
-		devices = mg.GPUs()
-	}
 	if len(devices) == 0 {
 		return Report{}, fmt.Errorf("core: %w (multi-GPU strategy)", dcerr.ErrNoGPU)
 	}
 	if err := checkAlphaY(alg, alpha, y); err != nil {
 		return Report{}, err
 	}
-	d, err := splitDivision(ibe, &cfg, alg, alpha, y, devices)
+	d, err := splitDivision(be, &cfg, alg, alpha, y, devices)
 	if err != nil {
 		return Report{}, err
 	}
-	r := execute(ctx, ibe, &cfg, alg, alg, fmt.Sprintf("advanced-%dgpu", len(d.devs)), d)
+	r := execute(ctx, be, &cfg, alg, alg, fmt.Sprintf("advanced-%dgpu", len(d.devs)), d)
 	r.rep[0].CPUPortionSeconds = since(r.chains[chCPU].end, r.forkAt())
 	for i := range r.devs() {
 		r.rep[0].GPUPortionSeconds = max(r.rep[0].GPUPortionSeconds, r.devs()[i].end-r.forkAt())

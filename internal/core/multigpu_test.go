@@ -2,12 +2,17 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/algos/mergesort"
 	. "repro/internal/core"
 	"repro/internal/hpu"
+	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -161,5 +166,89 @@ func TestDualDieFootnote(t *testing.T) {
 	if dual < 0.75*single {
 		t.Errorf("dual-die run %gs much faster than single %gs; footnote 5 trade-off not reproduced",
 			dual, single)
+	}
+}
+
+// TestMultiGPUDeviceBatchesMeasured: every device batch of a multi-device
+// run is measured like any other. The interpreter times the ops it submits
+// to each device's executor, so the core_gpu_batch_seconds histogram and the
+// trace's "gpu" spans count exactly the plan's non-empty device batches, on
+// both devices. (Backend decorators could not see them: the devices were
+// reached through the backend's GPUs, not through the wrapper.)
+func TestMultiGPUDeviceBatchesMeasured(t *testing.T) {
+	mg, err := hpu.NewMultiSim(hpu.HPU1(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := newPlanRecorder(mg)
+	reg, rec := metrics.NewRegistry(), trace.NewRecorder()
+	if _, err := RunMultiGPUCtx(context.Background(), be, newProbe(2, 6), 0.25, 3,
+		WithMetrics(reg), trace.Record(rec)); err != nil {
+		t.Fatal(err)
+	}
+	perDevice := map[string]int{}
+	for _, line := range be.lines {
+		var unit string
+		var level, tasks int
+		if _, err := fmt.Sscanf(line, "%s l=%d n=%d", &unit, &level, &tasks); err == nil && strings.HasPrefix(unit, "gpu") && tasks > 0 {
+			perDevice[unit]++
+		}
+	}
+	if perDevice["gpu0"] == 0 || perDevice["gpu1"] == 0 {
+		t.Fatalf("device batches per device = %v, want both devices used", perDevice)
+	}
+	want := perDevice["gpu0"] + perDevice["gpu1"]
+	if got := reg.Snapshot().Histograms[MetricGPUBatchSeconds].Count; got != uint64(want) {
+		t.Errorf("%s count = %d, want the plan's %d device batches", MetricGPUBatchSeconds, got, want)
+	}
+	spans := 0
+	for _, s := range rec.Spans() {
+		if s.Unit == trace.UnitGPU {
+			spans++
+		}
+	}
+	if spans != want {
+		t.Errorf("gpu spans = %d, want the plan's %d device batches", spans, want)
+	}
+}
+
+// TestMeteredNativeIntervals runs a two-device division on the native
+// backend, where the CPU portion and both device chains complete their ops
+// on worker goroutines, with metrics and a hook both listening: under -race
+// it checks the tap's writes, and the metrics count exactly what the hook
+// heard.
+func TestMeteredNativeIntervals(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var mu sync.Mutex
+	heard := map[Unit]int{}
+	toGPU := 0
+	hook := WithIntervals(func(iv Interval) {
+		mu.Lock()
+		defer mu.Unlock()
+		heard[iv.Unit]++
+		if iv.ToGPU {
+			toGPU++
+		}
+	})
+	for round := 0; round < 4; round++ {
+		if _, err := RunMultiGPUCtx(context.Background(), newMultiNative(t, 2), newProbe(2, 8), 0.3, 4,
+			WithMetrics(reg), hook); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := reg.Snapshot()
+	if got := s.Histograms[MetricCPUBatchSeconds].Count; got != uint64(heard[UnitCPU]) || got == 0 {
+		t.Errorf("%s count = %d, hook heard %d CPU batches", MetricCPUBatchSeconds, got, heard[UnitCPU])
+	}
+	if got := s.Histograms[MetricGPUBatchSeconds].Count; got != uint64(heard[UnitGPU]) || got == 0 {
+		t.Errorf("%s count = %d, hook heard %d device batches", MetricGPUBatchSeconds, got, heard[UnitGPU])
+	}
+	if up, down := s.Counters[MetricToGPUTransfers], s.Counters[MetricToCPUTransfers]; up != 4*2 || down != 4*2 ||
+		int(up+down) != heard[UnitLink] || int(up) != toGPU {
+		t.Errorf("transfers up %d down %d, hook heard %d (%d up); want two each way per device per run",
+			up, down, heard[UnitLink], toGPU)
+	}
+	if got := s.Counters[MetricRuns]; got != 4 {
+		t.Errorf("%s = %d, want 4", MetricRuns, got)
 	}
 }

@@ -62,9 +62,9 @@ type RunConfig struct {
 	// Priority is the scheduling weight used by serving layers (higher is
 	// dispatched sooner under contention). Direct executors ignore it.
 	Priority int
-	// Wrap, if non-nil, substitutes the backend the executor drives — the
-	// hook used by tracing and other instrumentation layers.
-	Wrap func(Backend) Backend
+	// Intervals, if non-nil, receives every batch and transfer the run
+	// measures (WithIntervals).
+	Intervals func(Interval)
 	// Observe, if non-nil, runs on the final Report before the executor
 	// returns (after a partial, canceled run too).
 	Observe func(*Report)
@@ -132,19 +132,35 @@ func WithPriority(w int) Option {
 	}
 }
 
-// WithMetrics directs the run's execution metrics into the registry:
-// per-level batch latency histograms per unit, CPU/GPU busy and idle time,
-// and transfer bytes/counts split by direction (metric names in DESIGN.md
-// §9). A nil registry disables metrics (the default); the disabled path
-// performs no allocation and no atomic work.
+// WithMetrics directs the run's execution metrics into the registry: one
+// batch latency histogram per unit, CPU/GPU busy and idle time, and transfer
+// bytes/counts split by direction (metric names in DESIGN.md §9). A nil
+// registry disables metrics (the default); the disabled path performs no
+// allocation and no atomic work.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(c *RunConfig) { c.Metrics = reg }
 }
 
-// WithBackendWrapper substitutes the backend seen by the executor; tracing
-// uses this to interpose span recording on every Submit and transfer.
-func WithBackendWrapper(wrap func(Backend) Backend) Option {
-	return func(c *RunConfig) { c.Wrap = wrap }
+// WithIntervals registers f to receive every Interval of the run: each
+// non-empty batch and each transfer, as the interpreter completes it.
+// Multiple hooks chain in registration order. On an autonomous backend (the
+// native one) the chains of a run complete on different goroutines, so f may
+// run concurrently with itself.
+func WithIntervals(f func(Interval)) Option {
+	return func(c *RunConfig) {
+		if f == nil {
+			return
+		}
+		prev := c.Intervals
+		if prev == nil {
+			c.Intervals = f
+			return
+		}
+		c.Intervals = func(iv Interval) {
+			prev(iv)
+			f(iv)
+		}
+	}
 }
 
 // WithAutoStrategy records the auto-tuner's chosen strategy name so the

@@ -11,7 +11,7 @@ import (
 
 func TestRunConfigDefaults(t *testing.T) {
 	c := NewRunConfig()
-	if c.Coalesce || c.SplitSet || c.Wrap != nil || c.Observe != nil {
+	if c.Coalesce || c.SplitSet || c.Intervals != nil || c.Observe != nil {
 		t.Errorf("zero options resolved to non-default config %+v", c)
 	}
 	if c.Priority != 1 {
@@ -76,20 +76,25 @@ func TestWithSplitRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestWithBackendWrapper asserts the wrapper substitutes the backend the
-// executor drives.
-func TestWithBackendWrapper(t *testing.T) {
-	wrapped := false
-	be := hpu.MustSim(hpu.HPU1())
-	_, err := RunSequentialCtx(context.Background(), be, newProbe(2, 3),
-		WithBackendWrapper(func(inner Backend) Backend {
-			wrapped = true
-			return inner
-		}))
+// TestWithIntervalsChains asserts hooks chain in registration order, a nil
+// hook is ignored, and every hook hears every interval of the run.
+func TestWithIntervalsChains(t *testing.T) {
+	var order []string
+	_, err := RunSequentialCtx(context.Background(), hpu.MustSim(hpu.HPU1()), newProbe(2, 3),
+		WithIntervals(func(Interval) { order = append(order, "first") }),
+		WithIntervals(nil),
+		WithIntervals(func(Interval) { order = append(order, "second") }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wrapped {
-		t.Error("backend wrapper never ran")
+	// The probe's three divide levels, its leaves and three combine levels,
+	// each folded into one batch.
+	if len(order) != 2*7 {
+		t.Fatalf("hooks heard %d intervals, want 2 x 7", len(order))
+	}
+	for i := 0; i < len(order); i += 2 {
+		if order[i] != "first" || order[i+1] != "second" {
+			t.Fatalf("hooks ran as %v, want first, second per interval", order)
+		}
 	}
 }

@@ -69,6 +69,7 @@ type chain struct {
 	next  func() // c.advance, bound at the first op that completes later: the chain's only completion callback
 	end   float64
 	waits atomic.Int32 // its join: how many chains have yet to end before it starts
+	id    int32        // its index in run.chains, set only for a run's tap
 	then  *chain       // the chain in whose join this one ends, if any
 
 	// Device chains only.
@@ -85,6 +86,7 @@ type chain struct {
 type run struct {
 	ctx        context.Context
 	cancelable bool
+	forest     bool // galg is a forest, whose launches span levels and come stamped
 	be         Backend
 	alg        Alg
 	galg       GPUAlg           // nil when the division has no devices
@@ -92,7 +94,7 @@ type run struct {
 	sa         SegmentAllocator // nil when the backend does not pool device memory
 	a, L       int
 	fold       *fold // sequential: every CPU batch folded onto one core
-	forest     bool  // galg is a forest, whose launches span levels and come stamped
+	tap        *tap  // nil when nothing listens (metering.go)
 
 	ops    []op // backing store of all chains
 	chains []chain
@@ -146,6 +148,7 @@ func newRun(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAl
 	r := &run{
 		ctx: ctx, cancelable: ctx.Done() != nil,
 		be: be, alg: alg, galg: galg, sa: segmentAllocator(be), a: alg.Arity(), L: alg.Levels(),
+		tap: newTap(cfg, be),
 	}
 	if cfg.Coalesce {
 		r.tr, _ = alg.(Transformable)
@@ -206,6 +209,9 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 // one the run blocks on its own signal alone, so concurrent runs sharing the
 // backend do not wait for each other.
 func (r *run) drive(first *chain) {
+	if r.tap != nil {
+		r.tap.watch(r.chains)
+	}
 	r.start = r.be.Now()
 	r.done.Add(1)
 	r.begin(first)
@@ -307,10 +313,14 @@ func (r *run) begin(c *chain) {
 }
 
 // advance executes the chain's next op; it is also the completion callback
-// of the op before. ctx is checked before every op — a level boundary — so
-// the op in flight always completes and nothing after it starts.
+// of the op before, whose interval the run's tap, if any, closes first. ctx
+// is checked before every op — a level boundary — so the op in flight always
+// completes and nothing after it starts.
 func (c *chain) advance() {
 	r := c.run
+	if r.tap != nil {
+		r.tap.landed(c)
+	}
 	for {
 		if r.cancelable && r.ctx.Err() != nil {
 			r.stopped.Store(true)
@@ -347,9 +357,11 @@ func (c *chain) advance() {
 		var b Batch
 		switch o.kind {
 		case opUpload:
+			c.measureTransfer(true)
 			r.be.TransferToGPU(c.bytes, c.next)
 			return
 		case opDownload:
+			c.measureTransfer(false)
 			r.be.TransferToCPU(c.bytes, c.next)
 			return
 		case opDivide:
@@ -372,14 +384,16 @@ func (c *chain) advance() {
 			b = r.tr.PermuteBack(o.level, o.lo, o.hi)
 		}
 		if !r.forest {
-			b.Level = o.level // for observability layers (trace spans, per-level metrics)
+			b.Level = o.level // for the run's intervals (Interval.Level)
 		}
 		switch {
 		case o.kind >= opGPUDivide:
+			c.measureBatch(UnitGPU, &b)
 			c.dev.Submit(b, c.next)
 		case r.fold != nil:
 			c.submitFolded(b)
 		default:
+			c.measureBatch(UnitCPU, &b)
 			r.be.CPU().Submit(b, c.next)
 		}
 		return
@@ -397,6 +411,7 @@ func (c *chain) submitFolded(b Batch) {
 	f.b = b
 	seq := Batch{Tasks: 1, Cost: b.Cost.Scale(float64(b.Tasks)), Level: b.Level, Run: f.task}
 	seq.Cost.WorkingSet = b.Cost.WorkingSet
+	c.measureBatch(UnitCPU, &seq)
 	c.run.be.CPU().Submit(seq, c.next)
 }
 
@@ -440,8 +455,8 @@ func (r *run) settle(cfg *RunConfig, reps []Report) error {
 		seg.Release()
 	}
 	makespan := r.be.Now() - r.start
-	if mb, ok := r.be.(*meteredBackend); ok {
-		mb.finish(makespan)
+	if r.tap != nil {
+		r.tap.finish(makespan)
 	}
 	var err error
 	switch fault := deviceFault(r.be); {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dcerr"
+	"repro/internal/metrics"
 )
 
 // inlineBackend runs every batch and transfer on the submitting goroutine
@@ -342,9 +343,14 @@ func stubTrees(depths []int, hook func(event string)) []GPUAlg {
 // offsets and two closures), so those cases are held to what the closure
 // scheduler before them allocated — 90 / 125 / 130 at L = 4 and 234 / 353 /
 // 370 at L = 16 for 2 / 4 / 8 members, 55 and 127 for one — not to a
-// constant.
+// constant. A run with a listener — WithMetrics or an interval hook — adds
+// its tap and the tap's table of open intervals, one slot per chain: two
+// allocations whatever L is. (Three metering decorators allocated a closure
+// per batch before the interpreter measured its own ops.)
 func TestPlanAllocsIndependentOfDepth(t *testing.T) {
 	ctx := context.Background()
+	heard := 0
+	withMetrics, withHook := WithMetrics(metrics.NewRegistry()), WithIntervals(func(Interval) { heard++ })
 	fused := func(be Backend, algs []GPUAlg) error {
 		_, err := RunFusedGPUCtx(ctx, be, algs)
 		return err
@@ -376,6 +382,12 @@ func TestPlanAllocsIndependentOfDepth(t *testing.T) {
 		{"advanced-hybrid", 1, single(func(be Backend, alg GPUAlg) (Report, error) {
 			return RunAdvancedHybridCtx(ctx, be, alg, 0.5, 3, WithSplit(2))
 		}), 8, 8},
+		{"advanced-hybrid with WithMetrics", 1, single(func(be Backend, alg GPUAlg) (Report, error) {
+			return RunAdvancedHybridCtx(ctx, be, alg, 0.5, 3, WithSplit(2), withMetrics)
+		}), 10, 10},
+		{"advanced-hybrid with a hook", 1, single(func(be Backend, alg GPUAlg) (Report, error) {
+			return RunAdvancedHybridCtx(ctx, be, alg, 0.5, 3, WithSplit(2), withHook)
+		}), 10, 10},
 		{"fused x1", 1, fused, 15, 15},
 		{"fused x2", 2, fused, 90, 234},
 		{"fused x4", 4, fused, 125, 353},

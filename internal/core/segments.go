@@ -21,9 +21,9 @@ type SegmentAllocator interface {
 	AllocSegment(bytes int64) *Segment
 }
 
-// Unwrapper is implemented by backend decorators (metering, fault
-// injection) so capability probes can reach inner layers that the
-// decorator does not forward explicitly.
+// Unwrapper is implemented by backend decorators (fault injection) so
+// capability probes can reach inner layers that the decorator does not
+// forward explicitly.
 type Unwrapper interface {
 	Unwrap() Backend
 }

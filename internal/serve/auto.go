@@ -4,11 +4,14 @@ package serve
 // online calibrator (internal/autotune). A job submitted with Strategy
 // Auto is priced at placement against the chosen device's calibration —
 // bf-cpu vs gpu-only vs every basic-hybrid crossover vs an (α, y) grid of
-// advanced-hybrid divisions — and the argmin runs. Every clean metered
-// attempt (auto or fixed-strategy) feeds the device's calibration, so a
-// server warms up from its regular traffic. DESIGN.md §16.
+// advanced-hybrid divisions — and the argmin runs. Every clean attempt
+// (auto or fixed-strategy) feeds the device's calibration with the intervals
+// its run measured, so a server warms up from its regular traffic.
+// DESIGN.md §16.
 
 import (
+	"sync"
+
 	"repro/internal/autotune"
 	"repro/internal/core"
 )
@@ -76,37 +79,53 @@ func (s *Server) decideAutoLocked(d *device, q *queued, allowGPU bool) {
 	q.cost = dec.Predicted
 }
 
-// feedAutotune folds one clean, complete, metered attempt of alg under p
-// into the placed device's calibration. Attempts whose meter saw nothing (a
-// job's own backend wrapper replaced the server's instrumentation) are
-// skipped — an empty sample would poison the rates.
-func (s *Server) feedAutotune(d *device, alg core.Alg, p plan, m *autotune.Meter, rep core.Report) {
-	if m.Empty() {
-		return
+// sample sums one attempt's intervals, in completion order, into the
+// measured half of a calibration observation: busy seconds per unit and the
+// link's bytes, seconds and crossings. A native run completes its intervals
+// on several goroutines, hence the lock.
+type sample struct {
+	mu  sync.Mutex
+	obs autotune.Observation
+}
+
+// add is the sample's interval hook (core.WithIntervals).
+func (m *sample) add(iv core.Interval) {
+	d := iv.End - iv.Start
+	m.mu.Lock()
+	switch iv.Unit {
+	case core.UnitCPU:
+		m.obs.CPUSeconds += d
+	case core.UnitGPU:
+		m.obs.GPUSeconds += d
+	default:
+		m.obs.TransferBytes += iv.Bytes
+		m.obs.TransferSeconds += d
+		m.obs.Transfers++
 	}
+	m.mu.Unlock()
+}
+
+// feedAutotune folds one clean, complete attempt of alg under p, measured by
+// smp, into the placed device's calibration. The run has returned, so every
+// interval is in.
+func (s *Server) feedAutotune(d *device, alg core.Alg, p plan, smp *sample, rep core.Report) {
 	sp, ok := autoSpec(alg, d.be)
 	if !ok {
 		return
 	}
-	predicted := 0.0
+	obs := smp.obs
 	if p.calibrated {
 		// Only a calibrated prediction of the plan that actually ran is a
 		// meaningful model-error sample.
-		predicted = p.predicted
+		obs.PredictedSeconds = p.predicted
 	}
-	cpuU, gpuU, err := s.tuner.ForDevice(d.id).UnitsFor(sp, p.strat.String(), p.crossover, p.alpha, p.y)
+	var err error
+	obs.ModelCPUUnits, obs.ModelGPUUnits, err = s.tuner.ForDevice(d.id).UnitsFor(sp, p.strat.String(), p.crossover, p.alpha, p.y)
 	if err != nil {
 		return
 	}
-	smp := m.Snapshot()
-	s.tuner.Observe(d.id, autotune.Observation{
-		Alg: sp.Alg, N: sp.N,
-		ModelCPUUnits: cpuU, ModelGPUUnits: gpuU,
-		CPUSeconds: smp.CPUSeconds, GPUSeconds: smp.GPUSeconds,
-		TransferBytes: smp.TransferBytes, TransferSeconds: smp.TransferSeconds,
-		Transfers:        smp.Transfers,
-		PredictedSeconds: predicted, Seconds: rep.Seconds,
-	})
+	obs.Alg, obs.N, obs.Seconds = sp.Alg, sp.N, rep.Seconds
+	s.tuner.Observe(d.id, obs)
 }
 
 // Tuner returns the server's auto-strategy calibrator (never nil), so a

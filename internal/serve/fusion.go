@@ -46,8 +46,8 @@ import (
 // fusion is enabled (MaxFusedJobs ≥ 2), the strategy is GPUOnly (the only
 // all-device-resident plan, so segments coexist on the card), the algorithm
 // implements core.GPUAlg, and the job's options carry no per-run
-// instrumentation — a backend wrapper, observer, or private metrics
-// registry cannot be attributed to one member of a shared launch. The key
+// instrumentation — an interval hook, observer, or private metrics registry
+// cannot be attributed to one member of a shared launch. The key
 // groups jobs by algorithm kind and coalesce setting, because one fused run
 // executes under one RunConfig.
 func (s *Server) fuseClass(job Job, rc core.RunConfig) string {
@@ -57,7 +57,7 @@ func (s *Server) fuseClass(job Job, rc core.RunConfig) string {
 	if _, ok := job.Alg.(core.GPUAlg); !ok {
 		return ""
 	}
-	if rc.Wrap != nil || rc.Observe != nil || rc.Metrics != nil {
+	if rc.Intervals != nil || rc.Observe != nil || rc.Metrics != nil {
 		return ""
 	}
 	// A reliability policy needs per-job attempt control (retry, hedge,
@@ -264,9 +264,7 @@ func (s *Server) executeFused(d *device, members []*queued) ([]core.Report, erro
 	var scope *trace.Scope
 	if s.cfg.Trace != nil {
 		scope = s.cfg.Trace.Scope(head.h.ID)
-		opts = append(opts, core.WithBackendWrapper(func(inner core.Backend) core.Backend {
-			return trace.Wrap(inner, scope)
-		}))
+		opts = append(opts, trace.Record(scope))
 	}
 	if strings.HasSuffix(head.fuseKey, "|coalesce") {
 		opts = append(opts, core.WithCoalesce())

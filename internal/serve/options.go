@@ -92,15 +92,17 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 
 // WithFaults wraps every job attempt's backend with the fault injector, so
 // a chaos run exercises the reliability policies against deterministic,
-// seeded device failures (see internal/faults). Fused executions and jobs
-// carrying their own core.WithBackendWrapper bypass injection.
+// seeded device failures (see internal/faults). Fused executions bypass
+// injection.
 func WithFaults(in *faults.Injector) Option {
 	return func(c *Config) { c.Faults = in }
 }
 
 // WithDeviceFaults overrides WithFaults for one pool device, so a chaos run
 // can make a single pool member flaky while the rest stay healthy — the
-// setup that exercises per-device breaker isolation and re-routing.
+// setup that exercises per-device breaker isolation and re-routing. Like
+// WithFaults it wraps every solo attempt placed on the device, whatever the
+// job's own options; fused executions bypass it.
 func WithDeviceFaults(dev int, in *faults.Injector) Option {
 	return func(c *Config) {
 		if c.DeviceFaults == nil {
@@ -111,8 +113,8 @@ func WithDeviceFaults(dev int, in *faults.Injector) Option {
 }
 
 // WithAutoTuner installs a pre-built (typically persisted-and-reloaded via
-// autotune.LoadTuner) calibrator for Strategy Auto, and switches per-attempt
-// metering on from the first job rather than from the first Auto submission.
+// autotune.LoadTuner) calibrator for Strategy Auto, and has every attempt feed
+// it from the first job rather than from the first Auto submission.
 // Without this option the server builds a fresh cold-start tuner lazily; the
 // option exists so a restarted server keeps its learned per-device cost
 // model (DESIGN.md §16).

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/dcerr"
 	"repro/internal/trace"
@@ -536,53 +535,43 @@ func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope 
 }
 
 // runAttempt executes one attempt of a job under plan p on the job's placed
-// device. The job's options are prefixed with the server's
-// instrumentation: the metrics registry, and a backend wrapper composing the
-// device's fault injector (innermost, so injected faults pass through
-// tracing and metering like real ones) with the per-job trace scope and —
-// once auto-strategy is active — an autotune meter (outermost, so it times
-// the same work the executors see). Being prefixes, a job's own WithMetrics
-// or WithBackendWrapper still wins — and then opts out of server-side fault
-// injection, tracing, and calibration feedback for that job.
+// device: on the device's backend, or on a fault-injecting view of it when
+// the device has an injector. The job's options are prefixed with the
+// server's listeners on the run's intervals — the metrics registry, the
+// per-job trace scope and, once auto-strategy is active, the sample that
+// feeds calibration — which see injected faults like real ones. Hooks chain,
+// so a job's own WithIntervals adds a listener and opts out of nothing; a
+// job's own WithMetrics replaces the server's registry for that job.
 func (s *Server) runAttempt(ctx context.Context, d *device, q *queued, scope *trace.Scope, alg core.Alg,
 	p plan, attempt int, kind string) (core.Report, error) {
 	be := d.be
-	injector := d.faults
-	meterOn := s.autoActive.Load()
-	autoTag := q.job.Strategy == Auto
-	var meter *autotune.Meter
+	if d.faults != nil {
+		be = d.faults.Wrap(be)
+	}
+	autoTag, feed := q.job.Strategy == Auto, s.autoActive.Load()
+	var smp *sample
 	opts := q.opts
-	if s.cfg.Metrics != nil || scope != nil || injector != nil || meterOn || autoTag {
-		pre := make([]core.Option, 0, 3)
+	if s.cfg.Metrics != nil || scope != nil || feed || autoTag {
+		pre := make([]core.Option, 0, 4)
 		if s.cfg.Metrics != nil {
 			pre = append(pre, core.WithMetrics(s.cfg.Metrics))
 		}
 		if autoTag {
 			pre = append(pre, core.WithAutoStrategy(q.plan.strat.String()))
 		}
-		if scope != nil || injector != nil || meterOn {
-			pre = append(pre, core.WithBackendWrapper(func(inner core.Backend) core.Backend {
-				wrapped := inner
-				if injector != nil {
-					wrapped = injector.Wrap(wrapped)
-				}
-				if scope != nil {
-					wrapped = trace.Wrap(wrapped, scope)
-				}
-				if meterOn {
-					m := autotune.NewMeter(wrapped)
-					meter = m
-					wrapped = m
-				}
-				return wrapped
-			}))
+		if scope != nil {
+			pre = append(pre, trace.Record(scope))
+		}
+		if feed {
+			smp = new(sample)
+			pre = append(pre, core.WithIntervals(smp.add))
 		}
 		opts = append(pre, q.opts...)
 	}
 	start := be.Now()
 	rep, err := runStrategy(ctx, be, alg, p, opts)
-	if err == nil && !rep.Partial && meter != nil {
-		s.feedAutotune(d, alg, p, meter, rep)
+	if err == nil && !rep.Partial && smp != nil {
+		s.feedAutotune(d, alg, p, smp, rep)
 	}
 	if scope != nil {
 		verdict := "ok"

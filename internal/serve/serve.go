@@ -169,7 +169,7 @@ type Config struct {
 	AutoDrain bool
 	// Faults, if non-nil, wraps every attempt's backend with the fault
 	// injector — the chaos-testing hook (see internal/faults). Fused
-	// executions and jobs carrying their own WithBackendWrapper bypass it.
+	// executions bypass it.
 	Faults *faults.Injector
 	// DeviceFaults overrides Faults per device id, so a chaos run can make
 	// one pool member flaky while the rest stay healthy.
@@ -412,9 +412,9 @@ type Server struct {
 	jobs sync.WaitGroup // one count per running job and per hedge-loser drain
 
 	// tuner is the auto-strategy calibrator (never nil after New).
-	// autoActive gates the per-attempt metering: it flips on when a tuner
-	// was configured explicitly or the first Auto job arrives, so servers
-	// that never use Strategy Auto pay nothing.
+	// autoActive gates feeding it: it flips on when a tuner was configured
+	// explicitly or the first Auto job arrives, so servers that never use
+	// Strategy Auto pay nothing.
 	tuner      *autotune.Tuner
 	autoActive atomic.Bool
 
@@ -583,7 +583,7 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 		return nil, fmt.Errorf("serve: reliability policy re-executes but Job.Fresh is nil: %w", dcerr.ErrBadParam)
 	}
 	if job.Strategy == Auto {
-		// From here on, attempts are metered to feed the calibration.
+		// From here on, attempts feed the calibration.
 		s.autoActive.Store(true)
 	}
 	weight := rc.Priority

@@ -1,11 +1,12 @@
 // Package trace records execution timelines of hybrid runs: every batch
 // submitted to a processing unit and every link transfer becomes a span.
-// A Recorder wraps any core.Backend, so both the simulated and the native
-// backends can be traced. Spans carry a job ID and recursion level, so a
-// serving deployment can trace many concurrent jobs into one recorder and
-// still attribute every interval. Spans can be summarized (per-unit
-// utilization), rendered as an ASCII Gantt chart, or exported as Chrome
-// trace-event JSON for chrome://tracing — grouped per job in the viewer.
+// Record turns the intervals core's interpreter measures into spans, so both
+// the simulated and the native backends can be traced. Spans carry a job ID
+// and recursion level, so a serving deployment can trace many concurrent
+// jobs into one recorder and still attribute every interval. Spans can be
+// summarized (per-unit utilization), rendered as an ASCII Gantt chart, or
+// exported as Chrome trace-event JSON for chrome://tracing — grouped per job
+// in the viewer.
 //
 // A Recorder built with NewRecorder grows without bound, which suits one-off
 // runs; a busy server should use NewRecorderLimit, whose bounded ring buffer
@@ -27,7 +28,7 @@ import (
 // Unit identifies a resource lane in the timeline.
 type Unit string
 
-// The units recorded by a wrapped backend.
+// The units Record writes spans on.
 const (
 	UnitCPU  Unit = "cpu"
 	UnitGPU  Unit = "gpu"
@@ -259,111 +260,25 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(events)
 }
 
-// Backend wraps a core.Backend, recording every batch and transfer.
-type Backend struct {
-	inner core.Backend
-	rec   Adder
-	cpu   core.LevelExecutor
-	gpu   core.LevelExecutor
-}
-
-var _ core.Backend = (*Backend)(nil)
-
-// Wrap returns a tracing view of be that records into rec — a *Recorder, or
-// a per-job Scope of one.
-func Wrap(be core.Backend, rec Adder) *Backend {
-	t := &Backend{inner: be, rec: rec}
-	t.cpu = &tracedExecutor{inner: be.CPU(), unit: UnitCPU, be: be, rec: rec}
-	if g := be.GPU(); g != nil {
-		t.gpu = &tracedExecutor{inner: g, unit: UnitGPU, be: be, rec: rec}
-	}
-	return t
-}
-
-// CPU implements core.Backend.
-func (t *Backend) CPU() core.LevelExecutor { return t.cpu }
-
-// GPU implements core.Backend.
-func (t *Backend) GPU() core.LevelExecutor { return t.gpu }
-
-// GPUGamma implements core.Backend.
-func (t *Backend) GPUGamma() float64 { return t.inner.GPUGamma() }
-
-// TransferToGPU implements core.Backend.
-func (t *Backend) TransferToGPU(n int64, done func()) {
-	start := t.inner.Now()
-	t.inner.TransferToGPU(n, func() {
-		t.rec.Add(Span{Unit: UnitLink, Label: fmt.Sprintf("to-gpu %dB", n),
-			Start: start, End: t.inner.Now()})
-		done()
-	})
-}
-
-// TransferToCPU implements core.Backend.
-func (t *Backend) TransferToCPU(n int64, done func()) {
-	start := t.inner.Now()
-	t.inner.TransferToCPU(n, func() {
-		t.rec.Add(Span{Unit: UnitLink, Label: fmt.Sprintf("to-cpu %dB", n),
-			Start: start, End: t.inner.Now()})
-		done()
-	})
-}
-
-// Now implements core.Backend.
-func (t *Backend) Now() float64 { return t.inner.Now() }
-
-// Wait implements core.Backend.
-func (t *Backend) Wait() { t.inner.Wait() }
-
-// Autonomous forwards the wrapped backend's core.Autonomous marker, so
-// executors drive a traced native backend the same way as a bare one.
-func (t *Backend) Autonomous() bool {
-	a, ok := t.inner.(core.Autonomous)
-	return ok && a.Autonomous()
-}
-
-// Closed forwards the wrapped backend's core.Closer state.
-func (t *Backend) Closed() bool {
-	c, ok := t.inner.(core.Closer)
-	return ok && c.Closed()
-}
-
-// Fault forwards the wrapped backend's core.Faulter state, so a fault
-// injector beneath the tracer still reaches the executor's settlement.
-func (t *Backend) Fault() error {
-	if f, ok := t.inner.(core.Faulter); ok {
-		return f.Fault()
-	}
-	return nil
-}
-
-type tracedExecutor struct {
-	inner core.LevelExecutor
-	unit  Unit
-	be    core.Backend
-	rec   Adder
-}
-
-// Parallelism implements core.LevelExecutor.
-func (e *tracedExecutor) Parallelism() int { return e.inner.Parallelism() }
-
-// Submit implements core.LevelExecutor. The span covers queueing plus
-// service, bracketed by backend timestamps, and carries the batch's
-// recursion level.
-func (e *tracedExecutor) Submit(b core.Batch, done func()) {
-	if b.Empty() {
-		if done != nil {
-			done()
+// Record is the option that records a run's batches and transfers into rec —
+// a *Recorder, or a per-job Scope of one: each interval the run measures
+// (core.WithIntervals) becomes a span on its unit, labeled "<tasks> tasks x
+// <ops> ops" with the batch's recursion level, or on the link, labeled
+// "to-gpu <bytes>B" or "to-cpu <bytes>B".
+func Record(rec Adder) core.Option {
+	return core.WithIntervals(func(iv core.Interval) {
+		s := Span{Unit: units[iv.Unit], Level: iv.Level, Start: iv.Start, End: iv.End}
+		switch {
+		case iv.Unit != core.UnitLink:
+			s.Label = fmt.Sprintf("%d tasks x %.0f ops", iv.Tasks, iv.Ops)
+		case iv.ToGPU:
+			s.Label = fmt.Sprintf("to-gpu %dB", iv.Bytes)
+		default:
+			s.Label = fmt.Sprintf("to-cpu %dB", iv.Bytes)
 		}
-		return
-	}
-	start := e.be.Now()
-	label := fmt.Sprintf("%d tasks x %.0f ops", b.Tasks, b.Cost.Ops)
-	level := b.Level
-	e.inner.Submit(b, func() {
-		e.rec.Add(Span{Unit: e.unit, Label: label, Level: level, Start: start, End: e.be.Now()})
-		if done != nil {
-			done()
-		}
+		rec.Add(s)
 	})
 }
+
+// units names core's units as trace lanes.
+var units = [...]Unit{core.UnitCPU: UnitCPU, core.UnitGPU: UnitGPU, core.UnitLink: UnitLink}

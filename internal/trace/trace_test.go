@@ -13,20 +13,21 @@ import (
 	"repro/internal/algos/mergesort"
 	"repro/internal/core"
 	"repro/internal/hpu"
+	"repro/internal/native"
 	"repro/internal/workload"
 )
 
 func tracedRun(t *testing.T) *Recorder {
 	t.Helper()
 	rec := NewRecorder()
-	be := Wrap(hpu.MustSim(hpu.HPU1()), rec)
+	be := hpu.MustSim(hpu.HPU1())
 	in := workload.Uniform(1<<10, 1)
 	s, err := mergesort.New(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prm := advParams{Alpha: 0.25, Y: 5, Split: -1}
-	if _, err := core.RunAdvancedHybridCtx(context.Background(), be, s, prm.Alpha, prm.Y, core.WithCoalesce(), core.WithSplit(prm.Split)); err != nil {
+	if _, err := core.RunAdvancedHybridCtx(context.Background(), be, s, prm.Alpha, prm.Y, core.WithCoalesce(), core.WithSplit(prm.Split), Record(rec)); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]int32(nil), in...)
@@ -246,4 +247,37 @@ type advParams struct {
 	Alpha float64
 	Y     int
 	Split int
+}
+
+// TestRecordNative traces an advanced-hybrid sort on the native backend,
+// whose two chains complete their batches on worker goroutines and record
+// into one recorder concurrently.
+func TestRecordNative(t *testing.T) {
+	be, err := native.New(native.Config{CPUWorkers: 2, DeviceLanes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	in := workload.Uniform(1<<12, 3)
+	s, err := mergesort.New(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder()
+	if _, err := core.RunAdvancedHybridCtx(context.Background(), be, s, 0.5, 6, Record(rec)); err != nil {
+		t.Fatal(err)
+	}
+	units := map[Unit]int{}
+	for _, sp := range rec.Spans() {
+		units[sp.Unit]++
+		if sp.End < sp.Start {
+			t.Errorf("span %q ends before it starts", sp.Label)
+		}
+	}
+	if units[UnitCPU] == 0 || units[UnitGPU] == 0 || units[UnitLink] != 2 {
+		t.Errorf("spans per unit = %v, want CPU and GPU batches and the two transfers", units)
+	}
+	if !workload.IsSorted(s.Result()) {
+		t.Error("traced native run produced unsorted output")
+	}
 }

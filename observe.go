@@ -23,10 +23,10 @@ type MetricsSnapshot = metrics.Snapshot
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
-// WithMetrics directs a run's execution metrics into the registry: per-level
-// batch latency histograms per unit, CPU/GPU busy and idle time, and
-// transfer bytes/counts split by direction. Metric names and semantics are
-// listed in DESIGN.md §9.
+// WithMetrics directs a run's execution metrics into the registry: one batch
+// latency histogram per unit, CPU/GPU busy and idle time, and transfer
+// bytes/counts split by direction. Metric names and semantics are listed in
+// DESIGN.md §9.
 func WithMetrics(reg *Metrics) Option { return core.WithMetrics(reg) }
 
 // WithSpanRecorder records every batch and transfer of the run as spans in
@@ -34,11 +34,7 @@ func WithMetrics(reg *Metrics) Option { return core.WithMetrics(reg) }
 // Gantt chart, or exported as Chrome trace-event JSON (WriteChromeTrace).
 // Unlike WithTrace, which prints a one-shot summary, the recorder is
 // inspectable programmatically and can be shared across runs.
-func WithSpanRecorder(rec *TraceRecorder) Option {
-	return core.WithBackendWrapper(func(be core.Backend) core.Backend {
-		return trace.Wrap(be, rec)
-	})
-}
+func WithSpanRecorder(rec *TraceRecorder) Option { return trace.Record(rec) }
 
 // Tracing types, re-exported from the recorder's package.
 type (
@@ -49,7 +45,7 @@ type (
 	TraceUnit = trace.Unit
 )
 
-// The units recorded by a traced backend.
+// The units spans are recorded on.
 const (
 	// TraceUnitCPU is the CPU lane.
 	TraceUnitCPU = trace.UnitCPU

@@ -67,9 +67,7 @@ func WithGrain(n int) Option { return core.WithGrain(n) }
 func WithTrace(w io.Writer) Option {
 	return func(c *core.RunConfig) {
 		rec := trace.NewRecorder()
-		core.WithBackendWrapper(func(be core.Backend) core.Backend {
-			return trace.Wrap(be, rec)
-		})(c)
+		trace.Record(rec)(c)
 		core.WithObserver(func(r *core.Report) {
 			state := ""
 			if r.Partial {
