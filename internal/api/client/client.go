@@ -24,9 +24,10 @@ import (
 	"repro/internal/dcerr"
 )
 
-// bufPool recycles request-assembly buffers (binary submit frames), and
-// readerPool recycles the bufio.Reader fronting binary result decodes, so
-// steady-state clients allocate neither.
+// bufPool recycles request-assembly buffers (submit bodies, binary or JSON)
+// and the buffers JSON results are read into, and readerPool recycles the
+// bufio.Reader fronting binary result decodes, so steady-state clients
+// allocate none of them.
 var (
 	bufPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
@@ -173,31 +174,27 @@ func timeoutHeader(ctx context.Context, req *http.Request) {
 // A full admission queue surfaces as an error matching dcerr.ErrQueueFull
 // with a populated RetryAfter; a shed GPU path as dcerr.ErrDegraded.
 func (c *Client) Submit(ctx context.Context, job api.JobRequest) (*Handle, error) {
-	var req *http.Request
-	var err error
-	var frame *bytes.Buffer // the pooled buffer a binary request's body reads from
+	// The body reads from a pooled buffer: a binary frame, or the JSON
+	// encoding (appended in place, the grown storage kept for the pool).
+	body := getBuf()
+	url, contentType := c.base+"/v1/jobs", "application/json"
 	if c.binary {
-		frame = getBuf()
-		if err := api.WriteInt32Frame(frame, job.Data); err != nil {
+		if err := api.WriteInt32Frame(body, job.Data); err != nil {
 			return nil, fmt.Errorf("api: encode job frame: %w", err)
 		}
-		url := c.base + "/v1/jobs?" + job.QueryParams().Encode()
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(frame.Bytes()))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", api.ContentTypeInt32)
+		url, contentType = url+"?"+job.QueryParams().Encode(), api.ContentTypeInt32
 	} else {
-		payload, err := json.Marshal(job)
+		b, err := job.AppendJSON(body.AvailableBuffer())
 		if err != nil {
 			return nil, fmt.Errorf("api: encode job: %w", err)
 		}
-		req, err = http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
+		*body = *bytes.NewBuffer(b)
 	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body.Bytes()))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
 	timeoutHeader(ctx, req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -208,13 +205,11 @@ func (c *Client) Submit(ctx context.Context, job api.JobRequest) (*Handle, error
 		return nil, decodeErr(resp)
 	}
 	// The server accepts a job only after reading its whole body, so the
-	// transport is done with the frame and the next Submit may have it.
+	// transport is done with the body and the next Submit may have it.
 	// After anything else (a transport error, an early 400/503) net/http may
 	// still be writing it, and on every other error path it is simply not
 	// worth pooling: dropped.
-	if frame != nil {
-		putBuf(frame)
-	}
+	putBuf(body)
 	var acc api.JobAccepted
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 		return nil, fmt.Errorf("api: decode submit response: %w", err)
@@ -236,15 +231,13 @@ func (h *Handle) Status(ctx context.Context) (api.JobStatus, error) {
 func (h *Handle) Wait(ctx context.Context) (api.JobResult, error) {
 	var res api.JobResult
 	url := fmt.Sprintf("%s/v1/jobs/%d/result", h.c.base, h.id)
-	if !h.c.binary {
-		err := h.c.getJSON(ctx, url, &res)
-		return res, err
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return res, err
 	}
-	req.Header.Set("Accept", api.ContentTypeInt32+", "+api.ContentTypeInt64+", application/json")
+	if h.c.binary {
+		req.Header.Set("Accept", api.ContentTypeInt32+", "+api.ContentTypeInt64+", application/json")
+	}
 	timeoutHeader(ctx, req)
 	resp, err := h.c.hc.Do(req)
 	if err != nil {
@@ -256,8 +249,15 @@ func (h *Handle) Wait(ctx context.Context) (api.JobResult, error) {
 	}
 	ct := resp.Header.Get("Content-Type")
 	if !strings.HasPrefix(ct, api.ContentTypeInt32) && !strings.HasPrefix(ct, api.ContentTypeInt64) {
-		// The server elected JSON (e.g. an algorithm with no binary form).
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		// JSON (the server's default, and its answer for a result with no
+		// binary form): the body through a pooled buffer. The decoded
+		// slices are fresh, so the buffer goes back at return.
+		buf := getBuf()
+		defer putBuf(buf)
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			return res, fmt.Errorf("api: read %s: %w", url, err)
+		}
+		if err := res.UnmarshalJSON(buf.Bytes()); err != nil {
 			return res, fmt.Errorf("api: decode %s: %w", url, err)
 		}
 		return res, nil

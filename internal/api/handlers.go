@@ -1,11 +1,13 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -67,7 +69,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req JobRequest
-	var pooled []int32 // binary payload leased from the pool, job-owned
+	var pooled []int32 // the payload, job-owned and returned to the pool at eviction
 	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeInt32) {
 		// Binary submission: the body is one int32 frame, every other
 		// JobRequest field travels as query parameters.
@@ -78,25 +80,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 		}
 		pooled, err = readInt32Frame(r.Body, s.cfg.MaxBodyBytes, mempool.Int32s.Get)
 		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeErrStatus(w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("api: request body over %d bytes", tooBig.Limit), "bad-param")
-				return 0
-			}
-			writeErrStatus(w, http.StatusBadRequest, "api: malformed binary frame: "+err.Error(), "bad-param")
+			writeBodyErr(w, err, "api: malformed binary frame: ")
 			return 0
 		}
 		req.Data = pooled
-	} else if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErrStatus(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("api: request body over %d bytes", tooBig.Limit), "bad-param")
+	} else {
+		// JSON submission: the whole body, then json.Unmarshal's rule, so
+		// anything but whitespace after the object is a 400. The hand path
+		// leases the data array from the pool; encoding/json's is fresh.
+		// Either way the job owns it.
+		buf := getBuf()
+		_, err = buf.ReadFrom(r.Body)
+		if err == nil {
+			req, err = decodeJobRequest(buf.Bytes())
+		}
+		putBuf(buf)
+		if err != nil {
+			writeBodyErr(w, err, "api: malformed JSON body: ")
 			return 0
 		}
-		writeErrStatus(w, http.StatusBadRequest, "api: malformed JSON body: "+err.Error(), "bad-param")
-		return 0
+		pooled = req.Data
 	}
 	// From here on a failed submission must hand the pooled payload back
 	// (a nil slice is a no-op Put).
@@ -170,6 +173,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 	return h.ID
 }
 
+// writeBodyErr answers a submission whose body could not be read or
+// decoded: 413 past the body limit, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, err error, prefix string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErrStatus(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("api: request body over %d bytes", tooBig.Limit), "bad-param")
+		return
+	}
+	writeErrStatus(w, http.StatusBadRequest, prefix+err.Error(), "bad-param")
+}
+
 // admit registers one more job with Shutdown's drain wait, or refuses it
 // because the drain has begun. Both sides decide under mu — Shutdown flips
 // draining there — so a job is either refused or counted before the wait
@@ -185,23 +200,39 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// watch releases the job's deadline timer at settlement and evicts the
-// oldest settled jobs beyond the retention bound. Evicted jobs return
-// their instances and pooled payloads once no handler still reads them —
-// removal from the map under the mutex guarantees no new reader appears.
+// watch releases the job's deadline timer at settlement and applies the
+// retention bound. The newest RetainJobs settled jobs always stay. Behind
+// them, a job whose result has been served is evicted, oldest first; one
+// whose result has not stays until more than RetainJobs of those wait there,
+// so a client that stalls between settlement and its result read still
+// finds the job. At most 2·RetainJobs settled jobs are kept. Evicted jobs
+// return their instances and pooled payloads once no handler still reads
+// them — removal from the map under the mutex guarantees no new reader
+// appears.
 func (s *Server) watch(j *job) {
 	defer s.jobsWG.Done()
 	<-j.h.Done()
 	j.cancel()
 	s.mu.Lock()
-	s.settled = append(s.settled, j.id)
+	s.settled = append(s.settled, j)
 	var evicted []*job
-	for len(s.settled) > s.cfg.RetainJobs {
-		if ej := s.jobs[s.settled[0]]; ej != nil {
-			evicted = append(evicted, ej)
+	for behind := len(s.settled) - s.cfg.RetainJobs; behind > 0; behind-- {
+		i := slices.IndexFunc(s.settled[:behind], func(sj *job) bool { return sj.served.Load() })
+		if i < 0 {
+			if behind <= s.cfg.RetainJobs {
+				break
+			}
+			i = 0
 		}
-		delete(s.jobs, s.settled[0])
-		s.settled = s.settled[1:]
+		ej := s.settled[i]
+		evicted = append(evicted, ej)
+		delete(s.jobs, ej.id)
+		if i == 0 {
+			s.settled[0] = nil
+			s.settled = s.settled[1:]
+		} else {
+			s.settled = slices.Delete(s.settled, i, i+1)
+		}
 	}
 	s.mu.Unlock()
 	for _, ej := range evicted {
@@ -289,16 +320,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) uint64 {
 		defer cancel()
 	}
 	rep, err := j.h.Wait(waitCtx)
+	select {
+	case <-j.h.Done():
+		// The outcome is served below: retention may evict the job now.
+		j.served.Store(true)
+	default:
+		// Only the wait expired; the job is still running.
+		writeErrStatus(w, http.StatusGatewayTimeout,
+			fmt.Sprintf("api: job %d still running: %v", j.id, err), "canceled")
+		return j.id
+	}
 	if err != nil {
-		select {
-		case <-j.h.Done():
-			// The job itself settled with an error: map it.
-			writeErr(w, err)
-		default:
-			// Only the wait expired; the job is still running.
-			writeErrStatus(w, http.StatusGatewayTimeout,
-				fmt.Sprintf("api: job %d still running: %v", j.id, err), "canceled")
-		}
+		// The job itself settled with an error: map it.
+		writeErr(w, err)
 		return j.id
 	}
 	if writeBinaryResult(w, r.Header.Get("Accept"), rep, j.h.ResultAlg()) {
@@ -309,7 +343,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) uint64 {
 		writeErr(w, err)
 		return j.id
 	}
-	writeJSON(w, http.StatusOK, res)
+	// One pooled buffer, one Write; the newline is json.Encoder's.
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := res.AppendJSON(buf.AvailableBuffer())
+	if err != nil {
+		writeErrStatus(w, http.StatusInternalServerError, "api: encode result: "+err.Error(), "")
+		return j.id
+	}
+	body = append(body, '\n')
+	*buf = *bytes.NewBuffer(body) // the pool keeps the storage, grown or not
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 	return j.id
 }
 

@@ -30,8 +30,11 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxConns bounds concurrent accepted connections (0 = unlimited).
 	MaxConns int
-	// RetainJobs bounds how many settled jobs stay queryable; the oldest
-	// settled job is evicted beyond it. Defaults to 4096.
+	// RetainJobs bounds how many settled jobs stay queryable. Beyond it
+	// the oldest settled job whose result has been served is evicted; one
+	// whose result has not been served yet stays until more than RetainJobs
+	// such jobs wait behind the newest RetainJobs. So between RetainJobs
+	// and 2·RetainJobs settled jobs are kept. Defaults to 4096.
 	RetainJobs int
 	// EventPoll is how often /events polls the recorder for new spans.
 	// Defaults to 25ms.
@@ -57,7 +60,8 @@ func WithMaxBodyBytes(n int64) Option { return func(c *Config) { c.MaxBodyBytes 
 // the listener backlog. 0 (the default) is unlimited.
 func WithMaxConns(n int) Option { return func(c *Config) { c.MaxConns = n } }
 
-// WithRetainJobs bounds how many settled jobs remain queryable.
+// WithRetainJobs bounds how many settled jobs remain queryable: n, plus up
+// to n more whose results have not been read yet (Config.RetainJobs).
 func WithRetainJobs(n int) Option { return func(c *Config) { c.RetainJobs = n } }
 
 // WithEventPoll sets the /events recorder poll interval.
@@ -83,8 +87,9 @@ type job struct {
 	h      *serve.Handle
 	cancel context.CancelFunc
 	alg    core.Alg
-	data   []int32 // pooled binary submit payload (nil for JSON submissions)
+	data   []int32 // the submit payload, leased from the pool on the binary and JSON hand paths
 	refs   sync.WaitGroup
+	served atomic.Bool // the result route has answered for the settled job
 }
 
 // Server is the HTTP/JSON front-end over a serve.Server.
@@ -94,7 +99,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	jobs    map[uint64]*job
-	settled []uint64 // eviction order of settled jobs
+	settled []*job // settled jobs, oldest first
 
 	jobsWG   sync.WaitGroup
 	draining atomic.Bool

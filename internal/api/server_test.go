@@ -195,20 +195,28 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON body.
-	resp, err := http.Post(h.base+"/v1/jobs", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	// Malformed JSON bodies: broken syntax, and anything but whitespace
+	// after the object (json.Unmarshal's rule; a streaming decoder would
+	// stop at the object and accept the second body).
+	for _, body := range []string{
+		"{nope",
+		`{"algorithm":"sum","data":[1,2,3,4]} {"algorithm":"sum","data":[1,2,3,4]}`,
+		`{"algorithm":"sum","data":[1,2,3,4]}x`,
+	} {
+		resp, err := http.Post(h.base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed body %q: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 
 	// Bad Request-Timeout header.
 	req, _ := http.NewRequest(http.MethodPost, h.base+"/v1/jobs", strings.NewReader("{}"))
 	req.Header.Set(api.RequestTimeoutHeader, "yesterday")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
