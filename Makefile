@@ -1,9 +1,10 @@
 # Development entry points. `make check` is the CI gate: full build, vet,
-# gofmt, race-enabled tests, and the serving layer's self-checking load smoke.
+# gofmt, race-enabled tests (the chaos soak and hpuserve's signal drain
+# included) and the fuzz seed replay.
 
 GO ?= go
 
-.PHONY: all build vet fmt test test-short race fuzz-smoke cover smoke obs-smoke chaos-smoke api-smoke check loc bench benchmark bench-ab
+.PHONY: all build vet fmt test test-short race fuzz-smoke cover check loc bench benchmark bench-ab
 
 all: check
 
@@ -20,7 +21,7 @@ fmt:
 test:
 	$(GO) test ./...
 
-# Developer-sized sweep: the 240-job soaks in cmd/hpuserve skip under
+# Developer-sized sweep: the 240-job chaos soak (TestChaosSoak) skips under
 # -short, keeping this under ~30s of wall clock.
 test-short:
 	$(GO) test -short ./...
@@ -50,41 +51,7 @@ cover:
 		if (t + 0 < b + 0) { printf "cover: total %.1f%% is below the %.1f%% baseline\n", t, b; exit 1 } \
 		printf "cover: total %.1f%% meets the %.1f%% baseline\n", t, b }'
 
-# 5-second self-checking load test of the job server on the native backend:
-# mixed algorithms and strategies, random priorities and cancellations.
-# Exits nonzero on any failed job, accounting mismatch, or goroutine leak.
-smoke:
-	$(GO) run ./cmd/hpuserve --smoke
-
-# Observability smoke: same load with the HTTP endpoints served on a
-# loopback port, then a self-scrape of /metrics asserting the queue-depth,
-# per-priority latency, and transfer-byte metrics advanced under load.
-obs-smoke:
-	$(GO) run ./cmd/hpuserve --obs-smoke --duration 2s
-
-# Chaos soak under the race detector: 240 jobs through a seeded fault
-# injector (~20% device-fault rate), retry/hedge/fallback policies and the
-# circuit breaker active. Exits nonzero on any wrong result, unbounded
-# shedding, silent reliability metrics, or goroutine leak; writes the fault
-# report CI uploads as an artifact. The second run soaks a 2-device pool
-# with faults injected into one device only: that device must trip its
-# breaker and auto-drain, every job must still verify, and no healthy job
-# may be shed with ErrDegraded.
-chaos-smoke:
-	$(GO) run -race ./cmd/hpuserve --chaos --chaos-report CHAOS_report.json
-	$(GO) run -race ./cmd/hpuserve --chaos --chaos-devices 2 --chaos-fault-rate 0.4 --chaos-report CHAOS_pool_report.json
-
-# Remote-serving smoke over real TCP: boots the HTTP/JSON job API, drives 64
-# concurrent clients with a mixed mergesort/scan/sum workload (every result
-# verified bit-identical against a local reference), asserts overload
-# surfaces as 429 + Retry-After, streams /events for per-level progress,
-# scrapes /metrics, then SIGTERMs itself and asserts the drain refuses new
-# submissions while completing every in-flight job before the listener
-# closes.
-api-smoke:
-	$(GO) run ./cmd/hpuserve --api-smoke
-
-check: build vet fmt race fuzz-smoke smoke
+check: build vet fmt race fuzz-smoke
 
 # The size a simplicity PR or a ROADMAP re-anchor quotes: non-test Go lines
 # outside bench/ (which is its own module), per package directory and in

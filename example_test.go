@@ -57,8 +57,7 @@ func ExampleNewServerPool() {
 		hybriddc.MustSim(hybriddc.HPU1()),
 		hybriddc.MustSim(hybriddc.HPU1()),
 	}
-	srv, err := hybriddc.NewServerPool(pool,
-		hybriddc.WithPlacement(hybriddc.PlaceModeledWork))
+	srv, err := hybriddc.NewServerPool(pool)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -109,7 +109,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestRoundTrips runs each algorithm through Submit and Wait on both wire
-// formats and checks the answers against plain Go.
+// formats and checks the answers against plain Go: one at a time, then all
+// three algorithms under all five strategies at once, one client each.
 func TestRoundTrips(t *testing.T) {
 	h := newHarness(t)
 	ctx := context.Background()
@@ -157,6 +158,44 @@ func TestRoundTrips(t *testing.T) {
 		if res := run("sum", "seq-1cpu"); res.Sum == nil || *res.Sum != total {
 			t.Errorf("%s: sum = %v, want %d", mode.name, res.Sum, total)
 		}
+
+		var wg sync.WaitGroup
+		for _, strategy := range []string{"seq-1cpu", "bf-cpu", "basic-hybrid", "advanced-hybrid", "gpu-only"} {
+			for _, algorithm := range []string{"mergesort", "scan", "sum"} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// A client of its own: its own connections, like a
+					// separate remote process.
+					hd, err := client.New(h.base, mode.opts...).Submit(ctx, api.JobRequest{
+						Algorithm: algorithm, Data: data, Strategy: strategy,
+						Crossover: 3, Alpha: 0.5, Y: 4,
+					})
+					if err != nil {
+						t.Errorf("%s %s/%s: submit: %v", mode.name, algorithm, strategy, err)
+						return
+					}
+					res, err := hd.Wait(ctx)
+					if err != nil {
+						t.Errorf("%s %s/%s: wait: %v", mode.name, algorithm, strategy, err)
+						return
+					}
+					var ok bool
+					switch algorithm {
+					case "mergesort":
+						ok = slices.Equal(res.Sorted, sorted)
+					case "scan":
+						ok = slices.Equal(res.Scan, prefix)
+					default:
+						ok = res.Sum != nil && *res.Sum == total
+					}
+					if !ok {
+						t.Errorf("%s %s/%s: result differs from plain Go", mode.name, algorithm, strategy)
+					}
+				}()
+			}
+		}
+		wg.Wait()
 
 		if ok, err := cli.Healthy(ctx); err != nil || !ok {
 			t.Errorf("%s: Healthy = %v, %v", mode.name, ok, err)

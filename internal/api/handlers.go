@@ -448,6 +448,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) uint64 {
 	return 0
 }
 
+// handleTrace is GET /debug/trace: the recorder's spans as a Chrome
+// trace-event download (chrome://tracing, Perfetto).
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) uint64 {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Disposition", `attachment; filename="trace.json"`)
+	s.cfg.Trace.WriteChromeTrace(w)
+	return 0
+}
+
 // handleHealthz is GET /healthz: 200 while serving, 503 while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) uint64 {
 	if s.draining.Load() {

@@ -42,7 +42,8 @@ type Config struct {
 	// Metrics, if non-nil, receives the api_* metrics; expose it to remote
 	// scrapers via GET /metrics.
 	Metrics *metrics.Registry
-	// Trace, if non-nil, is the span recorder /events streams from. It
+	// Trace, if non-nil, is the span recorder /events streams from and
+	// GET /debug/trace downloads as Chrome trace-event JSON. It
 	// should be the same recorder the serve.Server was built with
 	// (serve.WithRecorder), so per-level executor spans carry job IDs; API
 	// request spans (unit "api", labeled with the request id) land in it
@@ -129,13 +130,13 @@ const (
 	MetricStatus5xx = "api_status_5xx_total"
 	// MetricRouteRequestsFmt and MetricRouteLatencyFmt are per-route (the %s
 	// is the route name: submit, status, result, events, drain, metrics,
-	// healthz).
+	// healthz, trace).
 	MetricRouteRequestsFmt = "api_requests_%s_total"
 	MetricRouteLatencyFmt  = "api_latency_seconds_%s"
 )
 
 // routes is the fixed route set instrumented per route.
-var routes = []string{"submit", "status", "result", "events", "drain", "metrics", "healthz"}
+var routes = []string{"submit", "status", "result", "events", "drain", "metrics", "healthz", "trace"}
 
 // New builds an API server over the pool. The pool is borrowed: Shutdown
 // stops HTTP admission and drains the jobs this API submitted, but closing
@@ -191,6 +192,9 @@ func New(pool *serve.Server, opts ...Option) (*Server, error) {
 	mux.HandleFunc("POST /v1/drain/{device}", s.route("drain", s.handleDrain))
 	mux.HandleFunc("GET /metrics", s.route("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
+	if cfg.Trace != nil {
+		mux.HandleFunc("GET /debug/trace", s.route("trace", s.handleTrace))
+	}
 	s.handler = mux
 	return s, nil
 }
@@ -201,7 +205,8 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // Serve accepts connections on ln until Shutdown. It applies the server's
 // connection limit and header/idle timeouts, and returns nil after a clean
-// Shutdown.
+// Shutdown — also when Shutdown came first, in which case it closes ln
+// without serving.
 func (s *Server) Serve(ln net.Listener) error {
 	if s.cfg.MaxConns > 0 {
 		ln = limitListener(ln, s.cfg.MaxConns)
@@ -213,6 +218,13 @@ func (s *Server) Serve(ln net.Listener) error {
 		MaxHeaderBytes:    1 << 16,
 	}
 	s.httpMu.Lock()
+	if s.draining.Load() {
+		// Shutdown has begun and may already have looked for httpSrv: it
+		// would never stop this one.
+		s.httpMu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.httpSrv = srv
 	s.httpMu.Unlock()
 	err := srv.Serve(ln)

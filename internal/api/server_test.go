@@ -309,6 +309,9 @@ func TestBackpressure429(t *testing.T) {
 	if len(handles) != 1 || saw429 != 8*4-1 {
 		t.Fatalf("%d accepted and %d refused with 429, want 1 and %d: queue depth 1 behind a held slot", len(handles), saw429, 8*4-1)
 	}
+	if got := h.reg.Counter(api.MetricStatus4xx).Value(); got != uint64(saw429) {
+		t.Errorf("%s = %d, want %d: every 429 is a 4xx", api.MetricStatus4xx, got, saw429)
+	}
 	// Every accepted job still completes correctly despite the overload.
 	release()
 	for _, hd := range handles {
@@ -458,7 +461,8 @@ func TestEventsStream(t *testing.T) {
 // TestShutdownDrains checks Shutdown finishes in-flight jobs before the
 // listener closes: a job accepted pre-shutdown still completes and its
 // result stays readable until the listener actually closes, while new
-// submissions are refused with 503.
+// submissions are refused with 503. A Serve that starts after the drain
+// began closes its listener and returns nil instead of serving forever.
 func TestShutdownDrains(t *testing.T) {
 	be, err := native.New(native.Config{CPUWorkers: 2})
 	if err != nil {
@@ -533,6 +537,17 @@ func TestShutdownDrains(t *testing.T) {
 	// closed). The blocker is the other completion.
 	if st := pool.Stats(); st.Completed != 2 || st.Failed != 0 {
 		t.Fatalf("pool stats %+v: job %d did not settle before listener close", st, hd.ID())
+	}
+
+	late, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(late); err != nil {
+		t.Fatalf("Serve after Shutdown: %v", err)
+	}
+	if _, err := late.Accept(); err == nil {
+		t.Fatal("Serve after Shutdown left its listener open")
 	}
 }
 
@@ -644,11 +659,36 @@ func TestMetricsAndRequestIDs(t *testing.T) {
 		t.Fatal("metrics snapshot missing submit latency histogram")
 	}
 
+	// The recorder's spans download as a Chrome trace: the job's batches are
+	// in it.
+	resp, err := http.Get(h.base + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Ph  string `json:"ph"`
+		PID int    `json:"pid"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&events)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/trace: status %d, %v", resp.StatusCode, err)
+	}
+	jobEvents := 0
+	for _, ev := range events {
+		if ev.PID == int(hd.ID())+1 && ev.Ph == "X" {
+			jobEvents++
+		}
+	}
+	if jobEvents == 0 {
+		t.Fatalf("/debug/trace: %d events, none for job %d", len(events), hd.ID())
+	}
+
 	// Request id: echoed when supplied, generated otherwise; stamped into
 	// api trace spans.
 	req, _ := http.NewRequest(http.MethodGet, h.base+"/healthz", nil)
 	req.Header.Set("X-Request-Id", "req-test-77")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 // HTTPMapping is one row of the wire contract: a sentinel error, its stable
 // wire label (the "kind" field of API error bodies), and the HTTP status a
 // remote caller sees. The table is the single source of truth shared by the
-// HTTP front-end (internal/api), the load driver (cmd/hpuserve), and the Go
-// client (internal/api/client), which maps kinds back to sentinels so
-// errors.Is keeps working across the wire.
+// HTTP front-end (internal/api) and the Go client (internal/api/client),
+// which maps kinds back to sentinels so errors.Is keeps working across the
+// wire.
 type HTTPMapping struct {
 	// Err is the sentinel matched with errors.Is.
 	Err error

@@ -14,9 +14,8 @@
 //  2. Atomic hot path. Observing a value is one or two atomic operations
 //     (lock-free CAS loop for float accumulation); the registry mutex is
 //     taken only at instrument creation, never per observation.
-//  3. Exposition without dependencies. Snapshot returns plain maps,
-//     WriteJSON emits them with encoding/json, and PublishExpvar bridges
-//     to the standard library's /debug/vars.
+//  3. Exposition without dependencies. Snapshot returns plain maps, and
+//     WriteJSON emits them with encoding/json.
 //
 // Instruments are identified by flat snake_case names (the convention used
 // across this repo is documented in DESIGN.md §9). Creating the same name
@@ -24,6 +23,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -323,4 +324,13 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
+}
+
+// WriteJSON emits the registry snapshot as indented JSON (map keys sort, so
+// output is deterministic for a quiescent registry). Safe on a nil registry,
+// which emits an empty snapshot.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r.Snapshot())
 }

@@ -98,7 +98,6 @@ func TestNilRegistryNoops(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatalf("nil WriteJSON: %v", err)
 	}
-	r.PublishExpvar("never")
 }
 
 // TestDisabledPathAllocs pins constraint 1 of the package doc: with metrics
@@ -190,13 +189,6 @@ func TestWriteJSON(t *testing.T) {
 	if !strings.Contains(buf.String(), "wait_seconds") {
 		t.Error("JSON missing histogram name")
 	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	r.PublishExpvar("metrics_test_registry")
-	r.PublishExpvar("metrics_test_registry") // second publish must not panic
 }
 
 func BenchmarkCounterInc(b *testing.B) {

@@ -57,7 +57,7 @@ func strategyFromChoice(name string) Strategy {
 // device's calibration (BreadthFirstCPU when the algorithm cannot be
 // priced). allowGPU=false restricts pricing to the CPU path — used while the
 // device's breaker is shedding. The decision's predicted makespan replaces
-// the job's placement cost, so PlaceModeledWork accounts the device's
+// the job's placement cost, so placement accounts the device's
 // backlog with the same model that chose the strategy. Must hold s.mu (the
 // tuner and breaker take only their own locks).
 func (s *Server) decideAutoLocked(d *device, q *queued, allowGPU bool) {

@@ -122,13 +122,6 @@ func WithAutoTuner(t *autotune.Tuner) Option {
 	return func(c *Config) { c.Tuner = t }
 }
 
-// WithPlacement selects the pool placement policy: PlaceModeledWork (the
-// default) scores devices by the modeled sequential cost of their backlog;
-// PlaceJSQ by occupancy alone. With a single backend the policy is moot.
-func WithPlacement(p Placement) Option {
-	return func(c *Config) { c.Placement = p }
-}
-
 // WithAutoDrain lets a device whose circuit breaker trips drain itself out
 // of the pool: it takes no further placements, its in-flight jobs finish
 // (GPU-bound ones that had not started yet go back to the queue for

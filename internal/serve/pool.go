@@ -6,8 +6,11 @@ package serve
 // One virtual-time heap orders every queued job, and placement happens only
 // at its head: whenever work or capacity appears (Submit, a job releasing
 // its slot, AddBackend), the job with the smallest virtual finish tag takes
-// a free execution slot on the best-scoring device and starts there. Under
-// contention jobs accumulate in the heap, where both the fairness order and
+// a free execution slot on the device with the least modeled backlog and
+// starts there. A device's backlog is the sum of its in-flight jobs' modeled
+// sequential costs (internal/model, via the algorithms' ModelF/ModelLeaf
+// hooks; jobs without a cost model count N·(L+1)); ties go to the lower id.
+// Under contention jobs accumulate in the heap, where both the fairness order and
 // job fusion work exactly as in the single-backend server.
 
 import (
@@ -23,32 +26,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
-
-// Placement selects the load-aware placement policy for a backend pool.
-type Placement int
-
-const (
-	// PlaceModeledWork is join-shortest-modeled-work, the default: each
-	// device's backlog is the sum of its in-flight jobs' modeled sequential
-	// costs (internal/model, via the algorithms' ModelF/ModelLeaf hooks), and
-	// the head job goes to the device with the least backlog. Jobs without a
-	// cost model fall back to an N·(L+1) work proxy.
-	PlaceModeledWork Placement = iota
-	// PlaceJSQ is plain join-shortest-queue: occupancy (jobs in flight)
-	// only, ignoring job sizes.
-	PlaceJSQ
-)
-
-// String returns the policy name used in logs and BENCH artifacts.
-func (p Placement) String() string {
-	switch p {
-	case PlaceModeledWork:
-		return "modeled-work"
-	case PlaceJSQ:
-		return "jsq"
-	}
-	return fmt.Sprintf("placement(%d)", int(p))
-}
 
 // device is one pool member: a backend plus its execution slots, health
 // (circuit breaker, fault injector) and drain state. All mutable fields are
@@ -168,14 +145,6 @@ func (s *Server) anyHealthyGPULocked(except *device) bool {
 	return false
 }
 
-// scoreLocked is the placement score (lower is better). Must hold s.mu.
-func (s *Server) scoreLocked(d *device) float64 {
-	if s.cfg.Placement == PlaceJSQ {
-		return float64(d.inflight)
-	}
-	return d.work
-}
-
 // pumpLocked places queued jobs, head first, until the head has to wait for
 // a slot. Called wherever work or capacity appears. Must hold s.mu.
 func (s *Server) pumpLocked() {
@@ -206,8 +175,7 @@ func (s *Server) placeHeadLocked() bool {
 		if d.inflight >= d.cap {
 			continue
 		}
-		if best == nil || s.scoreLocked(d) < s.scoreLocked(best) ||
-			(s.scoreLocked(d) == s.scoreLocked(best) && d.id < best.id) {
+		if best == nil || d.work < best.work || (d.work == best.work && d.id < best.id) {
 			best = d
 		}
 	}

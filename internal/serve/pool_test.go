@@ -195,15 +195,14 @@ func TestPoolBitIdenticalToSingleDevice(t *testing.T) {
 	}
 }
 
-// TestPoolPlacementSkew pins the two policies' behavior under skewed job
-// sizes: with one huge job occupying device 0, PlaceModeledWork routes both
-// following small jobs to device 1 (its backlog is far lighter), while
-// PlaceJSQ — blind to size — sends the second small job back to device 0 on
-// an occupancy tie.
+// TestPoolPlacementSkew pins placement under skewed job sizes: with one huge
+// job occupying device 0, both following small jobs go to device 1, whose
+// modeled backlog is far lighter — where a count of jobs in flight would tie
+// and send the second one back to device 0.
 func TestPoolPlacementSkew(t *testing.T) {
-	run := func(t *testing.T, p serve.Placement) (d0, d1 uint64) {
+	t.Run("modeled-work", func(t *testing.T) {
 		srv, err := serve.NewPool(newPoolBackends(t, 2),
-			serve.WithMaxInFlight(2), serve.WithQueueDepth(16), serve.WithPlacement(p))
+			serve.WithMaxInFlight(2), serve.WithQueueDepth(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,19 +231,8 @@ func TestPoolPlacementSkew(t *testing.T) {
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return st.Devices[0].Placements, st.Devices[1].Placements
-	}
-
-	t.Run("modeled-work", func(t *testing.T) {
-		d0, d1 := run(t, serve.PlaceModeledWork)
-		if d0 != 1 || d1 != 2 {
+		if d0, d1 := st.Devices[0].Placements, st.Devices[1].Placements; d0 != 1 || d1 != 2 {
 			t.Errorf("placements (d0, d1) = (%d, %d), want (1, 2): small jobs must avoid the loaded device", d0, d1)
-		}
-	})
-	t.Run("jsq", func(t *testing.T) {
-		d0, d1 := run(t, serve.PlaceJSQ)
-		if d0 != 2 || d1 != 1 {
-			t.Errorf("placements (d0, d1) = (%d, %d), want (2, 1): JSQ ties break to the lower id", d0, d1)
 		}
 	})
 }

@@ -17,7 +17,7 @@
 // starvation-free. The server runs no scheduler goroutine: placement happens
 // synchronously wherever work or capacity appears (Submit, a job releasing
 // its slot, AddBackend), and a placed job starts at once. Placement is
-// join-shortest-modeled-work (or plain JSQ; see Placement) over the pool's
+// join-shortest-modeled-work over the pool's
 // devices, each with its own execution slots, circuit breaker and drain
 // state (pool.go). Execution itself reuses the context-aware executors of
 // internal/core, so a canceled job stops at its next level boundary and
@@ -127,9 +127,6 @@ type Config struct {
 	Backend core.Backend
 	// Pool, when set, is the full device list; Backend defaults to Pool[0].
 	Pool []core.Backend
-	// Placement selects the pool placement policy (PlaceModeledWork, the
-	// default, or PlaceJSQ).
-	Placement Placement
 	// QueueDepth bounds the admission queue; Submit rejects with
 	// ErrQueueFull beyond it. Defaults to 64.
 	QueueDepth int
@@ -341,8 +338,8 @@ type queued struct {
 	wallIn  time.Time
 	// fuseKey is the fusion compatibility class ("" when the job cannot
 	// fuse); gpuBytes is the job's whole-instance transfer size, used
-	// against FusedBytesCap; cost is the modeled work used by
-	// PlaceModeledWork. All computed at admission.
+	// against FusedBytesCap; cost is the modeled work placement
+	// weighs. All computed at admission.
 	fuseKey  string
 	gpuBytes int64
 	cost     float64
@@ -456,7 +453,7 @@ func New(be core.Backend, opts ...Option) (*Server, error) {
 
 // NewPool starts a server sharding jobs across a pool of backends — one
 // device per backend, each with its own execution slots, circuit breaker and
-// drain state — placed by the policy set with WithPlacement. The pool can
+// drain state — placed by modeled work (pool.go). The pool can
 // grow and shrink at runtime with AddBackend and DrainBackend.
 func NewPool(pool []core.Backend, opts ...Option) (*Server, error) {
 	if len(pool) == 0 {

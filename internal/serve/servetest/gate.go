@@ -1,6 +1,6 @@
-// Package servetest holds what the tests of serve, the tests of the layers
-// above it and the serving smoke share: a job that occupies a slot for exactly
-// as long as the test needs it to.
+// Package servetest holds what the tests of serve and the tests of the layers
+// above it share: a job that occupies a slot for exactly as long as the test
+// needs it to.
 package servetest
 
 import (

@@ -12,9 +12,9 @@ import (
 // WithSpanRecorder pays nothing.
 
 // Metrics is a registry of counters, gauges and histograms. Instruments are
-// created on first use and are safe for concurrent use; Snapshot, WriteJSON
-// and PublishExpvar expose the current values. A nil *Metrics disables
-// collection at zero cost.
+// created on first use and are safe for concurrent use; Snapshot and
+// WriteJSON expose the current values. A nil *Metrics disables collection at
+// zero cost.
 type Metrics = metrics.Registry
 
 // MetricsSnapshot is a point-in-time copy of every instrument in a registry.

@@ -115,20 +115,8 @@ type (
 	ServerStats = serve.Stats
 	// JobStrategy selects a job's executor.
 	JobStrategy = serve.Strategy
-	// PlacementPolicy selects how a pooled Server places the next job
-	// across its devices (WithPlacement).
-	PlacementPolicy = serve.Placement
 	// DeviceStats is one device's slice of a ServerStats snapshot.
 	DeviceStats = serve.DeviceStats
-)
-
-// Placement policies for WithPlacement.
-const (
-	// PlaceModeledWork scores each device by the modeled sequential cost
-	// of its backlog and places on the lightest — the default.
-	PlaceModeledWork = serve.PlaceModeledWork
-	// PlaceJSQ is join-shortest-queue: occupancy alone.
-	PlaceJSQ = serve.PlaceJSQ
 )
 
 // Job strategies.
@@ -165,8 +153,8 @@ func NewServer(be Backend, opts ...ServerOption) (*Server, error) {
 
 // NewServerPool starts a job server sharded across a pool of backends —
 // one set of execution slots, breaker, and fault domain per device — with
-// load-aware placement (WithPlacement) on top of the same weighted-fair
-// global schedule. The pool changes at runtime through Server.AddBackend
+// placement on the device with the least modeled backlog, on top of the same
+// weighted-fair global schedule. The pool changes at runtime through Server.AddBackend
 // and Server.DrainBackend:
 //
 //	srv, err := hybriddc.NewServerPool([]hybriddc.Backend{be0, be1},
@@ -223,7 +211,7 @@ func WithBreaker(threshold int, cooldown time.Duration) ServerOption {
 }
 
 // WithServerFaults wraps every job attempt's backend with the fault
-// injector — the chaos-testing hook exercised by `hpuserve --chaos`.
+// injector — the chaos-testing hook exercised by TestChaosSoak.
 func WithServerFaults(in *FaultInjector) ServerOption { return serve.WithFaults(in) }
 
 // WithDeviceFaults overrides WithServerFaults for one pool device, so a
@@ -232,10 +220,6 @@ func WithServerFaults(in *FaultInjector) ServerOption { return serve.WithFaults(
 func WithDeviceFaults(dev int, in *FaultInjector) ServerOption {
 	return serve.WithDeviceFaults(dev, in)
 }
-
-// WithPlacement selects the pool placement policy: PlaceModeledWork (the
-// default) or PlaceJSQ. With a single backend the policy is moot.
-func WithPlacement(p PlacementPolicy) ServerOption { return serve.WithPlacement(p) }
 
 // WithAutoDrain lets a device whose circuit breaker trips drain itself out
 // of the pool: it takes no further placements, in-flight work finishes, and
