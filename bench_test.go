@@ -17,7 +17,6 @@ import (
 	"repro/internal/hpu"
 	"repro/internal/model"
 	"repro/internal/native"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -308,7 +307,7 @@ func BenchmarkAblationDynamicSched(b *testing.B) {
 			seq := seqRep.Seconds
 			be := hpu.MustSim(hpu.HPU1())
 			s, _ := mergesort.New(in)
-			rep, err := sched.RunDynamicHybrid(be, s)
+			rep, err := core.RunDynamicHybridCtx(context.Background(), be, s)
 			if err != nil {
 				b.Fatal(err)
 			}

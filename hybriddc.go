@@ -218,19 +218,6 @@ func TuneAdvanced(trial func(alpha float64, y int) (float64, error), cfg TuneCon
 	return tune.Advanced(trial, cfg)
 }
 
-// TuneGrainConfig bounds the empirical leaf-coarsening grain search.
-type TuneGrainConfig = tune.GrainConfig
-
-// TuneGrainResult reports a tuned grain.
-type TuneGrainResult = tune.GrainResult
-
-// TuneGrain searches the power-of-a grain ladder empirically: trial runs
-// one configuration with the given WithGrain value and returns its makespan
-// in seconds. It is the measured counterpart of GrainAuto's slack heuristic.
-func TuneGrain(trial func(grain int) (float64, error), cfg TuneGrainConfig) (TuneGrainResult, error) {
-	return tune.Grain(trial, cfg)
-}
-
 // RunMultiGPUCtx is the §3.2 multiple-cards extension of the advanced
 // division, with cancellation and functional options; use it with
 // NewMultiSim (or any backend exposing several devices through GPUs()).

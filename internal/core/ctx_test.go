@@ -182,6 +182,18 @@ func TestCancellationMatrix(t *testing.T) {
 				return e.phase == "base" || (e.phase == "combine" && e.level < 2)
 			},
 		},
+		{
+			// Cancel inside the device chain of the leaf level, which splits
+			// on both backends: the join waits for the CPU share and stops
+			// at its boundary, so no level above the leaves may start.
+			name: "dynamic-mid-ladder", phase: "gpu-base", level: -1,
+			run: func(ctx context.Context, be Backend, alg *cancelAlg) (Report, error) {
+				return RunDynamicHybridCtx(ctx, be, alg)
+			},
+			forbidden: func(e probeEvent) bool {
+				return e.phase == "combine" || e.phase == "gpu-combine"
+			},
+		},
 	}
 
 	backends := []struct {
@@ -272,6 +284,9 @@ func TestCancellationControl(t *testing.T) {
 		"advanced": advancedRunner(0.5, 3, 2),
 		"gpu-only": func(ctx context.Context, be Backend, alg *cancelAlg) (Report, error) {
 			return RunGPUOnlyCtx(ctx, be, alg)
+		},
+		"dynamic": func(ctx context.Context, be Backend, alg *cancelAlg) (Report, error) {
+			return RunDynamicHybridCtx(ctx, be, alg)
 		},
 	}
 	for name, run := range runners {

@@ -208,6 +208,30 @@ func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) 
 	return r.report(&cfg)
 }
 
+// RunDynamicHybridCtx executes the ablation's dynamic per-level baseline, a
+// StarPU-flavoured greedy scheme: divide levels run on the CPU, and every
+// base and combine level is split afresh between the units in proportion to
+// their aggregate rates, p cores against γ·min(k, g) device lanes, the
+// device's share shipped over the link and back around its launch. It is the
+// transfer-naive division the paper's static ones (§2, §5) are argued
+// against: one round trip per level that splits, where the advanced division
+// pays one in all. Its Report's Strategy is "dynamic-hybrid". ctx is checked
+// at every level boundary of every chain; on cancellation the partial
+// Report's error wraps dcerr.ErrCanceled. WithCoalesce and WithGrain are
+// accepted but have no effect: no share stays on the device for more than
+// one level, and no CPU share spans the leaf-adjacent levels coarsening
+// collapses.
+func RunDynamicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) (Report, error) {
+	cfg, err := open(be, opts)
+	if err != nil {
+		return Report{}, err
+	}
+	if be.GPU() == nil {
+		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
+	}
+	return ladder(ctx, be, &cfg, alg).report(&cfg)
+}
+
 // checkAlphaY validates the advanced division's CPU share and transfer
 // level.
 func checkAlphaY(alg Alg, alpha float64, y int) error {

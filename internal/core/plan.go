@@ -305,6 +305,82 @@ func (r *run) descend(from, s, c0, c1 int) {
 	r.emit(opGPUBase, r.L, s, c0, c1)
 }
 
+// ladder plans and runs the dynamic per-level division: the top chain
+// divides full width on the CPU, then every level, leaves first and back up
+// to the root, runs on the join chain — whole on the CPU when split leaves
+// it all there, else forked into the CPU's [0, kc) and a device chain that
+// leases, ships [kc, k) over, solves it and brings it home, the two meeting
+// in the next level's join. Chains, in index order: the top, then per split
+// level its CPU chain, its device chain and its join.
+func ladder(ctx context.Context, be Backend, cfg *RunConfig, alg GPUAlg) *run {
+	r := newRun(ctx, be, cfg, alg, alg)
+	r.rep[0] = Report{Algorithm: alg.Name(), Strategy: "dynamic-hybrid"}
+	p, g, gamma := float64(be.CPU().Parallelism()), float64(be.GPU().Parallelism()), be.GPUGamma()
+	splits := 0
+	for l := 0; l <= r.L; l++ {
+		if k := TasksAtLevel(r.a, l); split(p, g, gamma, k) < k {
+			splits++
+		}
+	}
+	r.chains = make([]chain, 1+3*splits)
+	if r.sa != nil {
+		r.segs = make([]*Segment, splits)
+	}
+	// L divides, one CPU op per level, and per split level a fork and at
+	// most four device ops.
+	r.ops = make([]op, 0, 2*r.L+1+5*splits)
+
+	r.levels(opDivide, 0, r.L-1, 0, 0, 1)
+	join, at := &r.chains[0], 0
+	for l, i := r.L, 0; l >= 0; l-- {
+		cpuKind, gpuKind := opCombine, opGPUCombine
+		if l == r.L {
+			cpuKind, gpuKind = opBase, opGPUBase
+		}
+		k := TasksAtLevel(r.a, l)
+		kc := split(p, g, gamma, k)
+		if kc == k {
+			r.ops = append(r.ops, op{cpuKind, l, 0, k})
+			continue
+		}
+		c := 1 + 3*i // the level's CPU chain; its device chain and join follow
+		cpu, dev := &r.chains[c], &r.chains[c+1]
+		r.ops = append(r.ops, op{kind: opFork, lo: c, hi: c + 2})
+		join.ops, join = r.ops[at:], &r.chains[c+2]
+		join.waits.Store(2)
+		cpu.then, dev.then = join, join
+
+		at = len(r.ops)
+		r.ops = append(r.ops, op{cpuKind, l, 0, kc})
+		cpu.ops = r.ops[at:]
+		at = len(r.ops)
+		dev.dev, dev.bytes = be.GPU(), alg.GPUBytes(l, kc, k)
+		if r.sa != nil {
+			dev.segs = r.segs[i : i : i+1]
+			r.ops = append(r.ops, op{opLease, l, kc, k})
+		}
+		r.ops = append(r.ops, op{kind: opUpload}, op{gpuKind, l, kc, k}, op{kind: opDownload})
+		dev.ops = r.ops[at:]
+		at = len(r.ops)
+		i++
+	}
+	join.ops = r.ops[at:]
+	r.drive(&r.chains[0])
+	return r
+}
+
+// split is how many of a level's k subproblems the dynamic division keeps
+// on the CPU: a share proportional to the units' aggregate rates, p cores
+// against γ·min(k, g) device lanes, or all of them when the level is too
+// narrow to be worth a transfer.
+func split(p, g, gamma float64, k int) int {
+	if float64(k) <= 2*p {
+		return k
+	}
+	cpuShare := p / (p + gamma*min(float64(k), g))
+	return min(max(int(cpuShare*float64(k)+0.5), 0), k)
+}
+
 // begin starts walking the chain.
 func (r *run) begin(c *chain) {
 	r.pending.Add(1)

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updatePlans = flag.Bool("update", false, "rewrite testdata/plans.golden and testdata/fused.golden from this commit's executors")
+var updatePlans = flag.Bool("update", false, "rewrite testdata/{plans,fused,dynamic}.golden from this commit's executors")
 
 // planRecorder is a backend decorator that writes down, in call order and
 // with the virtual time of the call, everything an executor asks of the
@@ -327,7 +328,62 @@ func TestGoldenPlans(t *testing.T) {
 
 	compareGolden(t, "plans.golden", rows)
 	compareGolden(t, "fused.golden", fusedGoldenRows(t))
+	compareGolden(t, "dynamic.golden", dynamicGoldenRows(t))
 }
+
+// dynamicGoldenRows runs RunDynamicHybridCtx under the plan recorder over
+// mergesort, scan and dcsum at 2^8..2^16 (mergesort up to 2^20) on both
+// platforms: one row each of the strategy, the number of recorded lines and
+// their hash, Seconds to 17 digits and the output hash, which must also be
+// the hash of the plain-Go result. testdata/dynamic.golden was generated,
+// on the commit before this division replaced it, from the same rows of
+// internal/sched's RunDynamicHybrid, a closure scheduler. Two things are
+// stripped from the stream before hashing, because that scheduler had
+// neither: the "lease" lines (the interpreter leases a device segment per
+// split level; leases take no virtual time) and the batches' "l=" labels
+// (it left Batch.Level at 0; no platform reads it).
+func dynamicGoldenRows(t *testing.T) []goldenResult {
+	var rows []goldenResult
+	for _, name := range []string{"mergesort", "scan", "dcsum"} {
+		top := 16
+		if name == "mergesort" {
+			top = 20
+		}
+		for logN := 8; logN <= top; logN++ {
+			in := workload.Uniform(1<<logN, 20) // algMember's input
+			want := hashValues([]int64{dcsum.Sum(in)})
+			switch name {
+			case "mergesort":
+				want = hashValues(sortedRef(in))
+			case "scan":
+				want = hashValues(scan.Prefix(in))
+			}
+			for _, p := range hpu.Platforms() {
+				alg, out := algMember(name, logN, 0)(t)
+				rec := newPlanRecorder(hpu.MustSim(p))
+				rep, err := RunDynamicHybridCtx(context.Background(), rec, alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var lines []string
+				for _, l := range rec.lines {
+					if !strings.HasPrefix(l, "lease ") {
+						lines = append(lines, levelLabel.ReplaceAllString(l, ""))
+					}
+				}
+				if out() != want {
+					t.Errorf("%s 2^%d %s: dynamic result differs from plain Go", name, logN, p.Name)
+				}
+				rows = append(rows, goldenResult{fmt.Sprintf("%s 2^%d %s | %s %d %016x sec=%.17g out=%016x",
+					name, logN, p.Name, rep.Strategy, len(lines), hashLines(lines), rep.Seconds, out()), lines})
+				ReleaseAlg(alg)
+			}
+		}
+	}
+	return rows
+}
+
+var levelLabel = regexp.MustCompile(` l=-?\d+`)
 
 // goldenResult is one golden row and, for a failing comparison, the full
 // recorded stream behind it.

@@ -64,7 +64,8 @@ func TestRunEndsOnceFourDeviceChains(t *testing.T) {
 // equal the sequential run, and under -race no constructor may be seen
 // reading what another writes — at every grain too: a coarse CPU portion
 // constructs all its levels' batches at once, and runs range bodies and
-// per-task ones over sub-ranges of them.
+// per-task ones over sub-ranges of them. The dynamic division runs once per
+// algorithm beside them.
 func TestCoalescedHybridsMatchSequentialNative(t *testing.T) {
 	for _, tc := range grainCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +97,15 @@ func TestCoalescedHybridsMatchSequentialNative(t *testing.T) {
 						t.Errorf("%d device(s), %s: result differs from the sequential run", devices, gs.name)
 					}
 				}
+			}
+			// The dynamic division forks a CPU share and a device chain at
+			// every level that splits, so its two chains race the same way.
+			alg := tc.build(t).(GPUAlg)
+			if _, err := RunDynamicHybridCtx(context.Background(), newMultiNative(t, 1), alg); err != nil {
+				t.Fatal(err)
+			}
+			if got := tc.value(alg); !reflect.DeepEqual(got, want) {
+				t.Error("dynamic: result differs from the sequential run")
 			}
 		})
 	}

@@ -19,7 +19,7 @@ type tapEntry struct {
 	run  func(ctx context.Context, be Backend, algs []GPUAlg, opts []Option) error
 }
 
-// tapEntries are the six entry points and a fused group of three, on 2^8
+// tapEntries are the seven entry points and a fused group of three, on 2^8
 // inputs (the fused group's third member is 2^6, so it has two depths).
 var tapEntries = []tapEntry{
 	{"seq", func(ctx context.Context, be Backend, algs []GPUAlg, opts []Option) error {
@@ -54,6 +54,10 @@ var tapEntries = []tapEntry{
 		_, err := RunFusedGPUCtx(ctx, be, algs, opts...)
 		return err
 	}},
+	{"dynamic", func(ctx context.Context, be Backend, algs []GPUAlg, opts []Option) error {
+		_, err := RunDynamicHybridCtx(ctx, be, algs[0], opts...)
+		return err
+	}},
 }
 
 // TestGoldenTap pins what a run reports to its listeners: the spans
@@ -65,7 +69,9 @@ var tapEntries = []tapEntry{
 // callbacks. One difference is declared and filtered here, not
 // regenerated away: those decorators never saw RunMultiGPUCtx's device
 // batches, so a multi-device row compares without its "gpu" spans and its
-// core_gpu_* metrics (TestMultiGPUDeviceBatchesMeasured counts them).
+// core_gpu_* metrics (TestMultiGPUDeviceBatchesMeasured counts them). The
+// "dynamic" rows were added when the dynamic baseline became a division of
+// the interpreter: the closure scheduler before it had no tap.
 func TestGoldenTap(t *testing.T) {
 	var spanRows, metricRows []goldenResult
 	ctx := context.Background()

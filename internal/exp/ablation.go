@@ -7,7 +7,6 @@ import (
 	"repro/internal/algos/mergesort"
 	"repro/internal/core"
 	"repro/internal/hpu"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -137,7 +136,7 @@ func Ablation(cfg AblationConfig) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		rep, err := sched.RunDynamicHybrid(be, s)
+		rep, err := core.RunDynamicHybridCtx(context.Background(), be, s)
 		if err != nil {
 			return Table{}, err
 		}

@@ -89,28 +89,32 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// runFaulted runs GPU-only mergesorts under a 100% fault rate and checks
-// the executor surfaces the fault as ErrDeviceFault with a partial report.
+// runFaulted runs a GPU-only and a dynamic per-level mergesort under a 100%
+// fault rate and checks each executor surfaces the fault as ErrDeviceFault
+// with a partial report.
 func runFaulted(t *testing.T, be core.Backend, kind string, cfg faults.Config) {
 	t.Helper()
-	in, err := faults.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg, err := mergesort.New(workload.Uniform(1<<8, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := in.Wrap(be)
-	rep, err := core.RunGPUOnlyCtx(context.Background(), fb, alg)
-	if !errors.Is(err, dcerr.ErrDeviceFault) {
-		t.Fatalf("%s: err = %v, want ErrDeviceFault", kind, err)
-	}
-	if !rep.Partial {
-		t.Errorf("%s: faulted run's report not marked partial", kind)
-	}
-	if c := in.Counts(); c.Injected != 1 || c.Attempts != 1 {
-		t.Errorf("%s: counts = %+v, want 1 injected / 1 attempt", kind, c)
+	for _, run := range []func(context.Context, core.Backend, core.GPUAlg, ...core.Option) (core.Report, error){
+		core.RunGPUOnlyCtx, core.RunDynamicHybridCtx,
+	} {
+		in, err := faults.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, err := mergesort.New(workload.Uniform(1<<8, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := run(context.Background(), in.Wrap(be), alg)
+		if !errors.Is(err, dcerr.ErrDeviceFault) {
+			t.Fatalf("%s %s: err = %v, want ErrDeviceFault", kind, rep.Strategy, err)
+		}
+		if !rep.Partial {
+			t.Errorf("%s %s: faulted run's report not marked partial", kind, rep.Strategy)
+		}
+		if c := in.Counts(); c.Injected != 1 || c.Attempts != 1 {
+			t.Errorf("%s %s: counts = %+v, want 1 injected / 1 attempt", kind, rep.Strategy, c)
+		}
 	}
 }
 
