@@ -44,11 +44,13 @@ type chaosExpected struct {
 	sum    int64
 }
 
-// TestChaosSoak has two rows. One device: ~20% of attempts fault (kernel and
-// transfer errors, close races, stalls) under a mix of retry, CPU fallback,
-// hedging and deliberately unprotected jobs. A 2-device pool: only device 1
-// faults, every job carries retry and CPU fallback, and device 1 must trip
-// its breaker and drain itself out of the pool while no job is shed.
+// TestChaosSoak has three rows. One device: ~20% of attempts fault (kernel
+// and transfer errors, close races, stalls) under a mix of retry, CPU
+// fallback, hedging and deliberately unprotected jobs. A 2-device pool: only
+// device 1 faults, every job carries retry and CPU fallback, and device 1
+// must trip its breaker and drain itself out of the pool while no job is
+// shed. Fused: one device with job fusion on and no job carrying a policy,
+// so GPU-only jobs fuse and the faults land inside fused launches too.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 240-job chaos soak in -short mode")
@@ -155,6 +157,35 @@ func TestChaosSoak(t *testing.T) {
 			if counters["serve_breaker_trips_total"] != st.BreakerTrips || counters["serve_rebalances_total"] != st.Rebalanced {
 				t.Errorf("trips %d and rebalances %d counted, server says %d and %d",
 					counters["serve_breaker_trips_total"], counters["serve_rebalances_total"], st.BreakerTrips, st.Rebalanced)
+			}
+		},
+	}, {
+		name:    "fused",
+		devices: 1,
+		faults: hybriddc.FaultsConfig{
+			Seed:              seed,
+			KernelErrorRate:   0.8 * rate,
+			TransferErrorRate: 0.2 * rate,
+		},
+		server: func(in *hybriddc.FaultInjector) []hybriddc.ServerOption {
+			return []hybriddc.ServerOption{
+				hybriddc.WithMaxInFlight(2),
+				hybriddc.WithMaxFusedJobs(8),
+				hybriddc.WithServerFaults(in),
+				hybriddc.WithBreaker(3, 2*time.Millisecond),
+			}
+		},
+		// A policy keeps a job out of fusion, so none carries one: every
+		// failure is a device fault or a breaker shed.
+		policy: func(*rand.Rand) ([]hybriddc.Option, bool) { return nil, false },
+		check: func(t *testing.T, r chaosReport, counters map[string]uint64) {
+			st := r.Stats
+			if st.FusedRuns == 0 || counters["serve_fused_runs_total"] != st.FusedRuns {
+				t.Errorf("serve_fused_runs_total = %d, server says %d: fusion never exercised, or invisible",
+					counters["serve_fused_runs_total"], st.FusedRuns)
+			}
+			if counters["serve_breaker_trips_total"] != st.BreakerTrips {
+				t.Errorf("serve_breaker_trips_total = %d, server says %d", counters["serve_breaker_trips_total"], st.BreakerTrips)
 			}
 		},
 	}}

@@ -3,16 +3,12 @@ package serve
 import (
 	"container/heap"
 	"context"
-	"errors"
-	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dcerr"
-	"repro/internal/trace"
 )
 
 // Job fusion. When the stride scheduler starts a GPUOnly job whose
@@ -25,6 +21,13 @@ import (
 // serving layer's small-job hot path needs: k fused jobs pay one launch per
 // level instead of k.
 //
+// The group is one attempt. It takes the solo job's path — executeReliable,
+// policyLoop, runAttempt, runStrategy — with the group carried in the plan,
+// so it gets the device's fault injector, the server's metrics and trace
+// prefix, the head's own options, one breaker verdict and the queue, job and
+// attempt spans. It feeds no calibration sample: a fused launch spreads its
+// cost over k members, which samples no solo strategy the tuner prices.
+//
 // Fairness: fusion never changes which job is dispatched — the heap's head
 // keeps its stride-scheduling position, and only same-kind followers are
 // pulled out of turn. A queued job of a different kind keeps its virtual
@@ -34,12 +37,9 @@ import (
 //
 // In a pool, batches form per device: companions are collected from the
 // queue (where capacity-gated placement keeps contended jobs) when the head
-// starts on its device, and the whole group runs on that one device.
-//
-// Fusion is declined — the job runs the ordinary single path — when no
-// companion is found in the queue (and within the batch window, if one is
-// configured), when FusedBytesCap would be exceeded, or when every would-be
-// companion was already canceled.
+// starts on its device, and the whole group runs on that one device. Only
+// jobs already queued fuse, so fusion adds no latency; a group left with
+// one live member runs that member's own gpu-only plan.
 
 // fuseClass decides at admission whether a job may join a fused execution,
 // returning its fusion key ("" when it cannot). A job is fusable when
@@ -73,17 +73,14 @@ func (s *Server) fuseClass(job Job, rc core.RunConfig) string {
 	return key
 }
 
-// collectLocked moves queued jobs with the given fusion key into members,
-// in dispatch (virtual finish tag) order, until MaxFusedJobs or
-// FusedBytesCap stops it. Must hold s.mu.
-func (s *Server) collectLocked(key string, members []*queued, bytes int64) ([]*queued, int64) {
-	if len(members) >= s.cfg.MaxFusedJobs {
-		return members, bytes
-	}
+// collectLocked moves up to MaxFusedJobs-1 queued jobs with the head's
+// fusion key out of the queue, in dispatch (virtual finish tag) order, and
+// returns them after the head. Must hold s.mu.
+func (s *Server) collectLocked(head *queued) []*queued {
 	var cand []*queued
 	kept := s.queue[:0]
 	for _, q := range s.queue {
-		if q.fuseKey == key {
+		if q.fuseKey == head.fuseKey {
 			cand = append(cand, q)
 		} else {
 			kept = append(kept, q)
@@ -93,81 +90,34 @@ func (s *Server) collectLocked(key string, members []*queued, bytes int64) ([]*q
 		if cand[i].vfinish != cand[j].vfinish {
 			return cand[i].vfinish < cand[j].vfinish
 		}
-		return cand[i].seq < cand[j].seq
+		return cand[i].h.ID < cand[j].h.ID
 	})
-	for _, q := range cand {
-		if len(members) < s.cfg.MaxFusedJobs &&
-			(s.cfg.FusedBytesCap == 0 || bytes+q.gpuBytes <= s.cfg.FusedBytesCap) {
-			members = append(members, q)
-			bytes += q.gpuBytes
-		} else {
-			kept = append(kept, q)
-		}
-	}
+	n := min(len(cand), s.cfg.MaxFusedJobs-1)
+	kept = append(kept, cand[n:]...)
 	for i := len(kept); i < len(s.queue); i++ {
 		s.queue[i] = nil
 	}
 	s.queue = s.queue[:len(kept)]
 	heap.Init(&s.queue)
 	s.mQueueDepth.Set(int64(len(s.queue)))
-	return members, bytes
+	return append([]*queued{head}, cand[:n]...)
 }
 
-// removeWaiterLocked unregisters a batch-window waiter. Must hold s.mu.
-func (s *Server) removeWaiterLocked(key string, w chan struct{}) {
-	ws := s.fuseWaiters[key]
-	for i, c := range ws {
-		if c == w {
-			ws[i] = ws[len(ws)-1]
-			ws = ws[:len(ws)-1]
-			break
-		}
-	}
-	if len(ws) == 0 {
-		delete(s.fuseWaiters, key)
-	} else {
-		s.fuseWaiters[key] = ws
-	}
-}
-
-// runFused attempts to execute the dispatched head job as a fused run on
-// its placed device. It returns false — without having settled anything
-// about the head — when fusion is declined and the caller should take the
-// ordinary single-job path. When it returns true the head's execution slot
-// has been released and every collected member settled.
-func (s *Server) runFused(d *device, head *queued) bool {
-	members := []*queued{head}
-	bytes := head.gpuBytes
+// group gathers the placed head's fusion companions and returns the job
+// that makes the attempt on the head's slot. Members canceled while queued
+// settle individually and never touch the backend. The survivors' first
+// member leads — the head, or, when the head itself was canceled, its first
+// live companion, which inherits the head's plan and probe token — and, when
+// two or more survive, its plan carries the group. When every member was
+// canceled the head leads, and run settles it like any job canceled while
+// queued.
+func (s *Server) group(head *queued) *queued {
 	s.mu.Lock()
-	members, bytes = s.collectLocked(head.fuseKey, members, bytes)
-	if len(members) < s.cfg.MaxFusedJobs && s.cfg.BatchWindow > 0 {
-		wake := make(chan struct{}, 1)
-		s.fuseWaiters[head.fuseKey] = append(s.fuseWaiters[head.fuseKey], wake)
-		s.mu.Unlock()
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	window:
-		for {
-			select {
-			case <-wake:
-				s.mu.Lock()
-				members, bytes = s.collectLocked(head.fuseKey, members, bytes)
-				full := len(members) >= s.cfg.MaxFusedJobs
-				s.mu.Unlock()
-				if full {
-					break window
-				}
-			case <-timer.C:
-				break window
-			}
-		}
-		timer.Stop()
-		s.mu.Lock()
-		s.removeWaiterLocked(head.fuseKey, wake)
-	}
+	members := s.collectLocked(head)
 	s.mu.Unlock()
-
-	// Members canceled while queued settle individually and never touch
-	// the backend; the survivors execute.
+	if len(members) == 1 {
+		return head
+	}
 	var live, canceled []*queued
 	for _, q := range members {
 		if q.ctx.Err() != nil {
@@ -176,8 +126,8 @@ func (s *Server) runFused(d *device, head *queued) bool {
 			live = append(live, q)
 		}
 	}
-	if len(live) == 1 && live[0] == head && len(canceled) == 0 {
-		return false // fusion declined: nothing to fuse, zero overhead
+	if len(live) == 0 {
+		live, canceled = canceled[:1], canceled[1:]
 	}
 	if len(canceled) > 0 {
 		for _, q := range canceled {
@@ -188,114 +138,34 @@ func (s *Server) runFused(d *device, head *queued) bool {
 		s.settleLocked(canceled...)
 		s.mu.Unlock()
 	}
-	if len(live) == 0 {
-		// The head itself was canceled: release its slot (and its probe
-		// token, if it held one).
-		if head.ctx.Err() == nil {
-			panic("serve: empty fused group with live head")
-		}
-		s.feedBreaker(d, head, verdictAbandon)
-		s.mu.Lock()
-		s.finishJobLocked(d, head)
-		s.mu.Unlock()
-		return true
+	lead := live[0]
+	if lead != head {
+		lead.plan, lead.probe, head.probe = head.plan, head.probe, false
 	}
-
-	now := time.Now()
-	for _, q := range live {
-		q.h.queueWait = now.Sub(q.wallIn).Seconds()
+	if len(live) > 1 {
+		lead.plan.group = live
 	}
-	reps, err := s.executeFused(d, live)
-
-	// The fused run is one device-path execution; its verdict feeds the
-	// device's breaker through the head (the only member that can hold a
-	// probe token).
-	switch {
-	case err == nil:
-		s.feedBreaker(d, head, verdictSuccess)
-	case errors.Is(err, dcerr.ErrDeviceFault):
-		s.feedBreaker(d, head, verdictFault)
-	default:
-		s.feedBreaker(d, head, verdictAbandon)
-	}
-
-	for i, q := range live {
-		var rep core.Report
-		if i < len(reps) {
-			rep = reps[i]
-		}
-		merr := err
-		if err != nil {
-			merr = fmt.Errorf("serve: job %d: %w", q.h.ID, err)
-		}
-		q.h.rep, q.h.err = rep, merr
-	}
-
-	s.mu.Lock()
-	s.finishJobLocked(d, head)
-	if len(live) >= 2 {
-		s.stats.FusedRuns++
-		s.stats.FusedJobs += uint64(len(live))
-		s.mFusedRuns.Inc()
-		s.mFusedJobs.Add(uint64(len(live)))
-	}
-	s.settleLocked(live...)
-	s.mu.Unlock()
-	return true
+	return lead
 }
 
-// executeFused runs the group on the head's placed device, mirroring
-// runAttempt: the server's metrics registry and a trace scope are prefixed,
-// the group's shared coalesce setting is re-applied, and span stamping
-// covers both the fused run (one "fused" span on the head's job ID naming
-// every member) and the per-member "queue"/"job" spans.
-func (s *Server) executeFused(d *device, members []*queued) ([]core.Report, error) {
-	be := d.be
-	head := members[0]
-	algs := make([]core.GPUAlg, len(members))
-	for i, q := range members {
+// runFused is runStrategy's fused case: the group's members run as one
+// core.RunFusedGPUCtx execution, and each member's Report is written to its
+// handle; the lead's (group[0]) is also returned. The run stops only once
+// every member's submission context is canceled (fusedContext).
+func runFused(be core.Backend, group []*queued, opts []core.Option) (core.Report, error) {
+	algs := make([]core.GPUAlg, len(group))
+	for i, q := range group {
 		algs[i] = q.job.Alg.(core.GPUAlg)
 	}
-
-	var opts []core.Option
-	if s.cfg.Metrics != nil {
-		opts = append(opts, core.WithMetrics(s.cfg.Metrics))
-	}
-	var scope *trace.Scope
-	if s.cfg.Trace != nil {
-		scope = s.cfg.Trace.Scope(head.h.ID)
-		opts = append(opts, trace.Record(scope))
-	}
-	if strings.HasSuffix(head.fuseKey, "|coalesce") {
-		opts = append(opts, core.WithCoalesce())
-	}
-
-	ctx, stop := fusedContext(members)
+	ctx, stop := fusedContext(group)
 	defer stop()
-	start := be.Now()
 	reps, err := core.RunFusedGPUCtx(ctx, be, algs, opts...)
-	if scope != nil {
-		end := be.Now()
-		ids := make([]string, len(members))
-		for i, q := range members {
-			ids[i] = fmt.Sprintf("%d", q.h.ID)
-		}
-		scope.Add(trace.Span{
-			Unit: "job",
-			Label: fmt.Sprintf("fused ×%d %s jobs [%s] dev%d",
-				len(members), head.job.Alg.Name(), strings.Join(ids, " "), d.id),
-			Start: start, End: end,
-		})
-		for _, q := range members {
-			ms := s.cfg.Trace.Scope(q.h.ID)
-			label := fmt.Sprintf("job %d %s %s n=%d dev%d", q.h.ID, q.job.Alg.Name(),
-				core.FusedStrategy, q.job.Alg.N(), d.id)
-			ms.Add(trace.Span{Unit: "queue", Label: label,
-				Start: start - q.h.queueWait, End: start})
-			ms.Add(trace.Span{Unit: "job", Label: label, Start: start, End: end})
+	for i, q := range group {
+		if i < len(reps) {
+			q.h.rep = reps[i]
 		}
 	}
-	return reps, err
+	return group[0].h.rep, err
 }
 
 // fusedContext derives the group's execution context: it cancels only when

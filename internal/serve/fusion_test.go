@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +15,15 @@ import (
 	"repro/internal/algos/dcsum"
 	"repro/internal/algos/mergesort"
 	"repro/internal/algos/scan"
+	"repro/internal/autotune"
 	"repro/internal/core"
 	"repro/internal/dcerr"
+	"repro/internal/faults"
 	"repro/internal/hpu"
 	"repro/internal/metrics"
 	"repro/internal/native"
 	"repro/internal/serve"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -229,102 +234,6 @@ func TestFusionDeclinedForSingleton(t *testing.T) {
 	}
 }
 
-// TestFusionRespectsBytesCap pins that FusedBytesCap declines companions
-// whose summed transfer sizes would exceed the cap.
-func TestFusionRespectsBytesCap(t *testing.T) {
-	data := workload.Uniform(512, 2)
-	one, err := scan.New(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perJob := one.GPUBytes(0, 0, 1)
-
-	srv, err := serve.New(hpu.MustSim(hpu.HPU1()),
-		serve.WithMaxFusedJobs(8), serve.WithFusedBytesCap(perJob+perJob/2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := blockServer(t, srv)
-	var handles []*serve.Handle
-	algs := []core.Alg{one}
-	other, err := scan.New(workload.Uniform(512, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	algs = append(algs, other)
-	for _, a := range algs {
-		h, err := srv.Submit(context.Background(), serve.Job{Alg: a, Strategy: serve.GPUOnly})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	release()
-	for i, h := range handles {
-		rep, err := h.Report()
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if rep.Strategy != "gpu-only" {
-			t.Errorf("job %d strategy = %q, want gpu-only (cap declined fusion)", i, rep.Strategy)
-		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.FusedRuns != 0 {
-		t.Errorf("fused runs = %d, want 0 under bytes cap", st.FusedRuns)
-	}
-}
-
-// TestFusionBatchWindow pins the arrival-window path: a dispatched fusable
-// job with an empty queue lingers for its window and fuses with a companion
-// submitted shortly after.
-func TestFusionBatchWindow(t *testing.T) {
-	be, err := native.New(native.Config{CPUWorkers: 2, DeviceLanes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	srv, err := serve.New(be, serve.WithMaxInFlight(1),
-		serve.WithMaxFusedJobs(2), serve.WithBatchWindow(2*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a, err := scan.New(workload.Uniform(128, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := scan.New(workload.Uniform(128, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha, err := srv.Submit(context.Background(), serve.Job{Alg: a, Strategy: serve.GPUOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let the head enter its batch window
-	hb, err := srv.Submit(context.Background(), serve.Job{Alg: b, Strategy: serve.GPUOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repA, errA := ha.Report()
-	repB, errB := hb.Report()
-	if errA != nil || errB != nil {
-		t.Fatalf("errors: %v, %v", errA, errB)
-	}
-	if repA.Strategy != core.FusedStrategy || repB.Strategy != core.FusedStrategy {
-		t.Errorf("strategies = %q, %q, want both %q", repA.Strategy, repB.Strategy, core.FusedStrategy)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.FusedRuns != 1 || st.FusedJobs != 2 {
-		t.Errorf("fused stats = %+v, want one run of two jobs", st)
-	}
-}
-
 // TestFusionFairnessNoStarvation is the satellite fairness property: a
 // low-priority job of a different kind completes while same-kind
 // high-priority jobs keep arriving and fusing. Fusion must not bypass the
@@ -409,8 +318,8 @@ func TestFusionFairnessNoStarvation(t *testing.T) {
 }
 
 // TestFusionCanceledMembers pins per-member cancellation semantics: members
-// canceled while queued settle individually with ErrCanceled, and the
-// survivors' fused run still completes.
+// canceled while queued settle individually with ErrCanceled, and the lone
+// survivor runs as the solo gpu-only job it was submitted as.
 func TestFusionCanceledMembers(t *testing.T) {
 	srv, err := serve.New(hpu.MustSim(hpu.HPU1()),
 		serve.WithMaxFusedJobs(8))
@@ -445,8 +354,12 @@ func TestFusionCanceledMembers(t *testing.T) {
 	}
 	release()
 
-	if _, err := hs.Report(); err != nil {
+	rep, err := hs.Report()
+	if err != nil {
 		t.Fatalf("survivor: %v", err)
+	}
+	if rep.Strategy != "gpu-only" {
+		t.Errorf("survivor strategy = %q, want gpu-only (a one-member group runs solo)", rep.Strategy)
 	}
 	got := survivor.Result()
 	for j := range want {
@@ -508,5 +421,124 @@ func TestFusionMetrics(t *testing.T) {
 	ratio := reg.Float(serve.MetricFusionRatio).Value()
 	if ratio <= 0 || ratio > 1 {
 		t.Errorf("%s = %g, want in (0, 1]", serve.MetricFusionRatio, ratio)
+	}
+}
+
+// TestFusionFaultInjected pins that a fused group is one attempt on the solo
+// path: the device's fault injector reaches the fused launch, every member
+// fails with the device fault, the breaker takes exactly one verdict, and the
+// recorder holds the fused span plus each member's queue and job spans.
+func TestFusionFaultInjected(t *testing.T) {
+	be, err := native.New(native.Config{CPUWorkers: 2, DeviceLanes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	in, err := faults.New(faults.Config{Seed: 1, KernelErrorRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorderLimit(1024)
+	srv, err := serve.New(be, serve.WithMaxInFlight(1), serve.WithMaxFusedJobs(4),
+		serve.WithFaults(in), serve.WithBreaker(1, time.Minute), serve.WithRecorder(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := blockServer(t, srv)
+	var handles []*serve.Handle
+	for i := 0; i < 4; i++ {
+		sc, err := scan.New(workload.Uniform(256, int64(30+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.Submit(context.Background(), serve.Job{Alg: sc, Strategy: serve.GPUOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	release()
+	ids := make([]string, len(handles))
+	for i, h := range handles {
+		ids[i] = fmt.Sprint(h.ID)
+		if _, err := h.Report(); !errors.Is(err, dcerr.ErrDeviceFault) {
+			t.Errorf("member %d: err = %v, want ErrDeviceFault", h.ID, err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.FusedRuns != 1 || st.FusedJobs != 4 || st.BreakerTrips != 1 {
+		t.Errorf("stats = %+v, want one fused run of 4 jobs and one breaker trip", st)
+	}
+	if c := in.Counts(); c.Injected == 0 {
+		t.Errorf("injector counts = %+v: no fault reached the fused launch", c)
+	}
+
+	labels := map[uint64][]string{}
+	for _, sp := range rec.Spans() {
+		if sp.Unit == "queue" || sp.Unit == "job" {
+			labels[sp.Job] = append(labels[sp.Job], string(sp.Unit)+": "+sp.Label)
+		}
+	}
+	head := handles[0].ID
+	fused := fmt.Sprintf("job: fused ×4 scan jobs [%s] dev0", strings.Join(ids, " "))
+	if !slices.Contains(labels[head], fused) {
+		t.Errorf("head %d spans %q lack %q", head, labels[head], fused)
+	}
+	for _, h := range handles {
+		label := fmt.Sprintf("job %d scan %s n=256 dev0", h.ID, core.FusedStrategy)
+		for _, unit := range []string{"queue", "job"} {
+			if !slices.Contains(labels[h.ID], unit+": "+label) {
+				t.Errorf("member %d spans %q lack %s span %q", h.ID, labels[h.ID], unit, label)
+			}
+		}
+	}
+}
+
+// TestFusionFeedsNoCalibration pins that a fused burst adds no tuner
+// observation even with Strategy Auto's calibration active: a fused launch
+// spreads its cost over its members and samples no solo strategy.
+func TestFusionFeedsNoCalibration(t *testing.T) {
+	tuner := autotune.NewTuner()
+	before, err := tuner.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(hpu.MustSim(hpu.HPU1()), serve.WithMaxFusedJobs(8), serve.WithAutoTuner(tuner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := blockServer(t, srv)
+	var handles []*serve.Handle
+	for i := 0; i < 6; i++ {
+		sc, err := scan.New(workload.Uniform(512, int64(40+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.Submit(context.Background(), serve.Job{Alg: sc, Strategy: serve.GPUOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	release()
+	for _, h := range handles {
+		if _, err := h.Report(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.FusedRuns != 1 {
+		t.Fatalf("fused runs = %d, want 1; test vacuous", st.FusedRuns)
+	}
+	after, err := tuner.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Errorf("fused burst changed the calibration:\nbefore %s\nafter  %s", before, after)
 	}
 }

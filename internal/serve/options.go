@@ -53,25 +53,11 @@ func WithRecorder(rec *trace.Recorder) Option {
 // Handles settling independently (core.RunFusedGPUCtx). n < 2 disables
 // fusion, the default. Fusion never reorders dispatch: the stride scheduler
 // still picks the head job; fusion only lets compatible followers ride
-// along, so per-job results remain bit-identical to unfused runs.
+// along, so per-job results remain bit-identical to unfused runs. Only jobs
+// already queued fuse, so fusion adds no latency; the group makes one
+// attempt, fault-injected and breaker-judged like a solo job's.
 func WithMaxFusedJobs(n int) Option {
 	return func(c *Config) { c.MaxFusedJobs = n }
-}
-
-// WithBatchWindow lets a dispatched fusable job wait up to d (wall clock)
-// for same-kind companions to arrive when fewer than MaxFusedJobs are
-// already queued, trading a bounded latency hit for a larger fused launch.
-// The default 0 fuses only with jobs already waiting, adding no latency.
-func WithBatchWindow(d time.Duration) Option {
-	return func(c *Config) { c.BatchWindow = d }
-}
-
-// WithFusedBytesCap bounds the summed whole-instance transfer sizes
-// (GPUAlg.GPUBytes of the full input) a single fused execution may carry,
-// so fusion cannot build a device-resident working set beyond what the
-// card holds. 0, the default, is unbounded.
-func WithFusedBytesCap(b int64) Option {
-	return func(c *Config) { c.FusedBytesCap = b }
 }
 
 // WithBreaker enables the per-backend circuit breaker: after threshold
@@ -92,8 +78,7 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 
 // WithFaults wraps every job attempt's backend with the fault injector, so
 // a chaos run exercises the reliability policies against deterministic,
-// seeded device failures (see internal/faults). Fused executions bypass
-// injection.
+// seeded device failures (see internal/faults).
 func WithFaults(in *faults.Injector) Option {
 	return func(c *Config) { c.Faults = in }
 }
@@ -101,8 +86,8 @@ func WithFaults(in *faults.Injector) Option {
 // WithDeviceFaults overrides WithFaults for one pool device, so a chaos run
 // can make a single pool member flaky while the rest stay healthy — the
 // setup that exercises per-device breaker isolation and re-routing. Like
-// WithFaults it wraps every solo attempt placed on the device, whatever the
-// job's own options; fused executions bypass it.
+// WithFaults it wraps every attempt placed on the device, fused groups
+// included, whatever the job's own options.
 func WithDeviceFaults(dev int, in *faults.Injector) Option {
 	return func(c *Config) {
 		if c.DeviceFaults == nil {

@@ -8,6 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -292,16 +294,39 @@ func (s *Server) executeReliable(d *device, q *queued) (core.Report, error) {
 	start := be.Now()
 	rep, err := s.policyLoop(ctx, d, q, scope)
 	if scope != nil && !errors.Is(err, errRequeued) {
-		end := be.Now()
-		label := fmt.Sprintf("job %d %s %s n=%d dev%d", q.h.ID, q.job.Alg.Name(), q.job.Strategy, q.job.Alg.N(), d.id)
-		if n := q.h.attempts; n > 1 {
-			label = fmt.Sprintf("%s (%d attempts)", label, n)
-		}
-		scope.Add(trace.Span{Unit: "queue", Label: label,
-			Start: start - q.h.queueWait, End: start})
-		scope.Add(trace.Span{Unit: "job", Label: label, Start: start, End: end})
+		s.jobSpans(d, q, scope, start, be.Now())
 	}
 	return rep, err
+}
+
+// jobSpans records a finished job's "queue" and "job" spans. A fused
+// group's lead also records one "fused" job span naming every member, and
+// each member gets its own queue and job spans, labeled core.FusedStrategy.
+func (s *Server) jobSpans(d *device, q *queued, scope *trace.Scope, start, end float64) {
+	members, strat := []*queued{q}, any(q.job.Strategy)
+	if g := q.plan.group; g != nil {
+		members, strat = g, core.FusedStrategy
+		ids := make([]string, len(g))
+		for i, m := range g {
+			ids[i] = strconv.FormatUint(m.h.ID, 10)
+		}
+		scope.Add(trace.Span{Unit: "job",
+			Label: fmt.Sprintf("fused ×%d %s jobs [%s] dev%d",
+				len(g), q.job.Alg.Name(), strings.Join(ids, " "), d.id),
+			Start: start, End: end})
+	}
+	for _, m := range members {
+		label := fmt.Sprintf("job %d %s %s n=%d dev%d", m.h.ID, m.job.Alg.Name(), strat, m.job.Alg.N(), d.id)
+		if n := m.h.attempts; n > 1 {
+			label = fmt.Sprintf("%s (%d attempts)", label, n)
+		}
+		ms := scope
+		if m != q {
+			ms = s.cfg.Trace.Scope(m.h.ID)
+		}
+		ms.Add(trace.Span{Unit: "queue", Label: label, Start: start - m.h.queueWait, End: start})
+		ms.Add(trace.Span{Unit: "job", Label: label, Start: start, End: end})
+	}
 }
 
 // shouldRequeue reports whether a job whose device just shed it can instead
@@ -548,7 +573,9 @@ func (s *Server) runAttempt(ctx context.Context, d *device, q *queued, scope *tr
 	if d.faults != nil {
 		be = d.faults.Wrap(be)
 	}
-	autoTag, feed := q.job.Strategy == Auto, s.autoActive.Load()
+	// A fused group feeds no calibration: its launches are shared by k
+	// members, so its cost samples no solo strategy the tuner prices.
+	autoTag, feed := q.job.Strategy == Auto, s.autoActive.Load() && p.group == nil
 	var smp *sample
 	opts := q.opts
 	if s.cfg.Metrics != nil || scope != nil || feed || autoTag {

@@ -143,14 +143,6 @@ type Config struct {
 	// MaxFusedJobs caps how many same-kind GPUOnly jobs one fused execution
 	// may absorb. Values below 2 disable fusion (the default).
 	MaxFusedJobs int
-	// BatchWindow is how long a dispatched fusable job lingers for
-	// same-kind companions to arrive before executing, when fewer than
-	// MaxFusedJobs are already queued. 0 (the default) fuses only with jobs
-	// already waiting in the queue.
-	BatchWindow time.Duration
-	// FusedBytesCap bounds the summed per-job transfer sizes (GPUBytes of
-	// the whole instance) one fused execution may carry; 0 means unbounded.
-	FusedBytesCap int64
 	// BreakerThreshold enables the per-device circuit breakers: after this
 	// many consecutive device-fault attempts on one device its GPU path is
 	// shed (jobs reroute to other devices, fall back to the CPU path, or
@@ -165,8 +157,7 @@ type Config struct {
 	// placements and is removed once idle.
 	AutoDrain bool
 	// Faults, if non-nil, wraps every attempt's backend with the fault
-	// injector — the chaos-testing hook (see internal/faults). Fused
-	// executions bypass it.
+	// injector — the chaos-testing hook (see internal/faults).
 	Faults *faults.Injector
 	// DeviceFaults overrides Faults per device id, so a chaos run can make
 	// one pool member flaky while the rest stay healthy.
@@ -293,9 +284,9 @@ func (h *Handle) QueueWaitSeconds() float64 {
 }
 
 // Attempts blocks until the job finishes and reports how many executions
-// the serving layer ran for it: 1 for a plain job, more under retry,
-// hedging or fallback, 0 for a job canceled while still queued (and for
-// members of a fused execution, which run exactly once by construction).
+// the serving layer ran for it: 1 for a plain job and for each member of a
+// fused execution, more under retry, hedging or fallback, 0 for a job
+// canceled while still queued.
 func (h *Handle) Attempts() int {
 	<-h.done
 	return h.attempts
@@ -334,15 +325,12 @@ type queued struct {
 	opts    []core.Option
 	weight  int
 	vfinish float64
-	seq     uint64
 	wallIn  time.Time
 	// fuseKey is the fusion compatibility class ("" when the job cannot
-	// fuse); gpuBytes is the job's whole-instance transfer size, used
-	// against FusedBytesCap; cost is the modeled work placement
-	// weighs. All computed at admission.
-	fuseKey  string
-	gpuBytes int64
-	cost     float64
+	// fuse); cost is the modeled work placement weighs. Both computed at
+	// admission.
+	fuseKey string
+	cost    float64
 	// pol is the job's reliability policy; probe marks it as a circuit
 	// breaker's half-open probe (it must report its verdict exactly once);
 	// forceCPU routes it straight to the CPU fallback path (admitted or
@@ -359,7 +347,8 @@ type queued struct {
 // strategy, or the placement-time decision for Strategy Auto, priced against
 // the placed device's calibration. predicted is that decision's makespan,
 // fed back as the model-error sample when calibrated says the calibration
-// backed it.
+// backed it. group, when set, is the fused group the job leads (itself
+// first, two or more members; fusion.go), which the attempt runs as one.
 type plan struct {
 	strat      Strategy
 	crossover  int
@@ -367,10 +356,11 @@ type plan struct {
 	y          int
 	predicted  float64
 	calibrated bool
+	group      []*queued
 }
 
-// jobHeap orders queued jobs by (virtual finish tag, arrival), the stride
-// scheduling dispatch order.
+// jobHeap orders queued jobs by (virtual finish tag, arrival: the handle's
+// submission sequence number), the stride scheduling dispatch order.
 type jobHeap []*queued
 
 func (q jobHeap) Len() int { return len(q) }
@@ -378,7 +368,7 @@ func (q jobHeap) Less(i, j int) bool {
 	if q[i].vfinish != q[j].vfinish {
 		return q[i].vfinish < q[j].vfinish
 	}
-	return q[i].seq < q[j].seq
+	return q[i].h.ID < q[j].h.ID
 }
 func (q jobHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *jobHeap) Push(x any)   { *q = append(*q, x.(*queued)) }
@@ -420,11 +410,6 @@ type Server struct {
 	// placement lock order (mu → breaker.mu).
 	nRetries, nFallbacks, nHedgeWins atomic.Uint64
 	nDegraded, nTrips                atomic.Uint64
-
-	// fuseWaiters holds, per fusion key, the notification channels of
-	// dispatched jobs lingering in their batch window; Submit pokes them
-	// when a matching job arrives. Guarded by mu.
-	fuseWaiters map[string][]chan struct{}
 
 	// Operational instruments; nil (no-op) unless Config.Metrics was set.
 	mSubmitted, mRejected  *metrics.Counter
@@ -496,12 +481,6 @@ func newServer(cfg Config, opts []Option) (*Server, error) {
 	if cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("serve: MaxInFlight %d: %w", cfg.MaxInFlight, dcerr.ErrBadParam)
 	}
-	if cfg.BatchWindow < 0 {
-		return nil, fmt.Errorf("serve: BatchWindow %v: %w", cfg.BatchWindow, dcerr.ErrBadParam)
-	}
-	if cfg.FusedBytesCap < 0 {
-		return nil, fmt.Errorf("serve: FusedBytesCap %d: %w", cfg.FusedBytesCap, dcerr.ErrBadParam)
-	}
 	if cfg.BreakerThreshold < 0 || cfg.BreakerCooldown < 0 {
 		return nil, fmt.Errorf("serve: breaker threshold %d cooldown %v: %w",
 			cfg.BreakerThreshold, cfg.BreakerCooldown, dcerr.ErrBadParam)
@@ -509,11 +488,7 @@ func newServer(cfg Config, opts []Option) (*Server, error) {
 	if cfg.BreakerThreshold > 0 && cfg.BreakerCooldown == 0 {
 		cfg.BreakerCooldown = 100 * time.Millisecond
 	}
-	s := &Server{
-		cfg:         cfg,
-		fuseWaiters: map[string][]chan struct{}{},
-		tuner:       cfg.Tuner,
-	}
+	s := &Server{cfg: cfg, tuner: cfg.Tuner}
 	if s.tuner == nil {
 		s.tuner = autotune.NewTuner()
 	} else {
@@ -585,10 +560,6 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 	}
 	weight := rc.Priority
 	fuseKey := s.fuseClass(job, rc)
-	var gpuBytes int64
-	if galg, ok := job.Alg.(core.GPUAlg); ok {
-		gpuBytes = galg.GPUBytes(0, 0, 1)
-	}
 	cost := modeledCost(job.Alg)
 
 	s.mu.Lock()
@@ -619,23 +590,13 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 		opts:     merged,
 		weight:   weight,
 		vfinish:  s.pass + 1/float64(weight),
-		seq:      s.seq,
 		wallIn:   time.Now(),
 		fuseKey:  fuseKey,
-		gpuBytes: gpuBytes,
 		cost:     cost,
 		pol:      pol,
 		forceCPU: forceCPU,
 	}
 	heap.Push(&s.queue, q)
-	if fuseKey != "" {
-		for _, w := range s.fuseWaiters[fuseKey] {
-			select {
-			case w <- struct{}{}:
-			default:
-			}
-		}
-	}
 	s.stats.Submitted++
 	s.mSubmitted.Inc()
 	// The high-water mark counts the job before placement can take it.
@@ -725,25 +686,33 @@ func (s *Server) Close() error {
 }
 
 // run executes one placed job on its device and settles its handle. A
-// fusable job first tries to absorb same-kind queued companions into one
-// fused execution (see fusion.go); the single-job path below is both the
-// normal case and the fusion-declined fallback.
+// fusable job first gathers same-kind queued companions (fusion.go); the job
+// that leads then makes one attempt on q's slot, for itself or for its
+// whole fused group.
 func (s *Server) run(d *device, q *queued) {
 	defer s.jobs.Done()
-	if q.fuseKey != "" && s.runFused(d, q) {
-		return
+	lead := q
+	if q.fuseKey != "" {
+		lead = s.group(q)
 	}
-	q.h.queueWait = time.Since(q.wallIn).Seconds()
+	members := lead.plan.group
+	if members == nil {
+		members = []*queued{lead}
+	}
+	now := time.Now()
+	for _, m := range members {
+		m.h.queueWait = now.Sub(m.wallIn).Seconds()
+	}
 
 	var rep core.Report
 	var err error
-	if q.ctx.Err() != nil {
+	if len(members) == 1 && lead.ctx.Err() != nil {
 		// Canceled while still queued: never touches the backend. A probe
 		// token held since placement is released without a verdict.
-		s.feedBreaker(d, q, verdictAbandon)
-		rep, err = q.neverRan(canceledWhileQueued, dcerr.ErrCanceled)
+		s.feedBreaker(d, lead, verdictAbandon)
+		rep, err = lead.neverRan(canceledWhileQueued, dcerr.ErrCanceled)
 	} else {
-		rep, err = s.executeReliable(d, q)
+		rep, err = s.executeReliable(d, lead)
 	}
 
 	s.mu.Lock()
@@ -751,20 +720,43 @@ func (s *Server) run(d *device, q *queued) {
 	if errors.Is(err, errRequeued) {
 		// The device's breaker tripped between placement and the first
 		// attempt and another device can still serve the GPU path: put the
-		// job back in the queue (fairness tag intact) instead of degrading
-		// it. The slot release below places it again, and an Auto job is
+		// jobs back in the queue (fairness tags intact) instead of degrading
+		// them. The slot release below places them again, and an Auto job is
 		// priced afresh against its next device.
-		q.probe = false
-		q.plan = plan{}
-		heap.Push(&s.queue, q)
-		s.stats.Rebalanced++
-		s.mRebalances.Inc()
+		for _, m := range members {
+			m.probe = false
+			m.plan = plan{}
+			heap.Push(&s.queue, m)
+			s.stats.Rebalanced++
+			s.mRebalances.Inc()
+		}
 		s.finishJobLocked(d, q)
 		return
 	}
-	q.h.rep, q.h.err = rep, err
+	lead.h.rep, lead.h.err = rep, err
+	switch {
+	case len(members) == 1:
+	case lead.h.attempts == 0:
+		// The breaker shed the group at dispatch: each member is shed as
+		// if it had been placed alone.
+		for _, m := range members[1:] {
+			s.noteDegraded()
+			m.h.rep, m.h.err = m.neverRan(shedAtDispatch, dcerr.ErrDegraded)
+		}
+	default:
+		for _, m := range members {
+			m.h.attempts = 1
+			if err != nil {
+				m.h.err = fmt.Errorf("serve: job %d: %w", m.h.ID, err)
+			}
+		}
+		s.stats.FusedRuns++
+		s.stats.FusedJobs += uint64(len(members))
+		s.mFusedRuns.Inc()
+		s.mFusedJobs.Add(uint64(len(members)))
+	}
 	s.finishJobLocked(d, q)
-	s.settleLocked(q)
+	s.settleLocked(members...)
 }
 
 // The two ways a job settles without reaching a backend.
@@ -831,8 +823,12 @@ func (s *Server) updateFusionRatioLocked() {
 // executor. alg and p are parameters (not read off the job) because
 // reliability policies substitute both: retries and hedges run fresh
 // instances, and the hedge/fallback paths run BreadthFirstCPU whatever the
-// job's plan was.
+// job's plan was. A plan carrying a fused group runs the whole group, alg
+// being its lead's, under the group's own context (runFused).
 func runStrategy(ctx context.Context, be core.Backend, alg core.Alg, p plan, opts []core.Option) (core.Report, error) {
+	if p.group != nil {
+		return runFused(be, p.group, opts)
+	}
 	switch p.strat {
 	case Sequential:
 		return core.RunSequentialCtx(ctx, be, alg, opts...)

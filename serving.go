@@ -92,7 +92,8 @@ type (
 	Server = serve.Server
 	// ServerOption configures a Server at construction (WithQueueDepth,
 	// WithMaxInFlight, WithServerMetrics, WithServerRecorder,
-	// WithMaxFusedJobs, WithBatchWindow, WithFusedBytesCap).
+	// WithMaxFusedJobs, WithBreaker, WithServerFaults, WithDeviceFaults,
+	// WithAutoDrain, WithAutoTuner).
 	ServerOption = serve.Option
 	// JobSpec describes one job for Server.Submit. Jobs carrying a
 	// re-executing reliability policy (WithRetry, WithHedge, WithFallback)
@@ -190,16 +191,6 @@ func WithServerRecorder(rec *TraceRecorder) ServerOption { return serve.WithReco
 // JobHandle still settles with its own Report. n < 2 (the default) disables
 // fusion. Per-job results are bit-identical to unfused runs.
 func WithMaxFusedJobs(n int) ServerOption { return serve.WithMaxFusedJobs(n) }
-
-// WithBatchWindow lets a dispatched fusable job linger up to d for
-// same-kind companions to arrive when fewer than MaxFusedJobs are queued,
-// trading a bounded latency hit for a larger fused launch. The default 0
-// fuses only with jobs already waiting.
-func WithBatchWindow(d time.Duration) ServerOption { return serve.WithBatchWindow(d) }
-
-// WithFusedBytesCap bounds the summed device-transfer sizes one fused
-// execution may carry; 0 (the default) is unbounded.
-func WithFusedBytesCap(b int64) ServerOption { return serve.WithFusedBytesCap(b) }
 
 // WithBreaker enables the server's per-backend circuit breaker: after
 // threshold consecutive device-fault attempts, GPU-bound admission is shed
