@@ -33,6 +33,33 @@ func ExampleRunAdvancedHybridCtx() {
 	// Output: advanced-hybrid true
 }
 
+// ExampleWithGrain scans on the native backend with leaf coarsening: under
+// GrainAuto each CPU worker gets several coarse tasks, each solving a whole
+// subtree, and the result is the plain prefix sum.
+func ExampleWithGrain() {
+	be, err := hybriddc.NewNative(hybriddc.NativeConfig{CPUWorkers: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer be.Close()
+	data := make([]int32, 1<<12)
+	for i := range data {
+		data[i] = int32(i%5 - 2)
+	}
+	s, _ := hybriddc.NewScan(data)
+	defer s.Release()
+	rep, err := hybriddc.RunBreadthFirstCPUCtx(context.Background(), be, s,
+		hybriddc.WithGrain(hybriddc.GrainAuto))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	sums := s.Result()
+	fmt.Println(rep.Strategy, sums[:6], sums[len(sums)-1])
+	// Output: bf-cpu [-2 -3 -3 -2 0 -2] -2
+}
+
 // ExampleEstimatePlatform recovers the Table 2 parameters of HPU1 through
 // the paper's §6.4 estimation procedures.
 func ExampleEstimatePlatform() {

@@ -30,6 +30,7 @@ type Scanner struct {
 }
 
 var _ core.GPUAlg = (*Scanner)(nil)
+var _ core.Solver = (*Scanner)(nil)
 
 // New builds a Scanner over a copy of data; len(data) must be a power of
 // two of at least 2.
@@ -119,6 +120,19 @@ func (s *Scanner) CombineBatch(level, lo, hi int) core.Batch {
 		}
 	}
 	return b
+}
+
+// Solve implements core.Solver: the combines of a subtree leave its local
+// inclusive prefix sums, which one running sum computes in Θ(S) where the
+// level walk takes Θ(S log S).
+func (s *Scanner) Solve(level, idx int) {
+	sz := s.n >> level
+	sub := s.v[idx*sz : (idx+1)*sz]
+	var acc int64
+	for i := range sub {
+		acc += sub[i]
+		sub[i] = acc
+	}
 }
 
 // GPUDivideBatch implements core.GPUAlg.

@@ -67,6 +67,18 @@ type GPUAlg interface {
 	GPUBytes(level, lo, hi int) int64
 }
 
+// Solver is implemented by algorithms with a direct kernel for a whole
+// subtree — the paper's §7 truncated recursion. Solve(level, idx) solves
+// subtree idx of level in place: afterwards every slot holds exactly what
+// that subtree's divide, base and combine batches would have left there.
+// It touches only the subtree's data, so concurrent calls on distinct
+// subtrees are safe. A coarse task (CoarseBatch) calls it instead of
+// walking the levels; its Cost still prices the levels, so the simulated
+// clock and every plan are the same with or without it.
+type Solver interface {
+	Solve(level, idx int)
+}
+
 // Modeled is implemented by algorithms that export the paper's cost model
 // of their recurrence T(n) = a·T(n/b) + f(n) — every built-in one does. The
 // serving layer prices placement and Strategy Auto with it, the facade's

@@ -94,6 +94,9 @@ const blockBytes = 32 << 10
 // from its divides to its combines, then the combines of depths < d. A
 // subtree that fits a block, or declares no WorkingSet, is one block: the
 // level-by-level order.
+//
+// An alg that is a Solver is not walked: task j is Solve(cl, lo+j), and the
+// level batches only price it.
 func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 	L := alg.Levels()
 	a := alg.Arity()
@@ -110,10 +113,16 @@ func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 		rng func(lo, hi int)
 	}
 	K := L - cl
-	phases := make([]phase, 0, 2*K+1)
+	solver, direct := alg.(Solver)
+	var phases []phase
+	if !direct {
+		phases = make([]phase, 0, 2*K+1)
+	}
 	var perTask Cost
 	add := func(b Batch, f int) {
-		phases = append(phases, phase{b.Run, b.RunRange})
+		if !direct {
+			phases = append(phases, phase{b.Run, b.RunRange})
+		}
 		if b.Empty() {
 			return
 		}
@@ -132,6 +141,9 @@ func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 	for l := L - 1; l >= cl; l-- {
 		f := TasksAtLevel(a, l-cl)
 		add(alg.CombineBatch(l, lo*f, hi*f), f)
+	}
+	if direct {
+		return Batch{Tasks: w, Cost: perTask, Level: cl, Run: func(j int) { solver.Solve(cl, lo+j) }}
 	}
 	d, blocks := 0, 1
 	for bytes := perTask.WorkingSet / int64(w); bytes > blockBytes && d < K; bytes /= int64(alg.Shrink()) {
