@@ -1,6 +1,6 @@
-# Development entry points. `make check` is the CI gate: full build, vet,
-# gofmt, race-enabled tests (the chaos soak and hpuserve's signal drain
-# included) and the fuzz seed replay.
+# Development entry points. `make check` is the CI gate: full build, vet
+# (bench/ included), gofmt, race-enabled tests (the chaos soak and
+# hpuserve's signal drain included) and the fuzz seed replay.
 
 GO ?= go
 
@@ -11,8 +11,11 @@ all: check
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, so the root ./... does not compile it; vetting it
+# here catches a deleted name that the harness still uses.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # gofmt -l names the files it would rewrite; any name fails the check.
 fmt:

@@ -103,8 +103,11 @@ func (r *runner) save(name string, write func(io.Writer) error) {
 		fmt.Fprintf(os.Stderr, "hpubench: %v\n", err)
 		return
 	}
-	defer f.Close()
-	if err := write(f); err != nil {
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpubench: writing %s: %v\n", path, err)
 	}
 }

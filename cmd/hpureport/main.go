@@ -22,13 +22,20 @@ func main() {
 	fmt.Println("| ID | Artifact | Paper | Measured (this repo) |")
 	fmt.Println("|---|---|---|---|")
 
-	// Table 2: estimated platform parameters.
-	for i, pl := range hpu.Platforms() {
-		res, err := estimate.Platform(pl)
+	// Table 2, Fig 5 and Fig 6 read the same two estimations per platform:
+	// the saturation knee g and the scalar ratio 1/γ.
+	platforms := hpu.Platforms()
+	gs := make([]int, len(platforms))
+	invs := make([]float64, len(platforms))
+	for i, pl := range platforms {
+		var err error
+		gs[i], _, err = estimate.EstimateG(pl, estimate.DefaultSaturationConfig())
+		check(err)
+		invs[i], _, err = estimate.EstimateGammaInv(pl, estimate.DefaultGammaConfig())
 		check(err)
 		paper := [2]string{"p=4, g=4096, 1/γ=160", "p=4, g=1200, 1/γ=65"}[i]
 		row("T2", fmt.Sprintf("%s parameters", pl.Name), paper,
-			fmt.Sprintf("p=%d, g=%d, 1/γ=%.0f", res.P, res.G, res.GammaInv))
+			fmt.Sprintf("p=%d, g=%d, 1/γ=%.0f", pl.CPU.Cores, gs[i], invs[i]))
 	}
 
 	// Fig 3/4: model optimum.
@@ -40,19 +47,15 @@ func main() {
 		fmt.Sprintf("α*=%.3f, y=%.2f, GPU work %.1f%%", alpha, y, 100*frac))
 
 	// Fig 5: saturation knees.
-	for i, pl := range hpu.Platforms() {
-		g, _, err := estimate.EstimateG(pl, estimate.DefaultSaturationConfig())
-		check(err)
+	for i, pl := range platforms {
 		row("F5", fmt.Sprintf("%s saturation knee", pl.Name),
-			[]string{"4096", "1200"}[i], fmt.Sprintf("%d", g))
+			[]string{"4096", "1200"}[i], fmt.Sprintf("%d", gs[i]))
 	}
 
 	// Fig 6: scalar ratios.
-	for i, pl := range hpu.Platforms() {
-		inv, _, err := estimate.EstimateGammaInv(pl, estimate.DefaultGammaConfig())
-		check(err)
+	for i, pl := range platforms {
 		row("F6", fmt.Sprintf("%s 1/γ (flat in size)", pl.Name),
-			[]string{"≈160", "≈65"}[i], fmt.Sprintf("%.1f", inv))
+			[]string{"≈160", "≈65"}[i], fmt.Sprintf("%.1f", invs[i]))
 	}
 
 	// Fig 7: α sweep at n = maxLogN on HPU1.
@@ -75,7 +78,7 @@ func main() {
 	}
 
 	// Fig 8 + Fig 10: per-size sweeps on both platforms.
-	for i, pl := range hpu.Platforms() {
+	for i, pl := range platforms {
 		cfg := exp.DefaultSweepConfig(pl)
 		var sizes []int
 		for _, s := range cfg.LogNs {

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"repro"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -30,7 +29,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "native: CPU pool size (0 = GOMAXPROCS)")
 		lanes     = flag.Int("lanes", 256, "native: device pool size")
 		tuneIt    = flag.Bool("tune", false, "advanced: find (alpha, y) empirically instead of using the model")
-		showTrace = flag.Bool("trace", false, "print a Gantt timeline and per-unit utilization")
+		showTrace = flag.Bool("trace", false, "print each run's summary, Gantt timeline and per-unit utilization")
 		traceOut  = flag.String("traceout", "", "write a Chrome trace-event JSON file")
 	)
 	flag.Parse()
@@ -78,11 +77,14 @@ func main() {
 	be, closeBe, err = newBackend()
 	check(err)
 	defer closeBe()
-	var rec *trace.Recorder
 	var opts []hybriddc.Option
-	if *showTrace || *traceOut != "" {
-		rec = trace.NewRecorder()
-		opts = append(opts, trace.Record(rec))
+	if *showTrace {
+		opts = append(opts, hybriddc.WithTrace(os.Stdout))
+	}
+	var rec *hybriddc.TraceRecorder
+	if *traceOut != "" {
+		rec = hybriddc.NewTraceRecorder()
+		opts = append(opts, hybriddc.WithSpanRecorder(rec))
 	}
 	s, err = hybriddc.NewMergesort(in)
 	check(err)
@@ -153,6 +155,7 @@ func main() {
 		fmt.Printf("%s: total %.4fs (device %.4fs), speedup %.2fx (%.2fx sort-only)\n",
 			rep.Strategy, rep.Seconds, rep.GPUPortionSeconds,
 			seq.Seconds/rep.Seconds, seq.Seconds/rep.GPUPortionSeconds)
+		writeTrace(rec, *traceOut)
 		return
 	default:
 		fmt.Fprintf(os.Stderr, "hpusort: unknown strategy %q\n", *strategy)
@@ -160,28 +163,23 @@ func main() {
 	}
 	verify(s.Result())
 	fmt.Printf("%s: %.4fs, speedup %.2fx\n", rep.Strategy, rep.Seconds, seq.Seconds/rep.Seconds)
-	emitTrace(rec, *showTrace, *traceOut)
+	writeTrace(rec, *traceOut)
 }
 
-// emitTrace prints and/or writes the recorded timeline.
-func emitTrace(rec *trace.Recorder, show bool, outPath string) {
+// writeTrace writes the recorded timeline as Chrome trace-event JSON; a
+// nil recorder (no -traceout) writes nothing.
+func writeTrace(rec *hybriddc.TraceRecorder, path string) {
 	if rec == nil {
 		return
 	}
-	if show {
-		fmt.Println()
-		fmt.Print(rec.Gantt(72))
-		for unit, f := range rec.Utilization() {
-			fmt.Printf("utilization %-5s %5.1f%%\n", unit, 100*f)
-		}
+	f, err := os.Create(path)
+	check(err)
+	err = rec.WriteChromeTrace(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		check(err)
-		defer f.Close()
-		check(rec.WriteChromeTrace(f))
-		fmt.Printf("chrome trace written to %s\n", outPath)
-	}
+	check(err)
+	fmt.Printf("chrome trace written to %s\n", path)
 }
 
 func platformByName(name string) (hybriddc.Platform, error) {

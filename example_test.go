@@ -2,7 +2,9 @@ package hybriddc_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"time"
 
 	"repro"
 	"repro/internal/workload"
@@ -121,4 +123,151 @@ func ExampleNewSum() {
 	hybriddc.RunBreadthFirstCPUCtx(context.Background(), hybriddc.MustSim(hybriddc.HPU2()), s)
 	fmt.Println(s.Result())
 	// Output: 31
+}
+
+// ExampleNewAutoTuner restarts a server warm. The first server starts from
+// the analytic model, which picks advanced-hybrid for a 2^12 sort, until its
+// measurements show bf-cpu is faster. Its tuner is persisted with
+// MarshalJSON, and the next server installs the restored copy with
+// WithAutoTuner: its first job already runs bf-cpu.
+func ExampleNewAutoTuner() {
+	serveAuto := func(tuner *hybriddc.AutoTuner, jobs int) []string {
+		srv, err := hybriddc.NewServer(hybriddc.MustSim(hybriddc.HPU1()), hybriddc.WithAutoTuner(tuner))
+		if err != nil {
+			return []string{err.Error()}
+		}
+		defer srv.Close()
+		var strategies []string
+		for i := 0; i < jobs; i++ {
+			s, _ := hybriddc.NewMergesort(workload.Uniform(1<<12, int64(i+1)))
+			h, err := srv.Submit(context.Background(), hybriddc.JobSpec{Alg: s, Strategy: hybriddc.JobAuto})
+			if err != nil {
+				return append(strategies, err.Error())
+			}
+			rep, err := h.Wait(context.Background())
+			if err != nil {
+				return append(strategies, err.Error())
+			}
+			strategies = append(strategies, rep.Strategy)
+		}
+		return strategies
+	}
+	tuner := hybriddc.NewAutoTuner()
+	fmt.Println("first boot:", serveAuto(tuner, 4))
+	saved, _ := tuner.MarshalJSON()
+	restored, err := hybriddc.LoadAutoTuner(saved)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("second boot:", serveAuto(restored, 1))
+	// Output:
+	// first boot: [advanced-hybrid advanced-hybrid advanced-hybrid bf-cpu]
+	// second boot: [bf-cpu]
+}
+
+// ExampleRunMultiGPUCtx sorts with the advanced division over two
+// simulated devices of HPU1: the GPU share of the tree is split between
+// them.
+func ExampleRunMultiGPUCtx() {
+	be, err := hybriddc.NewMultiSim(hybriddc.HPU1(), 2)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	s, _ := hybriddc.NewMergesort(workload.Uniform(1<<16, 1))
+	rep, err := hybriddc.RunMultiGPUCtx(context.Background(), be, s, 0.17, 8, hybriddc.WithCoalesce())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println(rep.Strategy, workload.IsSorted(s.Result()))
+	// Output: advanced-2gpu true
+}
+
+// ExampleWithSplit pins the advanced division's split level instead of
+// deriving it with DefaultSplit; the result is the same sort.
+func ExampleWithSplit() {
+	be := hybriddc.MustSim(hybriddc.HPU1())
+	for _, split := range []int{-1, 2} {
+		s, _ := hybriddc.NewMergesort(workload.Uniform(1<<16, 1))
+		rep, err := hybriddc.RunAdvancedHybridCtx(context.Background(), be, s, 0.17, 8,
+			hybriddc.WithSplit(split))
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Printf("split %d: %s %v %.6fs\n", split, rep.Strategy, workload.IsSorted(s.Result()), rep.Seconds)
+	}
+	// Output:
+	// split -1: advanced-hybrid true 0.002466s
+	// split 2: advanced-hybrid true 0.002392s
+}
+
+// ExampleWithDeadline bounds a served job's execution budget: a job that
+// fits it succeeds, and a job whose budget has run out before its first
+// level boundary fails with ErrCanceled.
+func ExampleWithDeadline() {
+	srv, err := hybriddc.NewServer(hybriddc.MustSim(hybriddc.HPU1()))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer srv.Close()
+	for _, budget := range []time.Duration{time.Minute, time.Nanosecond} {
+		s, _ := hybriddc.NewMergesort(workload.Uniform(1<<12, 1))
+		h, err := srv.Submit(context.Background(), hybriddc.JobSpec{
+			Alg: s, Strategy: hybriddc.JobBreadthFirstCPU,
+			Opts: []hybriddc.Option{hybriddc.WithDeadline(budget)},
+		})
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		_, err = h.Wait(context.Background())
+		fmt.Printf("%v: ok=%v canceled=%v\n", budget, err == nil, errors.Is(err, hybriddc.ErrCanceled))
+	}
+	// Output:
+	// 1m0s: ok=true canceled=false
+	// 1ns: ok=false canceled=true
+}
+
+// ExampleServer_AddBackend grows a running server's pool by one device; the
+// new device is eligible for placement at once.
+func ExampleServer_AddBackend() {
+	srv, err := hybriddc.NewServer(hybriddc.MustSim(hybriddc.HPU1()))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer srv.Close()
+	id, err := srv.AddBackend(hybriddc.MustSim(hybriddc.HPU2()))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("device", id, "of", len(srv.Stats().Devices))
+	// Output: device 1 of 2
+}
+
+// ExampleNewInverseFFT round-trips a signal through the forward and the
+// inverse transform on the simulator.
+func ExampleNewInverseFFT() {
+	be := hybriddc.MustSim(hybriddc.HPU1())
+	signal := []complex128{1, 2, 3, 4, 0, 0, 0, 0}
+	fwd, _ := hybriddc.NewFFT(signal)
+	if _, err := hybriddc.RunBreadthFirstCPUCtx(context.Background(), be, fwd); err != nil {
+		fmt.Println(err)
+		return
+	}
+	inv, _ := hybriddc.NewInverseFFT(fwd.Result())
+	if _, err := hybriddc.RunGPUOnlyCtx(context.Background(), be, inv); err != nil {
+		fmt.Println(err)
+		return
+	}
+	for _, v := range inv.Result() {
+		fmt.Printf("%.0f ", real(v))
+	}
+	fmt.Println()
+	// Output: 1 2 3 4 0 0 0 0
 }

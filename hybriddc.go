@@ -29,7 +29,9 @@
 //	sorted := sorter.Result()
 //
 // The *Ctx executors accept a context for cancellation and functional
-// options (WithCoalesce, WithSplit, WithMetrics, WithSpanRecorder, ...).
+// options (WithCoalesce, WithSplit, WithGrain, WithTrace, WithMetrics,
+// WithSpanRecorder). A platform other than the paper's two is a Platform
+// value edited or written out in full, built with NewSim.
 //
 // See the examples/ directory for complete programs, and internal/exp for
 // the drivers that regenerate every table and figure of the paper.
@@ -97,31 +99,6 @@ func NewSim(p Platform) (*Sim, error) { return hpu.NewSim(p) }
 
 // MustSim is NewSim panicking on error.
 func MustSim(p Platform) *Sim { return hpu.MustSim(p) }
-
-// PlatformOption customizes the platform NewHPU builds, starting from the
-// HPU1 baseline (or the platform chosen with WithPlatform).
-type PlatformOption = hpu.Option
-
-// NewHPU builds a simulated backend from functional options over the HPU1
-// baseline: NewHPU() is HPU1, NewHPU(WithPlatform(HPU2()), WithCPUCores(8))
-// is HPU2 with eight cores.
-func NewHPU(opts ...PlatformOption) (*Sim, error) { return hpu.New(opts...) }
-
-// WithPlatform starts platform construction from a full specification.
-func WithPlatform(p Platform) PlatformOption { return hpu.WithPlatform(p) }
-
-// WithPlatformName sets the platform name used in reports.
-func WithPlatformName(name string) PlatformOption { return hpu.WithName(name) }
-
-// WithCPUCores sets p, the CPU core count of the model.
-func WithCPUCores(cores int) PlatformOption { return hpu.WithCPUCores(cores) }
-
-// WithGPU sets the device's saturation thread count g and single-thread
-// speed ratio γ, the §3.2 characterization.
-func WithGPU(g int, gamma float64) PlatformOption { return hpu.WithGPU(g, gamma) }
-
-// WithLink sets the transfer cost model λ + δ·w.
-func WithLink(lambda, secPerByte float64) PlatformOption { return hpu.WithLink(lambda, secPerByte) }
 
 // NewNative starts a real-goroutine backend; call Close when done.
 func NewNative(cfg NativeConfig) (*Native, error) { return native.New(cfg) }

@@ -185,15 +185,3 @@ func (t *Transform) ModelF() func(float64) float64 {
 
 // ModelLeaf returns the model-level base-case cost.
 func (t *Transform) ModelLeaf() float64 { return 0 }
-
-// DFT is the quadratic reference transform used in tests.
-func DFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			out[k] += x[j] * cmplx.Exp(complex(0, -2*math.Pi*float64(k*j)/float64(n)))
-		}
-	}
-	return out
-}

@@ -186,3 +186,15 @@ func TestNativeBackend(t *testing.T) {
 		t.Error("native FFT incorrect")
 	}
 }
+
+// DFT is the quadratic reference transform used in tests.
+func DFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			out[k] += x[j] * cmplx.Exp(complex(0, -2*math.Pi*float64(k*j)/float64(n)))
+		}
+	}
+	return out
+}

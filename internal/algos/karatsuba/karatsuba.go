@@ -223,15 +223,3 @@ func (m *Multiplier) ModelF() func(float64) float64 {
 
 // ModelLeaf returns the model-level base-case cost.
 func (m *Multiplier) ModelLeaf() float64 { return 2.5 }
-
-// Multiply is the sequential schoolbook reference: the 2n-coefficient
-// product of two n-coefficient polynomials.
-func Multiply(a, b []int32) []int64 {
-	out := make([]int64, 2*len(a))
-	for i, x := range a {
-		for j, y := range b {
-			out[i+j] += int64(x) * int64(y)
-		}
-	}
-	return out
-}

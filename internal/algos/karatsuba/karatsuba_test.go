@@ -186,3 +186,15 @@ type advParams struct {
 	Y     int
 	Split int
 }
+
+// Multiply is the sequential schoolbook reference: the 2n-coefficient
+// product of two n-coefficient polynomials.
+func Multiply(a, b []int32) []int64 {
+	out := make([]int64, 2*len(a))
+	for i, x := range a {
+		for j, y := range b {
+			out[i+j] += int64(x) * int64(y)
+		}
+	}
+	return out
+}

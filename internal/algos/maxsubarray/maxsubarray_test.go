@@ -171,3 +171,24 @@ type advParams struct {
 	Y     int
 	Split int
 }
+
+// Kadane is the linear-time sequential reference.
+func Kadane(data []int32) int64 {
+	if len(data) == 0 {
+		panic("maxsubarray: empty input")
+	}
+	best := int64(data[0])
+	cur := int64(data[0])
+	for _, v := range data[1:] {
+		x := int64(v)
+		if cur < 0 {
+			cur = x
+		} else {
+			cur += x
+		}
+		if cur > best {
+			best = cur
+		}
+	}
+	return best
+}

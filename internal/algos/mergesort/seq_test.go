@@ -1,8 +1,8 @@
 package mergesort
 
-// Sort is the classic recursive mergesort of the paper's Algorithm 6, used
-// as the functional reference implementation in tests and as the native
-// backend's sequential baseline. It sorts a in place and accepts any length.
+// Sort is the classic recursive mergesort of the paper's Algorithm 6, the
+// functional reference the tests compare against. It sorts a in place and
+// accepts any length.
 func Sort(a []int32) {
 	if len(a) < 2 {
 		return

@@ -36,14 +36,13 @@ var (
 func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
 
 // maxPooledBuf is the largest request buffer putBuf keeps. The bound is what a
-// server accepts by default: any body up to api.DefaultMaxBodyBytes is
-// ordinary traffic whose buffer the next Submit wants back, and a larger one
-// is refused with 413 unless the server was reconfigured, so its buffer is
-// the outlier not worth pinning. The frame header's 16 bytes on top keep a
-// payload of exactly the cap on the kept side. A bound of 4 MiB would sit
+// server accepts: any body up to api.MaxBodyBytes is ordinary traffic whose
+// buffer the next Submit wants back, and a larger one is refused with 413,
+// so its buffer is the outlier not worth pinning. The frame header's 16
+// bytes on top keep a payload of exactly the cap on the kept side. A bound of 4 MiB would sit
 // 16 bytes under the 2^20-element frame, the size the pool matters most for,
 // and drop, reallocate and zero that buffer on every Submit.
-const maxPooledBuf = api.DefaultMaxBodyBytes + 16
+const maxPooledBuf = api.MaxBodyBytes + 16
 
 func putBuf(b *bytes.Buffer) {
 	if b.Cap() > maxPooledBuf {

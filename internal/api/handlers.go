@@ -67,7 +67,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 		writeErr(w, err)
 		return 0
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	var req JobRequest
 	var pooled []int32 // the payload, job-owned and returned to the pool at eviction
 	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeInt32) {
@@ -78,7 +78,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 			writeErr(w, err)
 			return 0
 		}
-		pooled, err = readInt32Frame(r.Body, s.cfg.MaxBodyBytes, mempool.Int32s.Get)
+		pooled, err = readInt32Frame(r.Body, MaxBodyBytes, mempool.Int32s.Get)
 		if err != nil {
 			writeBodyErr(w, err, "api: malformed binary frame: ")
 			return 0

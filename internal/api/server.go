@@ -19,17 +19,12 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultMaxBodyBytes is the request-body cap of a server built without
-// WithMaxBodyBytes: 8 MiB, binary frame header included.
-const DefaultMaxBodyBytes = 8 << 20
+// MaxBodyBytes bounds a request body, binary frame header included;
+// oversized submissions are rejected with 413.
+const MaxBodyBytes = 8 << 20
 
 // Config is the resolved form of the Options.
 type Config struct {
-	// MaxBodyBytes bounds a request body; oversized submissions are rejected
-	// with 413. Defaults to DefaultMaxBodyBytes.
-	MaxBodyBytes int64
-	// MaxConns bounds concurrent accepted connections (0 = unlimited).
-	MaxConns int
 	// RetainJobs bounds how many settled jobs stay queryable. Beyond it
 	// the oldest settled job whose result has been served is evicted; one
 	// whose result has not been served yet stays until more than RetainJobs
@@ -53,13 +48,6 @@ type Config struct {
 
 // Option configures a Server.
 type Option func(*Config)
-
-// WithMaxBodyBytes bounds request bodies; oversized submissions get 413.
-func WithMaxBodyBytes(n int64) Option { return func(c *Config) { c.MaxBodyBytes = n } }
-
-// WithMaxConns bounds concurrent accepted connections; excess dials queue in
-// the listener backlog. 0 (the default) is unlimited.
-func WithMaxConns(n int) Option { return func(c *Config) { c.MaxConns = n } }
 
 // WithRetainJobs bounds how many settled jobs remain queryable: n, plus up
 // to n more whose results have not been read yet (Config.RetainJobs).
@@ -151,16 +139,13 @@ func New(pool *serve.Server, opts ...Option) (*Server, error) {
 			o(&cfg)
 		}
 	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if cfg.RetainJobs == 0 {
 		cfg.RetainJobs = 4096
 	}
 	if cfg.EventPoll == 0 {
 		cfg.EventPoll = 25 * time.Millisecond
 	}
-	if cfg.MaxBodyBytes < 0 || cfg.MaxConns < 0 || cfg.RetainJobs < 0 || cfg.EventPoll < 0 {
+	if cfg.RetainJobs < 0 || cfg.EventPoll < 0 {
 		return nil, fmt.Errorf("api: negative limit: %w", dcerr.ErrBadParam)
 	}
 	s := &Server{
@@ -204,13 +189,9 @@ func New(pool *serve.Server, opts ...Option) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Serve accepts connections on ln until Shutdown. It applies the server's
-// connection limit and header/idle timeouts, and returns nil after a clean
-// Shutdown — also when Shutdown came first, in which case it closes ln
-// without serving.
+// header/idle timeouts, and returns nil after a clean Shutdown — also when
+// Shutdown came first, in which case it closes ln without serving.
 func (s *Server) Serve(ln net.Listener) error {
-	if s.cfg.MaxConns > 0 {
-		ln = limitListener(ln, s.cfg.MaxConns)
-	}
 	srv := &http.Server{
 		Handler:           s.handler,
 		ReadHeaderTimeout: 10 * time.Second,
@@ -295,24 +276,6 @@ func (s *Server) releaseJob(j *job) {
 	}
 	mempool.Int32s.Put(j.data)
 	j.data = nil
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// JobsInFlight reports how many admitted jobs have not yet settled.
-func (s *Server) JobsInFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		select {
-		case <-j.h.Done():
-		default:
-			n++
-		}
-	}
-	return n
 }
 
 // route wraps a handler with the per-request instrumentation: request
@@ -447,37 +410,3 @@ func (r *countingReader) Read(p []byte) (int, error) {
 }
 
 func (r *countingReader) Close() error { return r.inner.Close() }
-
-// limitListener bounds concurrent accepted connections with a semaphore;
-// Accept blocks while the limit is reached, leaving excess dials in the
-// kernel backlog instead of open goroutines.
-func limitListener(ln net.Listener, max int) net.Listener {
-	return &limitedListener{Listener: ln, sem: make(chan struct{}, max)}
-}
-
-type limitedListener struct {
-	net.Listener
-	sem chan struct{}
-}
-
-func (l *limitedListener) Accept() (net.Conn, error) {
-	l.sem <- struct{}{}
-	c, err := l.Listener.Accept()
-	if err != nil {
-		<-l.sem
-		return nil, err
-	}
-	return &limitedConn{Conn: c, release: func() { <-l.sem }}, nil
-}
-
-type limitedConn struct {
-	net.Conn
-	once    sync.Once
-	release func()
-}
-
-func (c *limitedConn) Close() error {
-	err := c.Conn.Close()
-	c.once.Do(c.release)
-	return err
-}

@@ -222,7 +222,7 @@ func TestMarshalLoadRoundTrip(t *testing.T) {
 // device 0 leaves device 1 cold) and the metric plumbing.
 func TestTunerPerDeviceAndMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tn := autotune.NewTuner(autotune.WithMinObservations(2), autotune.WithDecay(0.5))
+	tn := autotune.NewTuner()
 	tn.AttachMetrics(reg)
 	sp := testSpec(1<<12, true)
 	for i := 0; i < 4; i++ {

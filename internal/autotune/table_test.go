@@ -288,7 +288,7 @@ func TestRefitDoesNotRepriceTheModel(t *testing.T) {
 // TestLoadedTunerDecidesLikeLive: a persisted-then-loaded tuner has no price
 // tables yet and must rebuild them to the same decisions.
 func TestLoadedTunerDecidesLikeLive(t *testing.T) {
-	live := autotune.NewTuner(autotune.WithMinObservations(2))
+	live := autotune.NewTuner()
 	specs := algSpecs(8)
 	rng := rand.New(rand.NewSource(5))
 	for _, sp := range specs {

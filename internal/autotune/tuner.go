@@ -31,8 +31,6 @@ const (
 // Safe for concurrent use.
 type Tuner struct {
 	mu       sync.Mutex
-	minObs   int
-	decay    float64
 	devs     map[int]*Calibration
 	reg      *metrics.Registry
 	mRefits  *metrics.Counter
@@ -41,29 +39,10 @@ type Tuner struct {
 	lastRMSE float64
 }
 
-// TunerOption configures NewTuner.
-type TunerOption func(*Tuner)
-
-// WithMinObservations sets how many observations a (algorithm, size-class)
-// bucket needs before fitted rates replace the cold-start analytic model.
-func WithMinObservations(k int) TunerOption {
-	return func(t *Tuner) { t.minObs = k }
-}
-
-// WithDecay sets the EWMA retention per observation (0 < d < 1).
-func WithDecay(d float64) TunerOption {
-	return func(t *Tuner) { t.decay = d }
-}
-
-// NewTuner builds an empty tuner.
-func NewTuner(opts ...TunerOption) *Tuner {
-	t := &Tuner{devs: map[int]*Calibration{}}
-	for _, o := range opts {
-		if o != nil {
-			o(t)
-		}
-	}
-	return t
+// NewTuner builds an empty tuner. Every device's calibration uses
+// DefaultMinObs and DefaultDecay.
+func NewTuner() *Tuner {
+	return &Tuner{devs: map[int]*Calibration{}}
 }
 
 // AttachMetrics directs the tuner's instruments into reg (idempotent; the
@@ -90,7 +69,7 @@ func (t *Tuner) ForDevice(id int) *Calibration {
 	defer t.mu.Unlock()
 	c, ok := t.devs[id]
 	if !ok {
-		c = NewCalibration(t.minObs, t.decay)
+		c = NewCalibration(DefaultMinObs, DefaultDecay)
 		t.devs[id] = c
 	}
 	return c
@@ -170,7 +149,7 @@ func (t *Tuner) MarshalJSON() ([]byte, error) {
 
 // LoadTuner restores a tuner persisted with MarshalJSON, so a warm restart
 // skips every device's cold start.
-func LoadTuner(data []byte, opts ...TunerOption) (*Tuner, error) {
+func LoadTuner(data []byte) (*Tuner, error) {
 	var in tunerJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("autotune: load tuner: %w (%w)", dcerr.ErrBadParam, err)
@@ -178,7 +157,7 @@ func LoadTuner(data []byte, opts ...TunerOption) (*Tuner, error) {
 	if in.Version != 1 {
 		return nil, fmt.Errorf("autotune: tuner version %d: %w", in.Version, dcerr.ErrBadParam)
 	}
-	t := NewTuner(opts...)
+	t := NewTuner()
 	for key, raw := range in.Devices {
 		var id int
 		if _, err := fmt.Sscanf(key, "%d", &id); err != nil {

@@ -80,9 +80,6 @@ type Batch struct {
 // Empty reports whether the batch contains no tasks.
 func (b Batch) Empty() bool { return b.Tasks <= 0 }
 
-// TotalOps returns the batch's aggregate scalar operation count.
-func (b Batch) TotalOps() float64 { return float64(b.Tasks) * b.Cost.Ops }
-
 // Each performs tasks lo..hi−1 of the batch in ascending order through
 // whichever body it has, and nothing for a cost-model batch.
 func (b Batch) Each(lo, hi int) { each(b.Run, b.RunRange, lo, hi) }

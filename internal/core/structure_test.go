@@ -1,14 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
+	pathpkg "path"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -38,10 +40,11 @@ func TestPlatformCallsOnlyInPlan(t *testing.T) {
 		"internal/estimate":     true, // single-batch microbenchmarks of one unit
 		"internal/opencl":       true, // an OpenCL queue over the simulator
 	}
-	files := 0
-	walkModule(t, func(fset *token.FileSet, path string, file *ast.File) {
-		files++
+	walkModule(t, func(fset *token.FileSet, path string, kind fileKind, file *ast.File) {
 		dir := filepath.Dir(path)
+		if kind != sourceFile {
+			return
+		}
 		if allowed[path] || allowed[dir] {
 			return
 		}
@@ -78,9 +81,6 @@ func TestPlatformCallsOnlyInPlan(t *testing.T) {
 			})
 		}
 	})
-	if files < 80 {
-		t.Fatalf("parsed %d files of the module, expected all of them", files)
-	}
 }
 
 // unitShaped reports whether a Submit's receiver is one of a backend's
@@ -103,13 +103,24 @@ func unitShaped(x ast.Expr) bool {
 	return false
 }
 
-// walkModule parses every non-test Go file of the module outside bench/
-// (its own module) and hands each to visit with its path relative to the
-// module root.
-func walkModule(t *testing.T, visit func(fset *token.FileSet, path string, file *ast.File)) {
+// fileKind tags each file walkModule visits.
+type fileKind int
+
+const (
+	sourceFile fileKind = iota // a non-test file of the module
+	testFile                   // a _test.go file of the module
+	benchFile                  // any file of bench/, its own module
+)
+
+// walkModule parses every Go file of the module, and of bench/ (its own
+// module), and hands each to visit with its path relative to the module
+// root and its kind. It fails the test if the walk saw fewer files of a
+// kind than the module has had, so a gate over an empty walk cannot pass.
+func walkModule(t *testing.T, visit func(fset *token.FileSet, path string, kind fileKind, file *ast.File)) {
 	t.Helper()
 	const root = "../.."
 	fset := token.NewFileSet()
+	var counts [3]int
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -121,12 +132,9 @@ func walkModule(t *testing.T, visit func(fset *token.FileSet, path string, file 
 			if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
 				return filepath.SkipDir
 			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir // another module (bench/)
-			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, 0)
@@ -134,11 +142,23 @@ func walkModule(t *testing.T, visit func(fset *token.FileSet, path string, file 
 			return err
 		}
 		rel, _ := filepath.Rel(root, path)
-		visit(fset, rel, file)
+		rel = filepath.ToSlash(rel)
+		kind := sourceFile
+		switch {
+		case strings.HasPrefix(rel, "bench/"):
+			kind = benchFile
+		case strings.HasSuffix(rel, "_test.go"):
+			kind = testFile
+		}
+		counts[kind]++
+		visit(fset, rel, kind, file)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if counts[sourceFile] < 80 || counts[testFile] < 80 || counts[benchFile] < 8 {
+		t.Fatalf("parsed %d source, %d test and %d bench files, expected the whole module", counts[sourceFile], counts[testFile], counts[benchFile])
 	}
 }
 
@@ -151,7 +171,10 @@ func walkModule(t *testing.T, visit func(fset *token.FileSet, path string, file 
 // are how the golden plans are written down.
 func TestBackendsArePlatformsOrFaults(t *testing.T) {
 	var found []string
-	walkModule(t, func(_ *token.FileSet, path string, file *ast.File) {
+	walkModule(t, func(_ *token.FileSet, path string, kind fileKind, file *ast.File) {
+		if kind != sourceFile {
+			return
+		}
 		dir := filepath.Dir(path)
 		for _, decl := range file.Decls {
 			switch decl := decl.(type) {
@@ -185,10 +208,17 @@ func TestBackendsArePlatformsOrFaults(t *testing.T) {
 	}
 }
 
-// receiverType names a method receiver's type, pointer or not.
+// receiverType names a method receiver's type, pointer or not, generic or
+// not.
 func receiverType(e ast.Expr) string {
 	if star, ok := e.(*ast.StarExpr); ok {
 		e = star.X
+	}
+	switch ix := e.(type) {
+	case *ast.IndexExpr:
+		e = ix.X
+	case *ast.IndexListExpr:
+		e = ix.X
 	}
 	if id, ok := e.(*ast.Ident); ok {
 		return id.Name
@@ -208,4 +238,180 @@ func embedsBackend(e ast.Expr) bool {
 		return e.Sel.Name == "Backend"
 	}
 	return false
+}
+
+// TestExportedNamesHaveCallers keeps the exported surface to what something
+// calls. Under internal/, every exported func, var, const, type and method
+// declared in a non-test file must be referenced from a non-test file (its
+// own declaration aside), from bench/, or from another package's tests —
+// shared fixtures and reference oracles such as dcsum.Sum or
+// servetest.Hold. A name only its own package's tests use belongs in a
+// _test.go file. In the facade (the root package), every func and var must
+// be referenced by cmd/, examples/, bench/ or a root _test.go, so the public
+// surface is documented by code that runs it; its types and constants are
+// exempt. Methods of exported types match by name, and a method is exempt
+// when an interface of the module or of the standard library declares its
+// name.
+func TestExportedNamesHaveCallers(t *testing.T) {
+	// Exceptions, one reason each: "dir.Name" (or "dir.Type.Method") → why.
+	allowed := map[string]string{
+		"internal/api/client.Client.Healthy": "the typed client's call for GET /healthz, one per route",
+		"internal/trace.Recorder.Dropped":    "the evictions of a NewTraceRecorderLimit ring, documented on the facade",
+	}
+	type ref struct{ dir, name string }
+	type decl struct {
+		ref
+		key string
+		pos token.Position
+	}
+	var decls []decl
+	var methods []decl
+	internalRefs := map[ref]bool{} // references that count under internal/
+	facadeRefs := map[ref]bool{}   // references that count for the facade
+	selected := map[string]bool{}  // selector names outside tests
+	testSelected := map[ref]bool{} // selector names in each directory's tests
+	ifaceMethods := map[string]bool{
+		"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
+		"MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
+		"Read": true, "Write": true, "Close": true,
+		"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	}
+	walkModule(t, func(fset *token.FileSet, path string, kind fileKind, file *ast.File) {
+		dir := filepath.Dir(path)
+		forFacade := kind == benchFile || strings.HasPrefix(dir, "cmd/") ||
+			strings.HasPrefix(dir, "examples/") || (kind == testFile && dir == ".")
+		imports := map[string]string{} // package name → directory
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p != "repro" && !strings.HasPrefix(p, "repro/") {
+				continue
+			}
+			target, name := strings.TrimPrefix(p, "repro/"), pathpkg.Base(p)
+			if p == "repro" {
+				target, name = ".", "hybriddc"
+			}
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = target
+		}
+		note := func(r ref) {
+			if kind != testFile || r.dir != dir {
+				internalRefs[r] = true
+			}
+			if forFacade {
+				facadeRefs[r] = true
+			}
+		}
+		// own is the name the enclosing declaration declares: its uses
+		// inside itself (recursion, a self-referencing type) do not count.
+		visit := func(n ast.Node, own string) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if id, ok := n.X.(*ast.Ident); ok {
+						if target, ok := imports[id.Name]; ok {
+							note(ref{target, n.Sel.Name})
+							return false
+						}
+					}
+					if n.Sel.Name == own {
+						break
+					}
+					if kind == testFile {
+						testSelected[ref{dir, n.Sel.Name}] = true
+					} else {
+						selected[n.Sel.Name] = true
+					}
+				case *ast.Ident:
+					if n.Name != own {
+						note(ref{dir, n.Name})
+					}
+				case *ast.InterfaceType:
+					if kind == sourceFile {
+						for _, m := range n.Methods.List {
+							for _, id := range m.Names {
+								ifaceMethods[id.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		checked := kind == sourceFile && (dir == "." || strings.HasPrefix(dir, "internal/"))
+		declare := func(id *ast.Ident, facadeExempt bool) {
+			if !checked || !id.IsExported() || (dir == "." && facadeExempt) {
+				return
+			}
+			key := dir + "." + id.Name
+			if dir == "." {
+				key = "hybriddc." + id.Name
+			}
+			decls = append(decls, decl{ref{dir, id.Name}, key, fset.Position(id.Pos())})
+		}
+		for _, d := range file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declare(d.Name, false)
+				} else if recv := receiverType(d.Recv.List[0].Type); checked && d.Name.IsExported() && ast.IsExported(recv) {
+					key := dir + "." + recv + "." + d.Name.Name
+					methods = append(methods, decl{ref{dir, d.Name.Name}, key, fset.Position(d.Name.Pos())})
+				}
+				visit(d.Type, d.Name.Name)
+				if d.Body != nil {
+					visit(d.Body, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declare(spec.Name, true)
+						visit(spec.Type, spec.Name.Name)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							declare(id, d.Tok == token.CONST)
+						}
+						if spec.Type != nil {
+							visit(spec.Type, "")
+						}
+						for _, v := range spec.Values {
+							visit(v, "")
+						}
+					}
+				}
+			}
+		}
+	})
+	if len(decls) < 400 || len(methods) < 300 {
+		t.Fatalf("found %d exported declarations and %d methods, expected the whole module", len(decls), len(methods))
+	}
+	var missing []string
+	report := func(d decl) {
+		if allowed[d.key] == "" {
+			missing = append(missing, fmt.Sprintf("%s (%s:%d)", d.key, d.pos.Filename, d.pos.Line))
+		}
+	}
+	for _, d := range decls {
+		if d.dir == "." && !facadeRefs[d.ref] || d.dir != "." && !internalRefs[d.ref] {
+			report(d)
+		}
+	}
+methods:
+	for _, m := range methods {
+		if ifaceMethods[m.name] || selected[m.name] {
+			continue
+		}
+		for r := range testSelected {
+			if r.name == m.name && r.dir != m.dir {
+				continue methods
+			}
+		}
+		report(m)
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("exported name without a caller: %s", m)
+	}
 }

@@ -6,12 +6,10 @@ package export
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
 	"repro/internal/exp"
-	"repro/internal/stats"
 )
 
 // WriteFigureCSV emits one row per point: series, x, y.
@@ -102,27 +100,3 @@ func WriteTableJSON(w io.Writer, t exp.Table) error {
 		ID: t.ID, Title: t.Title, Columns: t.Columns, Rows: t.Rows, Notes: t.Notes,
 	})
 }
-
-// ReadFigureJSON parses a figure written by WriteFigureJSON, for round-trip
-// tooling and tests.
-func ReadFigureJSON(r io.Reader) (exp.Figure, error) {
-	var in figureJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return exp.Figure{}, fmt.Errorf("export: decoding figure: %w", err)
-	}
-	f := exp.Figure{
-		ID: in.ID, Title: in.Title, XLabel: in.XLabel, YLabel: in.YLabel,
-		LogX: in.LogX, Notes: in.Notes,
-	}
-	for _, sj := range in.Series {
-		s := exp.Series{Name: sj.Name}
-		for _, p := range sj.Points {
-			s.Points = append(s.Points, point(p))
-		}
-		f.Series = append(f.Series, s)
-	}
-	return f, nil
-}
-
-// point converts a JSON pair into a stats.Point.
-func point(p [2]float64) stats.Point { return stats.Point{X: p[0], Y: p[1]} }

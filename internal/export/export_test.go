@@ -3,6 +3,9 @@ package export
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -103,3 +106,27 @@ func TestReadFigureJSONRejectsGarbage(t *testing.T) {
 		t.Error("accepted invalid JSON")
 	}
 }
+
+// ReadFigureJSON parses a figure written by WriteFigureJSON, for round-trip
+// tooling and tests.
+func ReadFigureJSON(r io.Reader) (exp.Figure, error) {
+	var in figureJSON
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return exp.Figure{}, fmt.Errorf("export: decoding figure: %w", err)
+	}
+	f := exp.Figure{
+		ID: in.ID, Title: in.Title, XLabel: in.XLabel, YLabel: in.YLabel,
+		LogX: in.LogX, Notes: in.Notes,
+	}
+	for _, sj := range in.Series {
+		s := exp.Series{Name: sj.Name}
+		for _, p := range sj.Points {
+			s.Points = append(s.Points, point(p))
+		}
+		f.Series = append(f.Series, s)
+	}
+	return f, nil
+}
+
+// point converts a JSON pair into a stats.Point.
+func point(p [2]float64) stats.Point { return stats.Point{X: p[0], Y: p[1]} }

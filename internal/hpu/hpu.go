@@ -109,9 +109,6 @@ func (s *Sim) SetMetrics(reg *metrics.Registry) { s.gpu.SetMetrics(reg) }
 // their own probes).
 func (s *Sim) Engine() *vtime.Engine { return s.eng }
 
-// SimCPU returns the simulated CPU.
-func (s *Sim) SimCPU() *simcpu.CPU { return s.cpu }
-
 // SimGPU returns the simulated GPU.
 func (s *Sim) SimGPU() *simgpu.GPU { return s.gpu }
 

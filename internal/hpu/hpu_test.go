@@ -1,10 +1,12 @@
 package hpu
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dcerr"
 )
 
 func TestBuiltinPlatformsValid(t *testing.T) {
@@ -96,6 +98,30 @@ func TestBackendInterface(t *testing.T) {
 	}
 }
 
+// TestEditedPlatformReachesSim pins how a custom platform is built: edit
+// a paper platform's value, then NewSim it. The edited knobs reach the
+// Sim and the untouched ones keep the baseline's values.
+func TestEditedPlatformReachesSim(t *testing.T) {
+	p := HPU2()
+	p.Name = "custom"
+	p.CPU.Cores = 8
+	p.GPU.SatThreads, p.GPU.Gamma = 2048, 1.0/100
+	p.Link.LatencySec, p.Link.SecPerByte = 1e-6, 1.0/1e9
+	s, err := NewSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Platform() != p {
+		t.Errorf("Platform() = %+v, want %+v", s.Platform(), p)
+	}
+	if got := s.Platform().GPU.HideFactor; got != HPU2().GPU.HideFactor {
+		t.Errorf("HideFactor = %g, want HPU2 baseline %g", got, HPU2().GPU.HideFactor)
+	}
+	if got, want := s.TransferSeconds(1000), 1e-6+1000.0/1e9; math.Abs(got-want) > 1e-15 {
+		t.Errorf("TransferSeconds(1000) = %g, want %g", got, want)
+	}
+}
+
 func TestNewSimRejectsBadPlatform(t *testing.T) {
 	bad := HPU1()
 	bad.CPU.Cores = 0
@@ -104,8 +130,13 @@ func TestNewSimRejectsBadPlatform(t *testing.T) {
 	}
 	bad2 := HPU1()
 	bad2.Link.LatencySec = -1
-	if _, err := NewSim(bad2); err == nil {
-		t.Error("NewSim accepted invalid link")
+	if _, err := NewSim(bad2); !errors.Is(err, dcerr.ErrBadParam) {
+		t.Errorf("negative λ: err = %v, want ErrBadParam", err)
+	}
+	bad3 := HPU1()
+	bad3.GPU.SatThreads = 0
+	if _, err := NewSim(bad3); !errors.Is(err, dcerr.ErrBadParam) {
+		t.Errorf("invalid g: err = %v, want ErrBadParam", err)
 	}
 	assertPanics(t, func() { MustSim(bad) })
 }

@@ -17,20 +17,19 @@
 //     discards the buffer to the garbage collector so bursty workloads
 //     cannot pin unbounded memory.
 //   - Per-class hit/miss/put/discard counts and retained bytes are
-//     available through Stats; aggregate counters can be attached to a
-//     metrics.Registry with SetMetrics (nil-safe, zero cost when unset).
+//     available through Stats.
 //   - Returned buffers have UNSPECIFIED contents. Callers must fully
 //     write every element they will later read. All current users
 //     (ping-pong merge buffers, scan/sum vectors initialized from input,
 //     wire staging) satisfy this, which is what keeps results
 //     bit-identical with pooling on.
-//   - HPU_NOPOOL=1 (or SetEnabled(false)) disables pooling globally:
-//     Get degrades to make, Put to a no-op. This is the A/B escape
-//     hatch pinned by the identity tests.
-//   - HPU_POOLPOISON=1 (or SetPoison(true)) enables the use-after-put
-//     detector: Put fills the buffer with a poison pattern and Get
-//     verifies the pattern is intact before reuse, panicking if any
-//     element was overwritten while the buffer sat in the freelist.
+//   - Two environment switches, read at start-up, are the only settings.
+//     HPU_NOPOOL=1 disables pooling globally: Get degrades to make, Put
+//     to a no-op. This is the A/B escape hatch pinned by the identity
+//     tests. HPU_POOLPOISON=1 enables the use-after-put detector: Put
+//     fills the buffer with a poison pattern and Get verifies the pattern
+//     is intact before reuse, panicking if any element was overwritten
+//     while the buffer sat in the freelist.
 //
 // The pool is safe for concurrent use; every class is guarded by its own
 // mutex and the global switches are atomics, so it is race-detector clean.
@@ -43,8 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"repro/internal/metrics"
 )
 
 // Scalar is the set of element types the pool serves. All are plain
@@ -74,14 +71,8 @@ var (
 	enabled   atomic.Bool
 	poisoning atomic.Bool
 
-	// Aggregate instruments across every typed pool. All nil-safe.
-	mHits     atomic.Pointer[metrics.Counter]
-	mMisses   atomic.Pointer[metrics.Counter]
-	mDiscards atomic.Pointer[metrics.Counter]
-	mRetained atomic.Pointer[metrics.Gauge]
-
 	// retainedBytes tracks bytes currently parked across all pools, for
-	// the shared gauge and for leak tests via TotalRetainedBytes.
+	// leak tests via TotalRetainedBytes.
 	retainedBytes atomic.Int64
 )
 
@@ -90,49 +81,8 @@ func init() {
 	poisoning.Store(os.Getenv("HPU_POOLPOISON") == "1")
 }
 
-// SetEnabled switches pooling on or off globally. Buffers already leased
-// remain valid either way; disabling only changes what Get and Put do
-// next. Intended for tests and A/B benchmarking (HPU_NOPOOL=1 sets the
-// initial state).
-func SetEnabled(on bool) { enabled.Store(on) }
-
 // Enabled reports whether pooling is active.
 func Enabled() bool { return enabled.Load() }
-
-// SetPoison switches the use-after-put detector on or off
-// (HPU_POOLPOISON=1 sets the initial state).
-func SetPoison(on bool) { poisoning.Store(on) }
-
-// Poisoning reports whether the use-after-put detector is active.
-func Poisoning() bool { return poisoning.Load() }
-
-// SetMetrics attaches aggregate pool instruments to r:
-//
-//	mempool_hits_total      freelist hits across all pools
-//	mempool_misses_total    Gets served by a fresh allocation
-//	mempool_discards_total  Puts dropped by a full class budget
-//	mempool_retained_bytes  bytes currently parked in freelists
-//
-// A nil registry detaches (the default state observes nothing and costs
-// one atomic load per event).
-func SetMetrics(r *metrics.Registry) {
-	if r == nil {
-		mHits.Store(nil)
-		mMisses.Store(nil)
-		mDiscards.Store(nil)
-		mRetained.Store(nil)
-		return
-	}
-	mHits.Store(r.Counter("mempool_hits_total"))
-	mMisses.Store(r.Counter("mempool_misses_total"))
-	mDiscards.Store(r.Counter("mempool_discards_total"))
-	mRetained.Store(r.Gauge("mempool_retained_bytes"))
-}
-
-func addRetained(delta int64) {
-	n := retainedBytes.Add(delta)
-	mRetained.Load().Set(n)
-}
 
 // class holds one size class's freelist and counters, all under one mutex.
 type class[T Scalar] struct {
@@ -148,7 +98,7 @@ type class[T Scalar] struct {
 // Pool is a size-classed freelist of []T buffers. The zero value is not
 // usable; construct with New. Package-level typed pools (Bytes, Int32s,
 // Int64s) cover every element type used on the hot path
-// and share the global enable/poison/metrics switches.
+// and share the global enable/poison switches.
 type Pool[T Scalar] struct {
 	name     string
 	classes  [classes]class[T]
@@ -204,7 +154,6 @@ func (p *Pool[T]) Get(n int) []T {
 	ci := classFor(n)
 	if ci < 0 {
 		p.oversize.Add(1)
-		mMisses.Load().Inc()
 		return make([]T, n)
 	}
 	c := &p.classes[ci]
@@ -216,8 +165,7 @@ func (p *Pool[T]) Get(n int) []T {
 		c.held -= int64(cap(buf)) * elemSize[T]()
 		c.hits++
 		c.mu.Unlock()
-		addRetained(-int64(cap(buf)) * elemSize[T]())
-		mHits.Load().Inc()
+		retainedBytes.Add(-int64(cap(buf)) * elemSize[T]())
 		if poisoning.Load() {
 			verifyPoison(p.name, buf)
 		}
@@ -225,7 +173,6 @@ func (p *Pool[T]) Get(n int) []T {
 	}
 	c.misses++
 	c.mu.Unlock()
-	mMisses.Load().Inc()
 	return make([]T, n, 1<<(minShift+ci))
 }
 
@@ -253,13 +200,12 @@ func (p *Pool[T]) Put(s []T) {
 	if c.held+bytes > classBudgetBytes {
 		c.discards++
 		c.mu.Unlock()
-		mDiscards.Load().Inc()
 		return
 	}
 	c.free = append(c.free, s[:cap(s)])
 	c.held += bytes
 	c.mu.Unlock()
-	addRetained(bytes)
+	retainedBytes.Add(bytes)
 }
 
 func fillPoison[T Scalar](s []T) {
@@ -336,7 +282,7 @@ func (p *Pool[T]) Reset() {
 		c.held = 0
 		c.mu.Unlock()
 		if freed != 0 {
-			addRetained(-freed)
+			retainedBytes.Add(-freed)
 		}
 	}
 }

@@ -113,13 +113,6 @@ func (c *CPU) rate(workingSet int64, active int) float64 {
 	return r
 }
 
-// TaskSeconds reports how long one task of the given cost takes on one core
-// with `active` cores streaming concurrently. Exposed for the estimation
-// harness (Fig 6) and the analytic model calibration.
-func (c *CPU) TaskSeconds(cost core.Cost, active int) float64 {
-	return taskCost(cost, c.params.MemWeight) / c.rate(cost.WorkingSet, active)
-}
-
 // Submit implements core.LevelExecutor. The batch's functional work runs
 // eagerly on host memory (order within the batch is unspecified, tasks are
 // independent by contract); its cost is then split into at most p chunks

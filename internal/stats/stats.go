@@ -1,5 +1,5 @@
 // Package stats provides the small numeric toolkit the experiment harness
-// needs: summaries, linear fits, and the saturation-knee detector used to
+// needs: summaries and the saturation-knee detector used to
 // estimate the GPU parallelism g from a time-vs-threads curve (§6.4).
 package stats
 
@@ -26,21 +26,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation of xs (0 for fewer than two
-// samples).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Median returns the median of xs; NaN for empty input.
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -53,46 +38,6 @@ func Median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// MinMax returns the extrema of xs; NaNs for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// LinFit returns the least-squares line y = slope·x + intercept through the
-// points. It errors on fewer than two points or a degenerate x range.
-func LinFit(pts []Point) (slope, intercept float64, err error) {
-	if len(pts) < 2 {
-		return 0, 0, fmt.Errorf("stats: LinFit needs >= 2 points, got %d", len(pts))
-	}
-	var sx, sy, sxx, sxy float64
-	for _, p := range pts {
-		sx += p.X
-		sy += p.Y
-		sxx += p.X * p.X
-		sxy += p.X * p.Y
-	}
-	n := float64(len(pts))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, fmt.Errorf("stats: LinFit degenerate x values")
-	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
-	return slope, intercept, nil
 }
 
 // SaturationKnee finds the knee of a decreasing-then-flat curve: the

@@ -31,15 +31,6 @@ func NewResource(eng *Engine, capacity int) *Resource {
 	return &Resource{eng: eng, capacity: capacity}
 }
 
-// Capacity reports the number of servers.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// Busy reports how many servers are currently serving requests.
-func (r *Resource) Busy() int { return r.busy }
-
-// QueueLen reports how many requests are waiting for a server.
-func (r *Resource) QueueLen() int { return len(r.waiting) }
-
 // BusySeconds reports accumulated server-seconds of service.
 func (r *Resource) BusySeconds() float64 { return r.totalBusy }
 

@@ -72,9 +72,6 @@ func (e *Engine) Now() Time { return e.now }
 // Processed reports how many events have been executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending reports how many events are queued but not yet executed.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // (t < Now) panics: it indicates a cost-model bug rather than a recoverable
 // condition.
@@ -105,17 +102,6 @@ func (e *Engine) After(d float64, fn func()) {
 func (e *Engine) Run() {
 	for len(e.queue) > 0 {
 		e.step()
-	}
-}
-
-// RunUntil executes events with time <= t, then advances the clock to t.
-// Events scheduled beyond t remain pending.
-func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= t {
-		e.step()
-	}
-	if t > e.now {
-		e.now = t
 	}
 }
 

@@ -106,3 +106,22 @@ func TestIsPermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// IsPermutation reports whether b is a permutation of a, using a counting
+// map. It is intended for test assertions.
+func IsPermutation(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	counts := make(map[int32]int, len(a))
+	for _, v := range a {
+		counts[v]++
+	}
+	for _, v := range b {
+		counts[v]--
+		if counts[v] < 0 {
+			return false
+		}
+	}
+	return true
+}

@@ -30,12 +30,10 @@ func NewAPIServer(srv *Server, opts ...APIServerOption) (*APIServer, error) {
 // pool (WithServerMetrics / WithServerRecorder) so one /metrics scrape and
 // one /events stream see the whole stack.
 var (
-	WithAPIMetrics      = api.WithMetrics
-	WithAPIRecorder     = api.WithRecorder
-	WithAPIMaxBodyBytes = api.WithMaxBodyBytes
-	WithAPIMaxConns     = api.WithMaxConns
-	WithAPIRetainJobs   = api.WithRetainJobs
-	WithAPIEventPoll    = api.WithEventPoll
+	WithAPIMetrics    = api.WithMetrics
+	WithAPIRecorder   = api.WithRecorder
+	WithAPIRetainJobs = api.WithRetainJobs
+	WithAPIEventPoll  = api.WithEventPoll
 )
 
 // Wire types shared by the API server and client.

@@ -14,9 +14,10 @@ import (
 
 // Context-aware executors. Each checks its context at every level boundary;
 // on cancellation it stops within one boundary and returns a partial Report
-// together with an error wrapping ErrCanceled. They accept functional
-// options (WithCoalesce, WithSplit, WithTrace, ...) instead of the
-// deprecated Options/AdvancedParams structs.
+// together with an error wrapping ErrCanceled. They accept the run options
+// (WithCoalesce, WithSplit, WithGrain, WithTrace, WithMetrics,
+// WithSpanRecorder); Server.Submit also reads WithPriority and the
+// reliability policies.
 var (
 	// RunSequentialCtx is RunSequential with cancellation and options.
 	RunSequentialCtx = core.RunSequentialCtx
