@@ -52,10 +52,14 @@ func (s *Sorter) PermuteBack(level, lo, hi int) core.Batch {
 
 // permutationBatch builds the batch that (de)interleaves count runs of
 // runSize elements at element offset base within cur, using the idle parity
-// buffer as scratch. The whole data movement happens in the range holding
-// task 0 (two passes over the region); Tasks still reflects the element
-// count so the device cost model charges one uniform work-item per element,
-// and every other range returns at once.
+// buffer as scratch. Its body is the one exception to Batch.RunRange's
+// "tasks lo..hi−1": the whole data movement happens in the range holding
+// task 0, whatever its hi, and every other range returns at once. The two
+// passes over the region (transpose into scratch, copy back) cannot be cut
+// into ranges that run concurrently, since the copy back overwrites what
+// other ranges' transposes still read; the union over any partition is
+// still the whole batch. Tasks reflects the element count so the device
+// cost model charges one uniform work-item per element.
 func (s *Sorter) permutationBatch(cur []int32, base, count, runSize int, toInterleaved bool) core.Batch {
 	m := count * runSize
 	scratch := s.buf[0]
@@ -78,7 +82,7 @@ func (s *Sorter) permutationBatch(cur []int32, base, count, runSize int, toInter
 		},
 		RunRange: func(lo, hi int) {
 			if lo != 0 {
-				return
+				return // the range holding task 0 moves the whole region
 			}
 			transpose(to, from, rows, cols)
 			copy(from, to)

@@ -10,6 +10,11 @@
 // machines) or on the real-goroutine backend of internal/native.
 package core
 
+import (
+	"runtime"
+	"sync"
+)
+
 // Cost describes the abstract cost of a single task in units normalized to
 // one CPU core (γ_c = 1 in the paper's model). Device backends turn a Cost
 // into a service time using their own rate parameters.
@@ -70,6 +75,9 @@ type Batch struct {
 	// indirect call per task is the cost (DESIGN.md §3); safe for disjoint
 	// ranges. A batch sets Run or RunRange, never both — neither for a pure
 	// cost-model batch (no data movement) — and is executed through Each.
+	// One body is whole rather than per task: mergesort's layout switch
+	// moves its entire region in the range holding task 0 and nothing in
+	// any other, which still gives the batch under every partition.
 	RunRange func(lo, hi int)
 	// Level is the recursion level this batch belongs to (0 = root),
 	// stamped by the interpreter, which reports it as Interval.Level.
@@ -83,6 +91,65 @@ func (b Batch) Empty() bool { return b.Tasks <= 0 }
 // Each performs tasks lo..hi−1 of the batch in ascending order through
 // whichever body it has, and nothing for a cost-model batch.
 func (b Batch) Each(lo, hi int) { each(b.Run, b.RunRange, lo, hi) }
+
+// splitMinWork is the modelled work, Tasks × (Ops + MemWords), from which
+// EachSplit spreads a batch's body over the host's cores: about a
+// millisecond of host time (a merge level at 2^22 runs near 0.9 ns per
+// unit), where a goroutine's start and join cost well under one percent.
+// splitRanges, when positive, replaces GOMAXPROCS as the range count. Both
+// are variables only so that tests can force every batch to split.
+var (
+	splitMinWork = float64(1 << 20)
+	splitRanges  = 0
+)
+
+// waitGroups recycles EachSplit's joins, so that a split allocates only the
+// goroutines' closures.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
+// EachSplit performs all of the batch's tasks, like Each(0, Tasks), but cuts
+// a batch whose modelled work reaches splitMinWork into min(GOMAXPROCS,
+// Tasks) contiguous ranges: the caller runs the first, one goroutine each
+// the others, and all have ended when it returns. Smaller batches run
+// inline. The simulated units use it to compute a batch on every host core
+// while their clocks price only Tasks and Cost; the body's contract (safe
+// for disjoint ranges) is what makes the split invisible.
+func EachSplit(b Batch) {
+	if b.Run == nil && b.RunRange == nil {
+		return
+	}
+	k := 1
+	if float64(b.Tasks)*(b.Cost.Ops+b.Cost.MemWords) >= splitMinWork {
+		k = splitRanges
+		if k <= 0 {
+			k = runtime.GOMAXPROCS(0)
+		}
+		k = min(k, b.Tasks)
+	}
+	if k <= 1 {
+		b.Each(0, b.Tasks)
+		return
+	}
+	wg := waitGroups.Get().(*sync.WaitGroup)
+	wg.Add(k - 1)
+	base, rem := b.Tasks/k, b.Tasks%k
+	hi := base + min(rem, 1) // the caller's range, run last
+	for i, lo := 1, hi; i < k; i++ {
+		n := base
+		if i < rem {
+			n++
+		}
+		l, h := lo, lo+n // captured by value: the closure is the one allocation
+		go func() {
+			b.Each(l, h)
+			wg.Done()
+		}()
+		lo += n
+	}
+	b.Each(0, hi)
+	wg.Wait()
+	waitGroups.Put(wg)
+}
 
 // each is Each for CoarseBatch's phases, which keep only the two body words
 // of a batch.

@@ -127,11 +127,17 @@ func (r *run) forkAt() float64 { return r.chains[chTop].end }
 // once: folding a level allocates nothing.
 type fold struct {
 	b    Batch
-	task func(int) // f.all
+	task func(int) // f.all, or f.split on an event-loop backend
 }
 
-// all is the one task of a folded batch: all of its tasks, in order.
+// all is the one task of a folded batch: all of its tasks, in order. On the
+// native backend it is the sequential baseline itself, one worker's time.
 func (f *fold) all(int) { f.b.Each(0, f.b.Tasks) }
+
+// split is the one task of a folded batch on an event-loop backend, whose
+// clock prices the fold from its cost alone: the body may then use every
+// host core.
+func (f *fold) split(int) { EachSplit(f.b) }
 
 // division is one point of Algorithm 8's parameter space. There are never
 // more devices than subproblems left for them.
@@ -198,7 +204,11 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 
 	if d.fold {
 		r.fold = new(fold)
-		r.fold.task = r.fold.all
+		if autonomous(be) {
+			r.fold.task = r.fold.all
+		} else {
+			r.fold.task = r.fold.split
+		}
 	}
 	r.drive(top)
 	return r
@@ -477,7 +487,9 @@ func (c *chain) advance() {
 }
 
 // submitFolded runs a batch on a single core by folding it into one task
-// whose cost is the whole batch, preserving functional execution order.
+// whose cost is the whole batch. The task keeps the batch's order on the
+// native backend; on the simulator it may split the body over the host's
+// cores (fold.split), which the single virtual core never sees.
 func (c *chain) submitFolded(b Batch) {
 	if b.Empty() {
 		c.next()

@@ -114,10 +114,11 @@ func (c *CPU) rate(workingSet int64, active int) float64 {
 }
 
 // Submit implements core.LevelExecutor. The batch's functional work runs
-// eagerly on host memory (order within the batch is unspecified, tasks are
-// independent by contract); its cost is then split into at most p chunks
-// that occupy cores under FIFO contention with any concurrently submitted
-// batches.
+// eagerly on host memory, spread over the host's cores by core.EachSplit
+// (tasks are independent by contract, so the order and the host split are
+// invisible); its cost is then split into at most p chunks that occupy
+// cores under FIFO contention with any concurrently submitted batches. The
+// virtual time depends on Tasks and Cost alone, never on the host.
 func (c *CPU) Submit(b core.Batch, done func()) {
 	if b.Empty() {
 		if done != nil {
@@ -125,7 +126,7 @@ func (c *CPU) Submit(b core.Batch, done func()) {
 		}
 		return
 	}
-	b.Each(0, b.Tasks)
+	core.EachSplit(b)
 	chunks := c.params.Cores
 	if b.Tasks < chunks {
 		chunks = b.Tasks

@@ -35,7 +35,9 @@
 //
 // Uncoalesced global access inflates the memory component of c by
 // StridePenalty (§6.3). Kernels execute functionally on host memory at
-// submit time, so data transformations really happen; only time is virtual.
+// submit time, spread over the host's cores (core.EachSplit), so data
+// transformations really happen; only time is virtual, and it is priced
+// from the launch's work-items and cost, never from the host.
 // Launches serialize on an in-order command queue, as in the paper's OpenCL
 // host programs.
 package simgpu
@@ -325,8 +327,9 @@ func (g *GPU) HeterogeneousSeconds(w int, c core.Cost, costOps func(i int) float
 }
 
 // Submit implements core.LevelExecutor: the batch becomes one kernel launch.
-// Functional work runs eagerly on host memory; the launch occupies the
-// in-order queue for the modeled duration.
+// Functional work runs eagerly on host memory, on every host core for a
+// large launch (core.EachSplit); the launch occupies the in-order queue for
+// the modeled duration.
 func (g *GPU) Submit(b core.Batch, done func()) {
 	if b.Empty() {
 		if done != nil {
@@ -334,7 +337,7 @@ func (g *GPU) Submit(b core.Batch, done func()) {
 		}
 		return
 	}
-	b.Each(0, b.Tasks)
+	core.EachSplit(b)
 	g.account(b)
 	var d float64
 	if b.CostOps != nil {

@@ -18,8 +18,9 @@ type Resource struct {
 
 type request struct {
 	// duration computes the service time given the number of servers that
-	// are busy including this one.
+	// are busy including this one; nil means the fixed duration d.
 	duration func(active int) float64
+	d        float64
 	done     func()
 }
 
@@ -41,7 +42,15 @@ func (r *Resource) Request(duration func(active int) float64, done func()) {
 	if duration == nil {
 		panic("vtime: nil duration function")
 	}
-	req := request{duration: duration, done: done}
+	r.enqueue(request{duration: duration, done: done})
+}
+
+// RequestFixed is Request with a precomputed duration.
+func (r *Resource) RequestFixed(d float64, done func()) {
+	r.enqueue(request{d: d, done: done})
+}
+
+func (r *Resource) enqueue(req request) {
 	if r.busy < r.capacity {
 		r.dispatch(req)
 		return
@@ -49,14 +58,12 @@ func (r *Resource) Request(duration func(active int) float64, done func()) {
 	r.waiting = append(r.waiting, req)
 }
 
-// RequestFixed is Request with a precomputed duration.
-func (r *Resource) RequestFixed(d float64, done func()) {
-	r.Request(func(int) float64 { return d }, done)
-}
-
 func (r *Resource) dispatch(req request) {
 	r.busy++
-	d := req.duration(r.busy)
+	d := req.d
+	if req.duration != nil {
+		d = req.duration(r.busy)
+	}
 	if d < 0 {
 		panic("vtime: negative service duration")
 	}

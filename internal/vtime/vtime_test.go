@@ -128,6 +128,39 @@ func TestResourceActiveCount(t *testing.T) {
 	}
 }
 
+// TestRequestFixedAllocs pins that a fixed-duration request allocates no
+// more than a callback request whose callback already exists: RequestFixed
+// keeps its duration in the request, not in a closure. Queued behind each
+// other, the two kinds keep FIFO order and their own durations.
+func TestRequestFixedAllocs(t *testing.T) {
+	e := New()
+	r := NewResource(e, 1)
+	dur := func(int) float64 { return 1 }
+	done := func() {}
+	callback := testing.AllocsPerRun(100, func() {
+		r.Request(dur, done)
+		e.Run()
+	})
+	fixed := testing.AllocsPerRun(100, func() {
+		r.RequestFixed(1, done)
+		e.Run()
+	})
+	if fixed > callback {
+		t.Errorf("RequestFixed allocated %g times, Request with a prebuilt callback %g", fixed, callback)
+	}
+
+	start := e.Now()
+	var ends []Time
+	end := func() { ends = append(ends, e.Now()-start) }
+	r.RequestFixed(2, end)
+	r.Request(func(int) float64 { return 3 }, end)
+	r.RequestFixed(0.5, end)
+	e.Run()
+	if want := []Time{2, 5, 5.5}; len(ends) != 3 || ends[0] != want[0] || ends[1] != want[1] || ends[2] != want[2] {
+		t.Errorf("mixed requests ended at %v, want %v", ends, want)
+	}
+}
+
 func TestResourceValidation(t *testing.T) {
 	e := New()
 	assertPanics(t, "zero capacity", func() { NewResource(e, 0) })
