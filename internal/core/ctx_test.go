@@ -18,10 +18,14 @@ import (
 // batch's first task, letting tests cancel a run from a precisely known
 // point of the execution plan. Because the executors check their context
 // before each step (a level boundary), everything scheduled after the
-// hooked batch's level is guaranteed not to run.
+// hooked batch's level is guaranteed not to run. With a workingSet every
+// batch declares it and every task is recorded, as the one-task range
+// [lo+i, lo+i+1): a coarse walk then runs in blocks, and each block's tasks
+// show.
 type cancelAlg struct {
-	levels int
-	hook   func(phase string, level int)
+	levels     int
+	workingSet int64
+	hook       func(phase string, level int)
 
 	mu     sync.Mutex
 	events []probeEvent
@@ -35,14 +39,20 @@ func (c *cancelAlg) record(phase string, level, lo, hi int) Batch {
 	}
 	return Batch{
 		Tasks: hi - lo,
-		Cost:  Cost{Ops: 100},
+		Cost:  Cost{Ops: 100, WorkingSet: c.workingSet},
 		Run: func(i int) {
+			e := probeEvent{phase, level, lo, hi}
+			if c.workingSet > 0 {
+				e.lo, e.hi = lo+i, lo+i+1
+			}
+			if i == 0 || c.workingSet > 0 {
+				c.mu.Lock()
+				c.events = append(c.events, e)
+				c.mu.Unlock()
+			}
 			if i != 0 {
 				return
 			}
-			c.mu.Lock()
-			c.events = append(c.events, probeEvent{phase, level, lo, hi})
-			c.mu.Unlock()
 			if c.hook != nil {
 				c.hook(phase, level)
 			}
@@ -127,6 +137,9 @@ func TestCancellationMatrix(t *testing.T) {
 		// forbidden reports events that must not appear once the context was
 		// canceled at the trigger point.
 		forbidden func(e probeEvent) bool
+		// A row with a working set runs on the native backend only, with
+		// cancelAlg's workingSet set to it.
+		workingSet int64
 	}{
 		{
 			name: "before-start",
@@ -163,6 +176,23 @@ func TestCancellationMatrix(t *testing.T) {
 			},
 			forbidden: func(e probeEvent) bool {
 				return e.phase != "divide" || e.level > 2
+			},
+		},
+		{
+			// The native sequential run is one coarse walk, and 128 KiB of
+			// working set makes it blocked: the divides of levels 0 and 1
+			// over the whole tree, then four blocks of one level-2 subtree
+			// each, from their divides to their combines, then the combines
+			// of levels 1 and 0. Cancel in the first block's divide of level
+			// 3: the phase in flight completes (level 3's tasks 0 and 1), and
+			// no later phase of any block runs.
+			name: "sequential-walk-mid-block", phase: "divide", level: 3,
+			workingSet: 128 << 10,
+			run: func(ctx context.Context, be Backend, alg *cancelAlg) (Report, error) {
+				return RunSequentialCtx(ctx, be, alg)
+			},
+			forbidden: func(e probeEvent) bool {
+				return e.phase != "divide" || e.level > 3 || e.level >= 2 && e.lo >= TasksAtLevel(2, e.level-2)
 			},
 		},
 		{
@@ -216,9 +246,13 @@ func TestCancellationMatrix(t *testing.T) {
 		t.Run(bk.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			for _, tc := range cases {
+				if tc.workingSet > 0 && bk.name != "native" {
+					continue // the simulator folds the sequential baseline level by level
+				}
 				t.Run(tc.name, func(t *testing.T) {
 					be, stop := bk.open(t)
 					alg := newCancelAlg(levels)
+					alg.workingSet = tc.workingSet
 					ctx, cancel := context.WithCancel(context.Background())
 					defer cancel()
 					if tc.phase == "" {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/dcerr"
 )
@@ -141,16 +142,24 @@ func open(be Backend, opts []Option) (RunConfig, error) {
 }
 
 // RunSequentialCtx executes the algorithm on a single CPU core (the paper's
-// recursive baseline), checking ctx at every level boundary. On cancellation
-// it returns a partial Report and an error wrapping dcerr.ErrCanceled.
-// WithGrain is accepted but has no effect — the run is already one task per
-// level on one core.
+// recursive baseline). On an autonomous backend the run is one coarse task
+// rooted at level 0 (CoarseBatch): the whole tree walked depth-first in
+// cache blocks, or one Solve for a Solver. ctx is checked at every phase
+// boundary of the walk, a Solve being one granule. On an event-loop backend
+// every level is folded into one task, priced by the simulated core, and
+// ctx is checked at every level boundary. On cancellation it returns a
+// partial Report and an error wrapping dcerr.ErrCanceled. WithGrain is
+// accepted but has no effect — the run is already one core's walk.
 func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
 	cfg, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
-	return execute(ctx, be, &cfg, alg, nil, SequentialStrategy, division{cpu: 1, fold: true}).report(&cfg)
+	d := division{cpu: 1, fold: true}
+	if autonomous(be) {
+		d = division{cpu: 1, grain: math.MaxInt} // collapses every level
+	}
+	return execute(ctx, be, &cfg, alg, nil, SequentialStrategy, d).report(&cfg)
 }
 
 // RunBreadthFirstCPUCtx executes the algorithm breadth-first on the CPU

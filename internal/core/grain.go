@@ -95,9 +95,11 @@ const blockBytes = 32 << 10
 // subtree that fits a block, or declares no WorkingSet, is one block: the
 // level-by-level order.
 //
-// An alg that is a Solver is not walked: task j is Solve(cl, lo+j), and the
-// level batches only price it.
-func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
+// A walk stops at its next phase boundary once stop is closed (a nil stop
+// never closes), which leaves the subtree incomplete: the run it belongs to
+// is then partial. An alg that is a Solver is not walked: task j is
+// Solve(cl, lo+j), one granule, and the level batches only price it.
+func CoarseBatch(alg Alg, cl, lo, hi int, stop <-chan struct{}) Batch {
 	L := alg.Levels()
 	a := alg.Arity()
 	w := hi - lo
@@ -156,9 +158,18 @@ func CoarseBatch(alg Alg, cl, lo, hi int) Batch {
 		Level: cl,
 		Run: func(j int) {
 			// part runs phases[from:to] for the k-th of the sub-subtrees
-			// that have f tasks each in phases[from].
+			// that have f tasks each in phases[from], up to the first phase
+			// that finds stop closed; every later part then stops at its
+			// first.
 			part := func(from, to, k, f int) {
 				for i := from; i < to; i++ {
+					if stop != nil {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
 					each(phases[i].run, phases[i].rng, k*f, (k+1)*f)
 					if i < K {
 						f *= a

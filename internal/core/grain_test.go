@@ -25,10 +25,15 @@ import (
 // result as a comparable value. Result values must be bit-identical across
 // executions (float algorithms included: coarsening reorders whole tasks,
 // never the arithmetic within one, so even rounding is reproduced exactly).
+// plain computes the same value from the same data in plain Go, without the
+// framework: bit for bit the result's for an integer algorithm, and for a
+// float one the same up to rounding, since a plain loop sums in another
+// order.
 type grainCase struct {
 	name  string
 	build func(t *testing.T) Alg
 	value func(alg Alg) any
+	plain func() any
 }
 
 func grainCases() []grainCase {
@@ -71,63 +76,72 @@ func grainCases() []grainCase {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return append([]int32(nil), alg.(*mergesort.Sorter).Result()...) }},
+		}, func(alg Alg) any { return append([]int32(nil), alg.(*mergesort.Sorter).Result()...) },
+			func() any { return sorted(sortData) }},
 		{"mergesort-any", func(t *testing.T) Alg {
 			a, err := mergesort.NewAny(clone32(sortData[:10000]))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return append([]int32(nil), alg.(*mergesort.AnySorter).Result()...) }},
+		}, func(alg Alg) any { return append([]int32(nil), alg.(*mergesort.AnySorter).Result()...) },
+			func() any { return sorted(sortData[:10000]) }},
 		{"dcsum", func(t *testing.T) Alg {
 			a, err := dcsum.New(clone32(sumData))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return alg.(*dcsum.Summer).Result() }},
+		}, func(alg Alg) any { return alg.(*dcsum.Summer).Result() },
+			func() any { return dcsum.Sum(sumData) }},
 		{"scan", func(t *testing.T) Alg {
 			a, err := scan.New(clone32(scanData))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return append([]int64(nil), alg.(*scan.Scanner).Result()...) }},
+		}, func(alg Alg) any { return append([]int64(nil), alg.(*scan.Scanner).Result()...) },
+			func() any { return scan.Prefix(scanData) }},
 		{"maxsubarray", func(t *testing.T) Alg {
 			a, err := maxsubarray.New(clone32(maxData))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return alg.(*maxsubarray.Solver).Result() }},
+		}, func(alg Alg) any { return alg.(*maxsubarray.Solver).Result() },
+			func() any { return kadane(maxData) }},
 		{"karatsuba", func(t *testing.T) Alg {
 			a, err := karatsuba.New(clone32(kaA), clone32(kaB))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return append([]int64(nil), alg.(*karatsuba.Multiplier).Result()...) }},
+		}, func(alg Alg) any { return append([]int64(nil), alg.(*karatsuba.Multiplier).Result()...) },
+			func() any { return schoolbook(kaA, kaB) }},
 		{"fft", func(t *testing.T) Alg {
 			a, err := fft.New(cloneC(fftData))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return append([]complex128(nil), alg.(*fft.Transform).Result()...) }},
+		}, func(alg Alg) any { return append([]complex128(nil), alg.(*fft.Transform).Result()...) },
+			func() any { return dft(fftData) }},
 		{"matmul", func(t *testing.T) Alg {
 			a, err := matmul.New(clone64(mmA), clone64(mmB), mmN, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return append([]float64(nil), alg.(*matmul.Multiplier).Result()...) }},
+		}, func(alg Alg) any { return append([]float64(nil), alg.(*matmul.Multiplier).Result()...) },
+			func() any { return matmul.Multiply(mmA, mmB, mmN) }},
 		{"strassen", func(t *testing.T) Alg {
 			a, err := strassen.New(clone64(mmA), clone64(mmB), mmN, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
-		}, func(alg Alg) any { return append([]float64(nil), alg.(*strassen.Multiplier).Result()...) }},
+		}, func(alg Alg) any { return append([]float64(nil), alg.(*strassen.Multiplier).Result()...) },
+			func() any { return matmul.Multiply(mmA, mmB, mmN) }},
 	}
 }
 
@@ -371,8 +385,8 @@ func TestSolveMatchesLevelWalk(t *testing.T) {
 		}{{"whole", 0, w}, {"single", one, one + 1}, {"random", lo, hi}} {
 			t.Run(fmt.Sprintf("cl=%d/%s", cl, r.name), func(t *testing.T) {
 				direct, walk := build(t), build(t)
-				db := CoarseBatch(direct, cl, r.lo, r.hi)
-				wb := CoarseBatch(walked{walk}, cl, r.lo, r.hi)
+				db := CoarseBatch(direct, cl, r.lo, r.hi, nil)
+				wb := CoarseBatch(walked{walk}, cl, r.lo, r.hi, nil)
 				if db.Tasks != wb.Tasks || db.Cost != wb.Cost || db.Level != wb.Level {
 					t.Fatalf("direct batch {%d %+v %d}, walked {%d %+v %d}",
 						db.Tasks, db.Cost, db.Level, wb.Tasks, wb.Cost, wb.Level)

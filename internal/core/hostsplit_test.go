@@ -41,7 +41,8 @@ func (c countedCombines) CombineBatch(level, lo, hi int) Batch {
 // Mergesort's layout switch, whose body does its whole region in the range
 // holding task 0, is walked in both directions at mid levels. Beforehand,
 // the split itself: ranges that partition the batch, and the simulated
-// units and the simulator's fold splitting while the native fold does not.
+// units and the simulator's fold splitting while the native sequential walk
+// does not.
 func TestHostSplitMatchesWhole(t *testing.T) {
 	const ranges = 3
 	t.Run("ranges", func(t *testing.T) {
@@ -79,8 +80,8 @@ func TestHostSplitMatchesWhole(t *testing.T) {
 	})
 
 	// The simulated units and the simulator's fold reach the split; the
-	// native fold, the sequential baseline that native-direct times, runs
-	// each folded batch as one call.
+	// native sequential walk, the baseline that native-direct times, runs
+	// each level's phase as one call.
 	t.Run("submit", func(t *testing.T) {
 		defer SetHostSplit(0, ranges)()
 		var calls atomic.Int32
@@ -115,7 +116,7 @@ func TestHostSplitMatchesWhole(t *testing.T) {
 				t.Fatal(err)
 			}
 			if calls.Load() != c.want {
-				t.Errorf("the fold on the %s ran the combines as %d calls, want %d", c.onBackend, calls.Load(), c.want)
+				t.Errorf("the sequential run on the %s ran the combines as %d calls, want %d", c.onBackend, calls.Load(), c.want)
 			}
 		}
 	})

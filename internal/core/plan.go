@@ -93,7 +93,7 @@ type run struct {
 	tr         Transformable    // non-nil only under WithCoalesce
 	sa         SegmentAllocator // nil when the backend does not pool device memory
 	a, L       int
-	fold       *fold // sequential: every CPU batch folded onto one core
+	fold       *fold // sequential on an event-loop backend: every CPU batch folded onto one core
 	tap        *tap  // nil when nothing listens (metering.go)
 
 	ops    []op // backing store of all chains
@@ -124,19 +124,15 @@ func (r *run) forkAt() float64 { return r.chains[chTop].end }
 
 // fold is what a folding run keeps of the batch in flight (its chains run
 // one after another, one batch at a time) and the fold's one task, bound
-// once: folding a level allocates nothing.
+// once: folding a level allocates nothing. Only an event-loop backend
+// folds; an autonomous one runs the sequential baseline as one coarse walk.
 type fold struct {
 	b    Batch
-	task func(int) // f.all, or f.split on an event-loop backend
+	task func(int) // f.split
 }
 
-// all is the one task of a folded batch: all of its tasks, in order. On the
-// native backend it is the sequential baseline itself, one worker's time.
-func (f *fold) all(int) { f.b.Each(0, f.b.Tasks) }
-
-// split is the one task of a folded batch on an event-loop backend, whose
-// clock prices the fold from its cost alone: the body may then use every
-// host core.
+// split is the one task of a folded batch, whose clock prices the fold from
+// its cost alone: the body may then use every host core.
 func (f *fold) split(int) { EachSplit(f.b) }
 
 // division is one point of Algorithm 8's parameter space. There are never
@@ -146,7 +142,7 @@ type division struct {
 	cpu   int             // the CPU solves subproblems [0, cpu) of level s ...
 	devs  []LevelExecutor // ... and these devices equal contiguous stripes of the rest
 	grain int             // leaf coarsening of the CPU portion (grain.go)
-	fold  bool            // every CPU batch folded onto one core (the sequential baseline)
+	fold  bool            // every CPU batch folded onto one core (the sequential baseline on an event-loop backend)
 }
 
 // newRun is a run with nothing planned yet.
@@ -173,11 +169,14 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 	if r.sa != nil {
 		r.segs = make([]*Segment, k)
 	}
+	// The CPU portion's coarse root, L when nothing collapses.
+	cl := r.L - coarseLevels(d.grain, r.a, r.L, d.s, be.CPU().Parallelism(),
+		func(cl int) int { return d.cpu * TasksAtLevel(r.a, cl-d.s) })
 	// An upper bound, so that planning is one allocation whatever L is:
-	// top and tail are s ops each plus the fork, the CPU phase at most
-	// 2(L−s)+1, a device phase 2(L−s) batches plus nine fixed ops.
+	// top and tail are s ops each plus the fork, the CPU phase 2(cl−s)+1, a
+	// device phase 2(L−s) batches plus nine fixed ops.
 	below := 2 * (r.L - d.s)
-	r.ops = make([]op, 0, 2*d.s+1+below+1+k*(below+9))
+	r.ops = make([]op, 0, 2*d.s+1+2*(cl-d.s)+1+k*(below+9))
 
 	// The top forks the CPU portion first, then the device stripes in index
 	// order, which fixes the simulator's event order; the tail is their join.
@@ -186,7 +185,7 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 	r.ops = append(r.ops, op{kind: opFork, lo: chCPU, hi: len(r.chains)})
 	top.ops = r.ops
 	tail.waits.Store(int32(1 + k))
-	r.chains[chCPU].ops = r.cpuPhase(d.s, 0, d.cpu, d.grain)
+	r.chains[chCPU].ops = r.cpuPhase(d.s, cl, 0, d.cpu)
 	r.chains[chCPU].then = tail
 	width := TasksAtLevel(r.a, d.s)
 	c0 := d.cpu
@@ -204,11 +203,7 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 
 	if d.fold {
 		r.fold = new(fold)
-		if autonomous(be) {
-			r.fold.task = r.fold.all
-		} else {
-			r.fold.task = r.fold.split
-		}
+		r.fold.task = r.fold.split
 	}
 	r.drive(top)
 	return r
@@ -259,19 +254,16 @@ func (r *run) emit(kind opKind, level, s, c0, c1 int) {
 }
 
 // cpuPhase appends, and returns, the CPU solution of subproblems [c0, c1) of
-// level s: divide s..cl−1, the leaves, combine cl−1..s. With a grain the
-// bottom k = L−cl levels collapse into one depth-first coarse chunk per
-// subtree rooted at cl, never rising above s.
-func (r *run) cpuPhase(s, c0, c1, grain int) []op {
+// level s: divide s..cl−1, the leaves, combine cl−1..s. With cl < L the
+// bottom L−cl levels collapse into one depth-first coarse chunk per subtree
+// rooted at cl ≥ s.
+func (r *run) cpuPhase(s, cl, c0, c1 int) []op {
 	if c1 <= c0 {
 		return nil
 	}
 	n := len(r.ops)
-	k := coarseLevels(grain, r.a, r.L, s, r.be.CPU().Parallelism(),
-		func(cl int) int { return (c1 - c0) * TasksAtLevel(r.a, cl-s) })
-	cl := r.L - k
 	r.levels(opDivide, s, cl-1, s, c0, c1)
-	if k > 0 {
+	if cl < r.L {
 		r.emit(opCoarse, cl, s, c0, c1)
 	} else {
 		r.emit(opBase, r.L, s, c0, c1)
@@ -400,8 +392,9 @@ func (r *run) begin(c *chain) {
 
 // advance executes the chain's next op; it is also the completion callback
 // of the op before, whose interval the run's tap, if any, closes first. ctx
-// is checked before every op — a level boundary — so the op in flight always
-// completes and nothing after it starts.
+// is checked before every op — a level boundary — so nothing after the op in
+// flight starts, and that op completes unless it is a coarse walk, which
+// stops at its next phase boundary.
 func (c *chain) advance() {
 	r := c.run
 	if r.tap != nil {
@@ -457,7 +450,7 @@ func (c *chain) advance() {
 		case opCombine:
 			b = r.alg.CombineBatch(o.level, o.lo, o.hi)
 		case opCoarse:
-			b = CoarseBatch(r.alg, o.level, o.lo, o.hi)
+			b = CoarseBatch(r.alg, o.level, o.lo, o.hi, r.ctx.Done()) // nil unless cancelable: nothing polls
 		case opGPUDivide:
 			b = r.galg.GPUDivideBatch(o.level, o.lo, o.hi)
 		case opGPUBase:
@@ -487,9 +480,8 @@ func (c *chain) advance() {
 }
 
 // submitFolded runs a batch on a single core by folding it into one task
-// whose cost is the whole batch. The task keeps the batch's order on the
-// native backend; on the simulator it may split the body over the host's
-// cores (fold.split), which the single virtual core never sees.
+// whose cost is the whole batch. The task may split the body over the
+// host's cores (fold.split), which the single virtual core never sees.
 func (c *chain) submitFolded(b Batch) {
 	if b.Empty() {
 		c.next()

@@ -14,6 +14,9 @@ type Resource struct {
 	waiting  []request
 	// totalBusy accumulates server-seconds of usage for utilization stats.
 	totalBusy float64
+	// complete is r.finish, bound once: the completion event of every
+	// request calls it with the request's done.
+	complete func(done func())
 }
 
 type request struct {
@@ -29,7 +32,9 @@ func NewResource(eng *Engine, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("vtime: resource capacity must be positive")
 	}
-	return &Resource{eng: eng, capacity: capacity}
+	r := &Resource{eng: eng, capacity: capacity}
+	r.complete = r.finish
+	return r
 }
 
 // BusySeconds reports accumulated server-seconds of service.
@@ -68,18 +73,21 @@ func (r *Resource) dispatch(req request) {
 		panic("vtime: negative service duration")
 	}
 	r.totalBusy += d
-	r.eng.After(d, func() {
-		r.busy--
-		if req.done != nil {
-			req.done()
-		}
-		// Serve the next waiting request, if any. Done callbacks may have
-		// enqueued more work already; FIFO order is preserved.
-		if len(r.waiting) > 0 && r.busy < r.capacity {
-			next := r.waiting[0]
-			copy(r.waiting, r.waiting[1:])
-			r.waiting = r.waiting[:len(r.waiting)-1]
-			r.dispatch(next)
-		}
-	})
+	r.eng.schedule(r.eng.now+d, event{fn: req.done, call: r.complete})
+}
+
+// finish ends a request's service: it frees the server, runs the request's
+// done, if any, and serves the next waiting request. Done callbacks may
+// have enqueued more work already; FIFO order is preserved.
+func (r *Resource) finish(done func()) {
+	r.busy--
+	if done != nil {
+		done()
+	}
+	if len(r.waiting) > 0 && r.busy < r.capacity {
+		next := r.waiting[0]
+		copy(r.waiting, r.waiting[1:])
+		r.waiting = r.waiting[:len(r.waiting)-1]
+		r.dispatch(next)
+	}
 }

@@ -9,7 +9,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -18,35 +17,46 @@ import (
 // simulation.
 type Time = float64
 
-// Event is a scheduled callback.
+// event is a scheduled callback: fn, or call(fn) when call is set — a
+// resource's completion, bound once per resource, with the request's done
+// as its argument, so that completing a request allocates nothing.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	fn   func()
+	call func(func())
 }
 
+// eventHeap is a binary min-heap of events, held by value. Every (at, seq)
+// is distinct, so events leave it in the same order as any other heap's.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
+// before reports whether ev runs before o.
+func (ev event) before(o event) bool { return ev.at < o.at || ev.at == o.at && ev.seq < o.seq }
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	for j := len(q) - 1; j > 0 && q[j].before(q[(j-1)/2]); j = (j - 1) / 2 {
+		q[j], q[(j-1)/2] = q[(j-1)/2], q[j]
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
-	return e
+func (h *eventHeap) pop() event {
+	q := *h
+	ev, n := q[0], len(q)-1
+	q[0], q[n] = q[n], event{}
+	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && q[j+1].before(q[j]) {
+			j++
+		}
+		if !q[j].before(q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+	}
+	*h = q[:n]
+	return ev
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use and
@@ -79,6 +89,11 @@ func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("vtime: nil event function")
 	}
+	e.schedule(t, event{fn: fn})
+}
+
+// schedule queues ev at time t.
+func (e *Engine) schedule(t Time, ev event) {
 	if t < e.now {
 		panic(fmt.Sprintf("vtime: scheduling into the past: t=%g now=%g", t, e.now))
 	}
@@ -86,7 +101,8 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("vtime: non-finite event time %g", t))
 	}
 	e.seq++
-	heap.Push(&e.queue, event{at: t, seq: e.seq, fn: fn})
+	ev.at, ev.seq = t, e.seq
+	e.queue.push(ev)
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
@@ -106,11 +122,15 @@ func (e *Engine) Run() {
 }
 
 func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(event)
+	ev := e.queue.pop()
 	e.now = ev.at
 	e.processed++
 	if e.MaxEvents != 0 && e.processed > e.MaxEvents {
 		panic(fmt.Sprintf("vtime: exceeded MaxEvents=%d (runaway event loop?)", e.MaxEvents))
+	}
+	if ev.call != nil {
+		ev.call(ev.fn)
+		return
 	}
 	ev.fn()
 }
