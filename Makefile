@@ -1,6 +1,7 @@
 # Development entry points. `make check` is the CI gate: full build, vet
-# (bench/ included), gofmt, race-enabled tests (the chaos soak and
-# hpuserve's signal drain included) and the fuzz seed replay.
+# (bench/ and the A/B harness scripts/benchab.go included), gofmt,
+# race-enabled tests (the chaos soak and hpuserve's signal drain included)
+# and the fuzz seed replay.
 
 GO ?= go
 
@@ -12,10 +13,12 @@ build:
 	$(GO) build ./...
 
 # bench/ is its own module, so the root ./... does not compile it; vetting it
-# here catches a deleted name that the harness still uses.
+# here catches a deleted name that the harness still uses. scripts/benchab.go
+# is `//go:build ignore` (a `go run` script), which ./... skips too.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	$(GO) vet scripts/benchab.go
 
 # gofmt -l names the files it would rewrite; any name fails the check.
 fmt:

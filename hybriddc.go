@@ -64,7 +64,9 @@ type (
 	Batch = core.Batch
 	// Alg is a breadth-first divide-and-conquer algorithm.
 	Alg = core.Alg
-	// GPUAlg is an Alg with device kernels.
+	// GPUAlg is an Alg that can run on the device: Alg plus GPUBytes, its
+	// link footprint. The device runs its CPU batches unless it also has
+	// GPUDivideBatch, GPUBaseBatch and GPUCombineBatch, its own kernels.
 	GPUAlg = core.GPUAlg
 	// Transformable is a GPUAlg supporting the §6.3 coalescing layout.
 	Transformable = core.Transformable

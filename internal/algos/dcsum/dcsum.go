@@ -24,8 +24,9 @@ import (
 )
 
 // Summer is a breadth-first divide-and-conquer sum over a power-of-two
-// input. It implements core.GPUAlg and core.Transformable. Partial sums are
-// held as int64 to avoid overflow. Single-use, like mergesort.Sorter.
+// input. It implements core.GPUAlg, core.DeviceKernels and
+// core.Transformable. Partial sums are held as int64 to avoid overflow.
+// Single-use, like mergesort.Sorter.
 type Summer struct {
 	n int
 	l int
@@ -42,6 +43,7 @@ type Summer struct {
 
 var (
 	_ core.GPUAlg        = (*Summer)(nil)
+	_ core.DeviceKernels = (*Summer)(nil)
 	_ core.Transformable = (*Summer)(nil)
 )
 
@@ -122,10 +124,10 @@ func (s *Summer) CombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
+// GPUDivideBatch implements core.DeviceKernels.
 func (s *Summer) GPUDivideBatch(level, lo, hi int) core.Batch { return core.Batch{} }
 
-// GPUBaseBatch implements core.GPUAlg.
+// GPUBaseBatch implements core.DeviceKernels.
 func (s *Summer) GPUBaseBatch(lo, hi int) core.Batch { return core.Batch{} }
 
 // GPUBytes implements core.GPUAlg (8-byte partial sums).
@@ -133,8 +135,8 @@ func (s *Summer) GPUBytes(level, lo, hi int) int64 {
 	return int64(hi-lo) * int64(s.n>>level) * 8
 }
 
-// GPUCombineBatch implements core.GPUAlg. In the compact region layout this
-// is exactly Algorithm 5: sums[id] += sums[id + numSubProblems].
+// GPUCombineBatch implements core.DeviceKernels. In the compact region
+// layout this is exactly Algorithm 5: sums[id] += sums[id + numSubProblems].
 func (s *Summer) GPUCombineBatch(level, lo, hi int) core.Batch {
 	if hi <= lo {
 		return core.Batch{}
@@ -222,7 +224,7 @@ func (s *Summer) PermuteBack(level, lo, hi int) core.Batch {
 	}
 }
 
-// Finish implements the executors' completion hook.
+// Finish implements core.Finisher.
 func (s *Summer) Finish() { s.finished = true }
 
 // Result returns the total sum. Valid only after an executor completed.

@@ -134,27 +134,12 @@ func (t *Transform) CombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
-func (t *Transform) GPUDivideBatch(level, lo, hi int) core.Batch {
-	return t.DivideBatch(level, lo, hi)
-}
-
-// GPUBaseBatch implements core.GPUAlg.
-func (t *Transform) GPUBaseBatch(lo, hi int) core.Batch { return core.Batch{} }
-
-// GPUCombineBatch implements core.GPUAlg. The butterfly loop is uniform, so
-// the kernel is non-divergent; accesses are strided across work-items.
-func (t *Transform) GPUCombineBatch(level, lo, hi int) core.Batch {
-	return t.CombineBatch(level, lo, hi)
-}
-
 // GPUBytes implements core.GPUAlg: 16 bytes per complex sample each way.
 func (t *Transform) GPUBytes(level, lo, hi int) int64 {
 	return int64(hi-lo) * int64(t.n>>level) * 16
 }
 
-// Finish implements the executors' completion hook: inverse transforms are
-// scaled by 1/n.
+// Finish implements core.Finisher: inverse transforms are scaled by 1/n.
 func (t *Transform) Finish() {
 	if t.finished {
 		return

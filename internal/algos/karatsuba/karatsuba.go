@@ -186,25 +186,12 @@ func (m *Multiplier) CombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
-func (m *Multiplier) GPUDivideBatch(level, lo, hi int) core.Batch {
-	return m.DivideBatch(level, lo, hi)
-}
-
-// GPUBaseBatch implements core.GPUAlg.
-func (m *Multiplier) GPUBaseBatch(lo, hi int) core.Batch { return m.BaseBatch(lo, hi) }
-
-// GPUCombineBatch implements core.GPUAlg.
-func (m *Multiplier) GPUCombineBatch(level, lo, hi int) core.Batch {
-	return m.CombineBatch(level, lo, hi)
-}
-
 // GPUBytes implements core.GPUAlg: operands down plus product back.
 func (m *Multiplier) GPUBytes(level, lo, hi int) int64 {
 	return int64(hi-lo) * int64(m.n>>level) * 8 * 4
 }
 
-// Finish implements the executors' completion hook.
+// Finish implements core.Finisher.
 func (m *Multiplier) Finish() { m.finished = true }
 
 // Result returns the product's 2n coefficients (the top one is zero).

@@ -140,25 +140,13 @@ func (s *Solver) CombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
-func (s *Solver) GPUDivideBatch(level, lo, hi int) core.Batch { return core.Batch{} }
-
-// GPUBaseBatch implements core.GPUAlg.
-func (s *Solver) GPUBaseBatch(lo, hi int) core.Batch { return s.BaseBatch(lo, hi) }
-
-// GPUCombineBatch implements core.GPUAlg: same fold with strided (scattered)
-// access, since nodes sit a subproblem apart.
-func (s *Solver) GPUCombineBatch(level, lo, hi int) core.Batch {
-	return s.CombineBatch(level, lo, hi)
-}
-
 // GPUBytes implements core.GPUAlg: the element data plus the node slots of
 // the range.
 func (s *Solver) GPUBytes(level, lo, hi int) int64 {
 	return int64(hi-lo) * int64(s.n>>level) * (4 + 32)
 }
 
-// Finish implements the executors' completion hook.
+// Finish implements core.Finisher.
 func (s *Solver) Finish() { s.finished = true }
 
 // Result returns the maximum non-empty subarray sum. Valid only after an

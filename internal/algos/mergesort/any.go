@@ -136,19 +136,6 @@ func (s *AnySorter) CombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
-func (s *AnySorter) GPUDivideBatch(level, lo, hi int) core.Batch { return core.Batch{} }
-
-// GPUBaseBatch implements core.GPUAlg.
-func (s *AnySorter) GPUBaseBatch(lo, hi int) core.Batch { return core.Batch{} }
-
-// GPUCombineBatch implements core.GPUAlg: the same clamped merges as device
-// work-items (strided, divergent — ragged runs diverge even more than
-// uniform ones, which the Divergent flag already prices at γ per lane).
-func (s *AnySorter) GPUCombineBatch(level, lo, hi int) core.Batch {
-	return s.CombineBatch(level, lo, hi)
-}
-
 // GPUBytes implements core.GPUAlg: only real data crosses the link.
 func (s *AnySorter) GPUBytes(level, lo, hi int) int64 {
 	loOff, _, _ := s.clamp(level, lo)
@@ -156,7 +143,7 @@ func (s *AnySorter) GPUBytes(level, lo, hi int) int64 {
 	return int64(hiOff-loOff) * 4
 }
 
-// Finish implements the executors' completion hook.
+// Finish implements core.Finisher.
 func (s *AnySorter) Finish() {
 	if s.finished {
 		return

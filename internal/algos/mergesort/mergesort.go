@@ -22,8 +22,9 @@ import (
 )
 
 // Sorter is a breadth-first mergesort instance over a power-of-two input.
-// It implements core.GPUAlg and core.Transformable. A Sorter is single-use:
-// run it through exactly one executor, then read Result.
+// It implements core.GPUAlg, core.DeviceKernels and core.Transformable. A
+// Sorter is single-use: run it through exactly one executor, then read
+// Result.
 type Sorter struct {
 	n int
 	l int // log2 n
@@ -49,6 +50,7 @@ type interRegion struct {
 
 var (
 	_ core.GPUAlg        = (*Sorter)(nil)
+	_ core.DeviceKernels = (*Sorter)(nil)
 	_ core.Transformable = (*Sorter)(nil)
 )
 
@@ -150,10 +152,10 @@ func (s *Sorter) CombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
+// GPUDivideBatch implements core.DeviceKernels.
 func (s *Sorter) GPUDivideBatch(level, lo, hi int) core.Batch { return core.Batch{} }
 
-// GPUBaseBatch implements core.GPUAlg.
+// GPUBaseBatch implements core.DeviceKernels.
 func (s *Sorter) GPUBaseBatch(lo, hi int) core.Batch { return core.Batch{} }
 
 // GPUBytes implements core.GPUAlg: 4 bytes per element in the range.
@@ -161,7 +163,7 @@ func (s *Sorter) GPUBytes(level, lo, hi int) int64 {
 	return int64(hi-lo) * int64(s.runSize(level)) * 4
 }
 
-// GPUCombineBatch implements core.GPUAlg: one sequential merge per
+// GPUCombineBatch implements core.DeviceKernels: one sequential merge per
 // work-item (the divergent kernel of §6.1/6.2). If the region has been put
 // into the interleaved device layout by PermuteForGPU, the merge reads and
 // writes interleaved and is coalesced; otherwise adjacent work-items touch
@@ -256,8 +258,8 @@ func (s *Sorter) removeRegion(base int) interRegion {
 	panic(fmt.Sprintf("mergesort: no interleaved region at base %d", base))
 }
 
-// Finish implements the executors' optional completion hook: it leaves the
-// fully sorted data in buf[0].
+// Finish implements core.Finisher: it leaves the fully sorted data in
+// buf[0].
 func (s *Sorter) Finish() {
 	if s.finished {
 		return

@@ -21,7 +21,10 @@ type ParallelSorter struct {
 	*Sorter
 }
 
-var _ core.GPUAlg = (*ParallelSorter)(nil)
+var (
+	_ core.GPUAlg        = (*ParallelSorter)(nil)
+	_ core.DeviceKernels = (*ParallelSorter)(nil)
+)
 
 // NewParallel builds a parallel-merge GPU sorter over a copy of data.
 func NewParallel(data []int32) (*ParallelSorter, error) {
@@ -35,9 +38,10 @@ func NewParallel(data []int32) (*ParallelSorter, error) {
 // Name implements core.Alg.
 func (s *ParallelSorter) Name() string { return "mergesort-parallel-gpu" }
 
-// GPUCombineBatch implements core.GPUAlg with one work-item per element of
-// the range: element e of output run t determines its rank in the merged
-// run by binary search.
+// GPUCombineBatch implements core.DeviceKernels with one work-item per
+// element of the range: element e of output run t determines its rank in
+// the merged run by binary search. Its divide and base kernels are the
+// embedded Sorter's.
 func (s *ParallelSorter) GPUCombineBatch(level, lo, hi int) core.Batch {
 	if hi <= lo {
 		return core.Batch{}

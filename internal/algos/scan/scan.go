@@ -135,23 +135,12 @@ func (s *Scanner) Solve(level, idx int) {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
-func (s *Scanner) GPUDivideBatch(level, lo, hi int) core.Batch { return core.Batch{} }
-
-// GPUBaseBatch implements core.GPUAlg.
-func (s *Scanner) GPUBaseBatch(lo, hi int) core.Batch { return core.Batch{} }
-
-// GPUCombineBatch implements core.GPUAlg.
-func (s *Scanner) GPUCombineBatch(level, lo, hi int) core.Batch {
-	return s.CombineBatch(level, lo, hi)
-}
-
 // GPUBytes implements core.GPUAlg (8-byte partial sums).
 func (s *Scanner) GPUBytes(level, lo, hi int) int64 {
 	return int64(hi-lo) * int64(s.n>>level) * 8
 }
 
-// Finish implements the executors' completion hook.
+// Finish implements core.Finisher.
 func (s *Scanner) Finish() { s.finished = true }
 
 // Result returns the inclusive prefix sums. Valid only after an executor

@@ -260,26 +260,13 @@ func (m *Multiplier) CombineBatch(level, lo, hi int) core.Batch {
 	}
 }
 
-// GPUDivideBatch implements core.GPUAlg.
-func (m *Multiplier) GPUDivideBatch(level, lo, hi int) core.Batch {
-	return m.DivideBatch(level, lo, hi)
-}
-
-// GPUBaseBatch implements core.GPUAlg.
-func (m *Multiplier) GPUBaseBatch(lo, hi int) core.Batch { return m.BaseBatch(lo, hi) }
-
-// GPUCombineBatch implements core.GPUAlg.
-func (m *Multiplier) GPUCombineBatch(level, lo, hi int) core.Batch {
-	return m.CombineBatch(level, lo, hi)
-}
-
 // GPUBytes implements core.GPUAlg.
 func (m *Multiplier) GPUBytes(level, lo, hi int) int64 {
 	dim := int64(m.n >> level)
 	return int64(hi-lo) * dim * dim * 8 * 3
 }
 
-// Finish implements the executors' completion hook.
+// Finish implements core.Finisher.
 func (m *Multiplier) Finish() { m.finished = true }
 
 // Result returns C = A·B row-major. Valid only after an executor completed.

@@ -47,24 +47,34 @@ type Alg interface {
 	CombineBatch(level, lo, hi int) Batch
 }
 
-// GPUAlg is implemented by algorithms whose batches can execute on the
-// device. GPU batches may differ from CPU ones: a different per-thread
-// kernel (Algorithm 3 of the paper) and different cost annotations
-// (coalescing, §6.3). Unlike the CPU constructors they may read the layout
-// state a Transformable keeps: within one device chain the executors call
-// them strictly in execution order, each after the batch before it has
-// completed, and never for a subproblem range another chain owns.
+// GPUAlg is implemented by algorithms that can execute on the device. The
+// paper's HPU model (§3) charges a device for its link, λ + δ·w, and its
+// compute, γ·g; GPUBytes is w, the link term, and is all a device needs of an
+// algorithm beyond Alg: the device runs the CPU constructors' batches — the
+// paper's Algorithm 3 kernel is Algorithm 2's per-task body — unless the
+// algorithm declares kernels of its own (DeviceKernels).
 type GPUAlg interface {
 	Alg
-	// GPUDivideBatch is DivideBatch with device cost annotations.
-	GPUDivideBatch(level, lo, hi int) Batch
-	// GPUBaseBatch is BaseBatch with device cost annotations.
-	GPUBaseBatch(lo, hi int) Batch
-	// GPUCombineBatch is CombineBatch with device cost annotations.
-	GPUCombineBatch(level, lo, hi int) Batch
 	// GPUBytes reports how many bytes must cross the host-device link to
 	// ship subproblems [lo, hi) of level l (the same amount returns).
 	GPUBytes(level, lo, hi int) int64
+}
+
+// DeviceKernels is implemented by a GPUAlg whose device batches differ from
+// its CPU ones: a different per-thread kernel (Algorithm 3 of the paper) or
+// different cost annotations (coalescing, §6.3). The executors submit its
+// batches in place of the CPU constructors' on every device. Unlike the CPU
+// constructors these may read the layout state a Transformable keeps: within
+// one device chain the executors call them strictly in execution order, each
+// after the batch before it has completed, and never for a subproblem range
+// another chain owns.
+type DeviceKernels interface {
+	// GPUDivideBatch is DivideBatch as the device runs it.
+	GPUDivideBatch(level, lo, hi int) Batch
+	// GPUBaseBatch is BaseBatch as the device runs it.
+	GPUBaseBatch(lo, hi int) Batch
+	// GPUCombineBatch is CombineBatch as the device runs it.
+	GPUCombineBatch(level, lo, hi int) Batch
 }
 
 // Solver is implemented by algorithms with a direct kernel for a whole
@@ -104,6 +114,13 @@ type Transformable interface {
 	PermuteForGPU(level, lo, hi int) Batch
 	// PermuteBack restores host layout.
 	PermuteBack(level, lo, hi int) Batch
+}
+
+// Finisher is implemented by algorithms with work to do once a run has
+// produced their result: a complete, fault-free run calls Finish once, after
+// its last batch; a partial one never does.
+type Finisher interface {
+	Finish()
 }
 
 // Releaser is implemented by algorithm instances whose working buffers are

@@ -14,10 +14,11 @@ import (
 // Each(0, Tasks), as Tasks single-task calls, or cut at random points leaves
 // the same data, bit for bit — RunRange(lo, hi) is the Run loop over
 // lo..hi−1, and a Run batch is trivially its own loop. Every batch of every
-// level of all eight algorithms goes through each way, built by the CPU
-// constructors, by the device constructors, and by the device constructors
-// inside the §6.3 layout switch where the algorithm has one — switched back
-// at the root, where both switches are identities, and at a mid level,
+// level of all nine algorithms goes through each way, built by the CPU
+// constructors and, where the algorithm declares DeviceKernels (the others
+// run their CPU batches on the device), by the device constructors, and by
+// them inside the §6.3 layout switch where the algorithm has one — switched
+// back at the root, where both switches are identities, and at a mid level,
 // whose PermuteBack really moves data, with the CPU constructors above it as
 // in a hybrid run; and no constructor may set both bodies.
 func TestRangeBodyEqualsTaskLoop(t *testing.T) {
@@ -48,7 +49,7 @@ func TestRangeBodyEqualsTaskLoop(t *testing.T) {
 			exec(b, rng)
 		}
 		a, L := alg.Arity(), alg.Levels()
-		galg := alg.(GPUAlg)
+		dk, _ := alg.(DeviceKernels)
 		tr, _ := alg.(Transformable)
 		y := 0 // the level the layout switches back at
 		switch ctors {
@@ -62,7 +63,7 @@ func TestRangeBodyEqualsTaskLoop(t *testing.T) {
 			if ctors == "cpu" {
 				run(alg.DivideBatch(l, 0, TasksAtLevel(a, l)))
 			} else {
-				run(galg.GPUDivideBatch(l, 0, TasksAtLevel(a, l)))
+				run(dk.GPUDivideBatch(l, 0, TasksAtLevel(a, l)))
 			}
 		}
 		if tr != nil {
@@ -71,24 +72,27 @@ func TestRangeBodyEqualsTaskLoop(t *testing.T) {
 		if ctors == "cpu" {
 			run(alg.BaseBatch(0, TasksAtLevel(a, L)))
 		} else {
-			run(galg.GPUBaseBatch(0, TasksAtLevel(a, L)))
+			run(dk.GPUBaseBatch(0, TasksAtLevel(a, L)))
 		}
 		for l := L - 1; l >= 0; l-- {
 			if ctors == "cpu" || l < y {
 				run(alg.CombineBatch(l, 0, TasksAtLevel(a, l)))
 			} else {
-				run(galg.GPUCombineBatch(l, 0, TasksAtLevel(a, l)))
+				run(dk.GPUCombineBatch(l, 0, TasksAtLevel(a, l)))
 			}
 			if tr != nil && l == y {
 				run(tr.PermuteBack(y, 0, TasksAtLevel(a, y)))
 			}
 		}
-		alg.(interface{ Finish() }).Finish()
+		alg.(Finisher).Finish()
 	}
 	for _, tc := range grainCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, ctors := range []string{"cpu", "gpu", "gpu-coalesced", "gpu-coalesced-mid"} {
-				if _, ok := tc.build(t).(Transformable); !ok && strings.HasPrefix(ctors, "gpu-coalesced") {
+				probe := tc.build(t)
+				_, kernels := probe.(DeviceKernels)
+				_, transformable := probe.(Transformable)
+				if ctors != "cpu" && !kernels || !transformable && strings.HasPrefix(ctors, "gpu-coalesced") {
 					continue
 				}
 				ref := tc.build(t)

@@ -129,8 +129,7 @@ func canceledErr(ctx context.Context, alg Alg, strategy string) error {
 
 // finish invokes the algorithm's Finish hook, if any.
 func finish(alg Alg) {
-	type finisher interface{ Finish() }
-	if f, ok := alg.(finisher); ok {
+	if f, ok := alg.(Finisher); ok {
 		f.Finish()
 	}
 }

@@ -79,55 +79,44 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 	bytes := make([]int64, n) // whole-instance transfer size
 	ints := make([]int, 3*n)
 	depth, chunkOf, home := ints[:n], ints[n:2*n], ints[2*n:] // L_m; each member's chunk chain and egress chain
-	f := &forest{trees: algs, depth: depth, parts: make([]Batch, n)}
+	f := newForest(algs, depth)
 	for m, alg := range algs {
 		reports[m] = Report{Algorithm: alg.Name(), Strategy: FusedStrategy}
-		depth[m] = alg.Levels()
-		f.L = max(f.L, depth[m])
 		bytes[m] = alg.GPUBytes(0, 0, 1)
 	}
 
 	// The plan. Chains, in index order: one per transfer chunk; the combine
 	// chain; one egress chain per group of members of equal depth, whose
 	// roots complete at the same combine step and go home together.
-	chunks := fusedChunks(bytes, chunkOf)
+	bounds, chunks := fusedChunks(bytes, chunkOf)
 	groups := 0
 	for m := range algs {
 		if p := slices.Index(depth[:m], depth[m]); p >= 0 {
 			home[m] = home[p]
 		} else {
-			home[m] = len(chunks) + 1 + groups
+			home[m] = chunks + 1 + groups
 			groups++
 		}
 	}
 	r := newRun(ctx, be, &cfg, f, f)
 	r.forest = true
 	gpu := be.GPU()
-	r.chains = make([]chain, len(chunks)+1+groups)
-	combine := &r.chains[len(chunks)]
-	if r.sa != nil {
-		// One lease per member, taken with its chunk's upload and given back
-		// as its result leaves the device, for the next fused run to reuse.
-		r.segs = make([]*Segment, n)
-	}
-	r.ops = make([]op, 0, 2*n+len(chunks)*(f.L+6)+3*groups)
+	r.chains = make([]chain, chunks+1+groups)
+	combine := &r.chains[chunks]
+	// A chunk is its upload, a stamp and a fork, at most L divides, a
+	// permute and the leaves; an egress chain three ops.
+	r.ops = make([]op, 0, chunks*(f.L+5)+3*groups)
 
 	// Ingest: chunk c is the stripe [lo, hi) of the forest. Its fork comes the
 	// moment it is resident, before its own first divide is submitted: chunk
 	// c+1's upload crosses the link while c's divide and base phases run.
 	// Its divides begin at the level of its own deepest member.
-	for c, members := range chunks {
-		ch, lo, hi := &r.chains[c], members[0], members[0]+len(members)
+	for c := range chunks {
+		ch, lo, hi := &r.chains[c], bounds[c], bounds[c+1]
 		ch.dev, ch.bytes, ch.then = gpu, f.GPUBytes(0, lo, hi), combine
 		at := len(r.ops)
-		if r.sa != nil {
-			ch.segs = r.segs[lo:lo:hi]
-			for m := lo; m < hi; m++ {
-				r.ops = append(r.ops, op{opLease, 0, m, m + 1})
-			}
-		}
 		r.ops = append(r.ops, op{kind: opUpload}, op{kind: opStamp, level: stampResident})
-		if c+1 < len(chunks) {
+		if c+1 < chunks {
 			r.ops = append(r.ops, op{kind: opFork, lo: c + 1, hi: c + 2})
 		}
 		r.descend(f.L-slices.Max(depth[lo:hi]), 0, lo, hi)
@@ -136,10 +125,10 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 
 	// Combine: the join of the chunks, over the whole forest. After d steps
 	// the group of depth d is complete: one fused permute back, then the fork
-	// of its egress chain — root, download, home, leases back — before the
-	// next combine launch is submitted, so its way home overlaps the rest.
+	// of its egress chain — root, download, home — before the next combine
+	// launch is submitted, so its way home overlaps the rest.
 	combine.dev = gpu
-	combine.waits.Store(int32(len(chunks)))
+	combine.waits.Store(int32(chunks))
 	combine.ops = make([]op, 0, f.L+2*groups)
 	for d := 0; d <= f.L; d++ {
 		if m := slices.Index(depth, d); m >= 0 {
@@ -154,9 +143,6 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 					continue
 				}
 				eg.bytes += bytes[m]
-				if r.sa != nil {
-					r.ops = append(r.ops, op{kind: opRelease, lo: m, hi: m + 1})
-				}
 			}
 			eg.ops = r.ops[at:]
 		}
@@ -193,25 +179,57 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 // called, like any other algorithm's (plan.go), and fuses them into one
 // launch; the launch keeps the level fuseBatches stamped on it.
 type forest struct {
-	trees []GPUAlg
-	depth []int   // Levels() of each tree
-	L     int     // the deepest
-	parts []Batch // fuseBatches' input, one window per tree range: ranges in flight together are disjoint
+	trees   []GPUAlg
+	kernels []DeviceKernels // each tree's own device kernels, or nil: its CPU batches run on the device
+	depth   []int           // Levels() of each tree
+	L       int             // the deepest
+	parts   []Batch         // fuseBatches' input, one window per tree range: ranges in flight together are disjoint
 }
 
-// level is the one launch of forest level l over trees [lo, hi): ctor's
-// batch over the whole of each present tree's own level, fused.
-func (f *forest) level(l, lo, hi int, ctor func(t GPUAlg, level, lo, hi int) Batch) Batch {
+// newForest is the forest of algs, filling in depth: each tree's depth and
+// device kernels are resolved once, not per launch.
+func newForest(algs []GPUAlg, depth []int) *forest {
+	f := &forest{trees: algs, kernels: make([]DeviceKernels, len(algs)), depth: depth, parts: make([]Batch, len(algs))}
+	for t, alg := range algs {
+		depth[t] = alg.Levels()
+		f.L = max(f.L, depth[t])
+		f.kernels[t], _ = alg.(DeviceKernels)
+	}
+	return f
+}
+
+// level is the one launch of forest level l over trees [lo, hi): the batch of
+// kind over the whole of each present tree's own level, fused. A permute
+// takes only the Transformable trees, a permute back only those whose root
+// is at l: those whose result is complete there.
+func (f *forest) level(kind opKind, l, lo, hi int) Batch {
 	parts := f.parts[lo:hi]
 	for i := range parts {
-		t, own := f.trees[lo+i], l-(f.L-f.depth[lo+i])
+		t, own := lo+i, l-(f.L-f.depth[lo+i])
 		parts[i] = Batch{}
 		if own >= 0 {
-			parts[i] = ctor(t, own, 0, TasksAtLevel(t.Arity(), own))
+			parts[i] = f.tree(kind, t, own)
 			parts[i].Level = own
 		}
 	}
 	return fuseBatches(parts)
+}
+
+// tree is tree t's batch of kind over the whole of its own level.
+func (f *forest) tree(kind opKind, t, own int) Batch {
+	alg := f.trees[t]
+	hi := TasksAtLevel(alg.Arity(), own)
+	if kind == opPermute || kind == opPermuteBack {
+		tr, ok := alg.(Transformable)
+		switch {
+		case ok && kind == opPermute:
+			return tr.PermuteForGPU(own, 0, hi)
+		case ok && own == 0:
+			return tr.PermuteBack(own, 0, hi)
+		}
+		return Batch{}
+	}
+	return construct(alg, f.kernels[t], kind, own, 0, hi)
 }
 
 // Name is the first tree's: a fused run's error names the group by it. As an
@@ -222,7 +240,7 @@ func (f *forest) Shrink() int  { return 1 }
 func (f *forest) N() int       { return len(f.trees) }
 func (f *forest) Levels() int  { return f.L }
 
-// Finish finishes every tree.
+// Finish implements Finisher: it finishes every tree.
 func (f *forest) Finish() {
 	for _, t := range f.trees {
 		finish(t)
@@ -238,54 +256,34 @@ func (f *forest) GPUBytes(_, lo, hi int) int64 {
 	return sum
 }
 
-func (f *forest) GPUDivideBatch(l, lo, hi int) Batch {
-	return f.level(l, lo, hi, GPUAlg.GPUDivideBatch)
-}
-func (f *forest) GPUCombineBatch(l, lo, hi int) Batch {
-	return f.level(l, lo, hi, GPUAlg.GPUCombineBatch)
-}
-func (f *forest) GPUBaseBatch(lo, hi int) Batch {
-	return f.level(f.L, lo, hi, func(t GPUAlg, _, lo, hi int) Batch { return t.GPUBaseBatch(lo, hi) })
-}
+// The forest's own device kernels run each tree's, or its CPU batches when it
+// has none, so a mixed group keeps every member's kernels.
+func (f *forest) GPUDivideBatch(l, lo, hi int) Batch  { return f.level(opGPUDivide, l, lo, hi) }
+func (f *forest) GPUBaseBatch(lo, hi int) Batch       { return f.level(opGPUBase, f.L, lo, hi) }
+func (f *forest) GPUCombineBatch(l, lo, hi int) Batch { return f.level(opGPUCombine, l, lo, hi) }
 
 // The CPU constructors complete the interface the same way; no executor
 // runs a forest on the CPU.
-func (f *forest) DivideBatch(l, lo, hi int) Batch  { return f.level(l, lo, hi, GPUAlg.DivideBatch) }
-func (f *forest) CombineBatch(l, lo, hi int) Batch { return f.level(l, lo, hi, GPUAlg.CombineBatch) }
-func (f *forest) BaseBatch(lo, hi int) Batch {
-	return f.level(f.L, lo, hi, func(t GPUAlg, _, lo, hi int) Batch { return t.BaseBatch(lo, hi) })
-}
+func (f *forest) DivideBatch(l, lo, hi int) Batch  { return f.level(opDivide, l, lo, hi) }
+func (f *forest) BaseBatch(lo, hi int) Batch       { return f.level(opBase, f.L, lo, hi) }
+func (f *forest) CombineBatch(l, lo, hi int) Batch { return f.level(opCombine, l, lo, hi) }
 
 // PermuteForGPU switches the Transformable trees of [lo, hi) to the device
 // layout; the others take no part in the launch.
-func (f *forest) PermuteForGPU(l, lo, hi int) Batch {
-	return f.level(l, lo, hi, func(t GPUAlg, own, lo, hi int) Batch {
-		if tr, ok := t.(Transformable); ok {
-			return tr.PermuteForGPU(own, lo, hi)
-		}
-		return Batch{}
-	})
-}
+func (f *forest) PermuteForGPU(l, lo, hi int) Batch { return f.level(opPermute, l, lo, hi) }
 
 // PermuteBack restores the host layout of the trees of [lo, hi) whose root
-// is at forest level l: those whose result is complete there.
-func (f *forest) PermuteBack(l, lo, hi int) Batch {
-	return f.level(l, lo, hi, func(t GPUAlg, own, lo, hi int) Batch {
-		if tr, ok := t.(Transformable); ok && own == 0 {
-			return tr.PermuteBack(own, lo, hi)
-		}
-		return Batch{}
-	})
-}
+// is at forest level l.
+func (f *forest) PermuteBack(l, lo, hi int) Batch { return f.level(opPermuteBack, l, lo, hi) }
 
-// fusedChunks partitions member indices into two transfer chunks of roughly
-// equal byte volume (one chunk for a single member), preserving order, and
-// records each member's chunk index.
-func fusedChunks(bytes []int64, chunkOf []int) [][]int {
+// fusedChunks partitions the members into k transfer chunks, two of roughly
+// equal byte volume (one for a single member), preserving order: chunk c is
+// members [bounds[c], bounds[c+1]). It records each member's chunk index.
+func fusedChunks(bytes []int64, chunkOf []int) (bounds [3]int, k int) {
 	n := len(bytes)
 	if n == 1 {
 		chunkOf[0] = 0
-		return [][]int{{0}}
+		return [3]int{0, 1, 1}, 1
 	}
 	var total int64
 	for _, b := range bytes {
@@ -300,16 +298,13 @@ func fusedChunks(bytes []int64, chunkOf []int) [][]int {
 			break
 		}
 	}
-	chunks := [][]int{make([]int, 0, cut), make([]int, 0, n-cut)}
-	for i := 0; i < n; i++ {
-		c := 0
+	for i := range chunkOf {
+		chunkOf[i] = 0
 		if i >= cut {
-			c = 1
+			chunkOf[i] = 1
 		}
-		chunkOf[i] = c
-		chunks[c] = append(chunks[c], i)
 	}
-	return chunks
+	return [3]int{0, cut, n}, 2
 }
 
 // fuseBatches merges per-member batches for one aligned recursion step into

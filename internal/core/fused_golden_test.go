@@ -14,11 +14,6 @@ import (
 	"repro/internal/workload"
 )
 
-// noSegments hides everything of a backend but the Backend methods, so the
-// executors find no SegmentAllocator (and no Unwrapper to look behind): the
-// golden rows of a platform that does not pool device memory.
-type noSegments struct{ Backend }
-
 // fusedMemberSpec builds one member of a golden group: the instance and a
 // hash of its output (nil for the probe, whose events are hashed instead).
 type fusedMemberSpec func(t *testing.T) (GPUAlg, func() uint64)
@@ -61,22 +56,18 @@ func algMember(name string, logN, i int) fusedMemberSpec {
 // lines and their hash — every platform call with its virtual time, then per
 // member the probe's events or the output hash and the report's two times to
 // 17 digits — and, readable beside the hash, the latest member's Seconds.
-func fusedGoldenRow(t *testing.T, key string, p hpu.Platform, specs []fusedMemberSpec, coalesce, segments bool) goldenResult {
+func fusedGoldenRow(t *testing.T, key string, p hpu.Platform, specs []fusedMemberSpec, coalesce bool) goldenResult {
 	algs := make([]GPUAlg, len(specs))
 	outs := make([]func() uint64, len(specs))
 	for i, spec := range specs {
 		algs[i], outs[i] = spec(t)
 	}
 	rec := newPlanRecorder(hpu.MustSim(p))
-	var be Backend = rec
-	if !segments {
-		be = noSegments{rec}
-	}
 	var opts []Option
 	if coalesce {
 		opts = append(opts, WithCoalesce())
 	}
-	reps, err := RunFusedGPUCtx(context.Background(), be, algs, opts...)
+	reps, err := RunFusedGPUCtx(context.Background(), rec, algs, opts...)
 	if err != nil {
 		return goldenResult{fmt.Sprintf("%s | error: %v", key, err), rec.lines}
 	}
@@ -104,7 +95,7 @@ func fusedGoldenRow(t *testing.T, key string, p hpu.Platform, specs []fusedMembe
 // fusedGoldenRows is the fused executor's golden matrix. Structure: probe
 // groups of k ∈ {1, 2, 3, 5, 8} members — all of one tree, or cycling through
 // the three probe trees (a mixed group mixes depths 6/4/3 and arities 2/3/8)
-// — with and without WithCoalesce and with and without a segment allocator.
+// — with and without WithCoalesce.
 // Numbers: mergesort, scan, dcsum and mixed-algorithm groups of equal and
 // mixed sizes on both platforms.
 func fusedGoldenRows(t *testing.T) []goldenResult {
@@ -128,10 +119,8 @@ func fusedGoldenRows(t *testing.T) []goldenResult {
 				specs[i] = probeMember(tree.a, tree.L)
 			}
 			for _, co := range onOff {
-				for _, seg := range onOff {
-					key := fmt.Sprintf("fused probe %s k=%d co=%d seg=%d", shape, k, b2i(co), b2i(seg))
-					rows = append(rows, fusedGoldenRow(t, key, hpu.HPU1(), specs, co, seg))
-				}
+				key := fmt.Sprintf("fused probe %s k=%d co=%d", shape, k, b2i(co))
+				rows = append(rows, fusedGoldenRow(t, key, hpu.HPU1(), specs, co))
 			}
 		}
 	}
@@ -154,7 +143,7 @@ func fusedGoldenRows(t *testing.T) []goldenResult {
 				for _, p := range hpu.Platforms() {
 					for _, co := range onOff {
 						key := fmt.Sprintf("fused %s 2^%d %s %s k=%d co=%d", name, logN, sizes, p.Name, k, b2i(co))
-						rows = append(rows, fusedGoldenRow(t, key, p, specs, co, true))
+						rows = append(rows, fusedGoldenRow(t, key, p, specs, co))
 					}
 				}
 			}

@@ -107,7 +107,15 @@ func TestFusedChunks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		chunkOf := make([]int, len(tc.bytes))
-		got := fusedChunks(tc.bytes, chunkOf)
+		bounds, k := fusedChunks(tc.bytes, chunkOf)
+		var got [][]int
+		for c := range k {
+			var members []int
+			for m := bounds[c]; m < bounds[c+1]; m++ {
+				members = append(members, m)
+			}
+			got = append(got, members)
+		}
 		if len(got) != len(tc.want) {
 			t.Errorf("bytes %v: %d chunks, want %d", tc.bytes, len(got), len(tc.want))
 			continue
@@ -147,7 +155,10 @@ func TestForestLevels(t *testing.T) {
 		6: {6, 4, 3}, // the leaves
 	}
 	trees := stubTrees(depths, nil)
-	f := &forest{trees: trees, depth: depths, L: 6, parts: make([]Batch, len(trees))}
+	f := newForest(trees, make([]int, len(trees)))
+	if f.L != 6 {
+		t.Fatalf("forest of depths %v is %d deep, want 6", depths, f.L)
+	}
 	// built runs a constructor and returns what it constructed of each tree.
 	built := func(construct func() Batch) (events [3]string) {
 		for _, tr := range trees {

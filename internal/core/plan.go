@@ -31,8 +31,6 @@ const (
 	opGPUCombine
 	opPermute     // Transformable.PermuteForGPU(level, lo, hi)
 	opPermuteBack // Transformable.PermuteBack(level, lo, hi)
-	opLease       // lease a device segment for GPUBytes(level, lo, hi)
-	opRelease     // give back the run's segments [lo, hi)
 	opUpload      // host→device transfer of the chain's footprint
 	opDownload    // device→host transfer of the same bytes
 	opStamp       // record Now() in the chain's stamps[level]
@@ -52,7 +50,8 @@ const (
 // the op executes, in chain order, because Transformable constructors
 // mutate the algorithm's layout state themselves (PermuteForGPU registers
 // the region, GPUCombineBatch advances it) and the next constructor must
-// see that state.
+// see that state. A device batch op runs the algorithm's DeviceKernels when
+// it has them and its CPU constructor's batch otherwise (construct).
 type op struct {
 	kind          opKind
 	level, lo, hi int
@@ -74,8 +73,7 @@ type chain struct {
 
 	// Device chains only.
 	dev    LevelExecutor
-	bytes  int64      // link footprint: what its upload and download move
-	segs   []*Segment // the window of run.segs its lease ops fill
+	bytes  int64 // link footprint: what its upload and download move
 	stamps [3]float64
 }
 
@@ -89,16 +87,15 @@ type run struct {
 	forest     bool // galg is a forest, whose launches span levels and come stamped
 	be         Backend
 	alg        Alg
-	galg       GPUAlg           // nil when the division has no devices
-	tr         Transformable    // non-nil only under WithCoalesce
-	sa         SegmentAllocator // nil when the backend does not pool device memory
+	galg       GPUAlg        // nil when the division has no devices
+	dk         DeviceKernels // galg's own device kernels, nil when the device runs its CPU batches
+	tr         Transformable // non-nil only under WithCoalesce
 	a, L       int
 	fold       *fold // sequential on an event-loop backend: every CPU batch folded onto one core
 	tap        *tap  // nil when nothing listens (metering.go)
 
 	ops    []op // backing store of all chains
 	chains []chain
-	segs   []*Segment // device staging: one per device chain, or per tree of a forest
 
 	rep     [1]Report // a single tree's report; a forest's are its caller's
 	start   float64
@@ -149,9 +146,10 @@ type division struct {
 func newRun(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAlg) *run {
 	r := &run{
 		ctx: ctx, cancelable: ctx.Done() != nil,
-		be: be, alg: alg, galg: galg, sa: segmentAllocator(be), a: alg.Arity(), L: alg.Levels(),
+		be: be, alg: alg, galg: galg, a: alg.Arity(), L: alg.Levels(),
 		tap: newTap(cfg, be),
 	}
+	r.dk, _ = galg.(DeviceKernels)
 	if cfg.Coalesce {
 		r.tr, _ = alg.(Transformable)
 	}
@@ -166,17 +164,14 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 	r := newRun(ctx, be, cfg, alg, galg)
 	r.rep[0] = Report{Algorithm: alg.Name(), Strategy: strategy}
 	r.chains = make([]chain, chDev+k)
-	if r.sa != nil {
-		r.segs = make([]*Segment, k)
-	}
 	// The CPU portion's coarse root, L when nothing collapses.
 	cl := r.L - coarseLevels(d.grain, r.a, r.L, d.s, be.CPU().Parallelism(),
 		func(cl int) int { return d.cpu * TasksAtLevel(r.a, cl-d.s) })
 	// An upper bound, so that planning is one allocation whatever L is:
 	// top and tail are s ops each plus the fork, the CPU phase 2(cl−s)+1, a
-	// device phase 2(L−s) batches plus nine fixed ops.
+	// device phase 2(L−s) batches plus eight fixed ops.
 	below := 2 * (r.L - d.s)
-	r.ops = make([]op, 0, 2*d.s+1+2*(cl-d.s)+1+k*(below+9))
+	r.ops = make([]op, 0, 2*d.s+1+2*(cl-d.s)+1+k*(below+8))
 
 	// The top forks the CPU portion first, then the device stripes in index
 	// order, which fixes the simulator's event order; the tail is their join.
@@ -195,7 +190,7 @@ func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUA
 			c1++
 		}
 		c := &r.devs()[i]
-		c.ops = r.devicePhase(c, d.devs[i], i, d.s, d.y, c0, c1)
+		c.ops = r.devicePhase(c, d.devs[i], d.s, d.y, c0, c1)
 		c.then = tail
 		c0 = c1
 	}
@@ -273,18 +268,14 @@ func (r *run) cpuPhase(s, cl, c0, c1 int) []op {
 }
 
 // devicePhase appends, and returns, device dev's solution of subproblems
-// [c0, c1) of level s as chain c, the run's i-th device chain: ship them,
-// solve them bottom-up through level y on the device (inside the §6.3 layout
-// switch when coalescing), bring them home, and combine y−1..s on the CPU,
-// where the chain competes with the CPU portion for cores as in the paper's
-// two-thread implementation.
-func (r *run) devicePhase(c *chain, dev LevelExecutor, i, s, y, c0, c1 int) []op {
+// [c0, c1) of level s as chain c: ship them, solve them bottom-up through
+// level y on the device (inside the §6.3 layout switch when coalescing),
+// bring them home, and combine y−1..s on the CPU, where the chain competes
+// with the CPU portion for cores as in the paper's two-thread
+// implementation.
+func (r *run) devicePhase(c *chain, dev LevelExecutor, s, y, c0, c1 int) []op {
 	n := len(r.ops)
 	c.dev, c.bytes = dev, r.galg.GPUBytes(s, c0, c1)
-	if r.sa != nil {
-		c.segs = r.segs[i : i : i+1]
-		r.emit(opLease, s, s, c0, c1)
-	}
 	r.ops = append(r.ops, op{kind: opUpload}, op{kind: opStamp, level: stampResident})
 	r.descend(s, s, c0, c1)
 	r.levels(opGPUCombine, r.L-1, y, s, c0, c1)
@@ -311,8 +302,8 @@ func (r *run) descend(from, s, c0, c1 int) {
 // divides full width on the CPU, then every level, leaves first and back up
 // to the root, runs on the join chain — whole on the CPU when split leaves
 // it all there, else forked into the CPU's [0, kc) and a device chain that
-// leases, ships [kc, k) over, solves it and brings it home, the two meeting
-// in the next level's join. Chains, in index order: the top, then per split
+// ships [kc, k) over, solves it and brings it home, the two meeting in the
+// next level's join. Chains, in index order: the top, then per split
 // level its CPU chain, its device chain and its join.
 func ladder(ctx context.Context, be Backend, cfg *RunConfig, alg GPUAlg) *run {
 	r := newRun(ctx, be, cfg, alg, alg)
@@ -325,12 +316,9 @@ func ladder(ctx context.Context, be Backend, cfg *RunConfig, alg GPUAlg) *run {
 		}
 	}
 	r.chains = make([]chain, 1+3*splits)
-	if r.sa != nil {
-		r.segs = make([]*Segment, splits)
-	}
-	// L divides, one CPU op per level, and per split level a fork and at
-	// most four device ops.
-	r.ops = make([]op, 0, 2*r.L+1+5*splits)
+	// L divides, one CPU op per level, and per split level a fork and three
+	// device ops.
+	r.ops = make([]op, 0, 2*r.L+1+4*splits)
 
 	r.levels(opDivide, 0, r.L-1, 0, 0, 1)
 	join, at := &r.chains[0], 0
@@ -357,10 +345,6 @@ func ladder(ctx context.Context, be Backend, cfg *RunConfig, alg GPUAlg) *run {
 		cpu.ops = r.ops[at:]
 		at = len(r.ops)
 		dev.dev, dev.bytes = be.GPU(), alg.GPUBytes(l, kc, k)
-		if r.sa != nil {
-			dev.segs = r.segs[i : i : i+1]
-			r.ops = append(r.ops, op{opLease, l, kc, k})
-		}
 		r.ops = append(r.ops, op{kind: opUpload}, op{gpuKind, l, kc, k}, op{kind: opDownload})
 		dev.ops = r.ops[at:]
 		at = len(r.ops)
@@ -413,14 +397,6 @@ func (c *chain) advance() {
 		o := c.ops[c.pc]
 		c.pc++
 		switch o.kind { // the ops that are done when they return
-		case opLease:
-			c.segs = append(c.segs, r.sa.AllocSegment(r.galg.GPUBytes(o.level, o.lo, o.hi)))
-			continue
-		case opRelease:
-			for _, seg := range r.segs[o.lo:o.hi] {
-				seg.Release()
-			}
-			continue
 		case opStamp:
 			c.stamps[o.level] = r.be.Now()
 			continue
@@ -443,24 +419,14 @@ func (c *chain) advance() {
 			c.measureTransfer(false)
 			r.be.TransferToCPU(c.bytes, c.next)
 			return
-		case opDivide:
-			b = r.alg.DivideBatch(o.level, o.lo, o.hi)
-		case opBase:
-			b = r.alg.BaseBatch(o.lo, o.hi)
-		case opCombine:
-			b = r.alg.CombineBatch(o.level, o.lo, o.hi)
 		case opCoarse:
 			b = CoarseBatch(r.alg, o.level, o.lo, o.hi, r.ctx.Done()) // nil unless cancelable: nothing polls
-		case opGPUDivide:
-			b = r.galg.GPUDivideBatch(o.level, o.lo, o.hi)
-		case opGPUBase:
-			b = r.galg.GPUBaseBatch(o.lo, o.hi)
-		case opGPUCombine:
-			b = r.galg.GPUCombineBatch(o.level, o.lo, o.hi)
 		case opPermute:
 			b = r.tr.PermuteForGPU(o.level, o.lo, o.hi)
 		case opPermuteBack:
 			b = r.tr.PermuteBack(o.level, o.lo, o.hi)
+		default:
+			b = construct(r.alg, r.dk, o.kind, o.level, o.lo, o.hi)
 		}
 		if !r.forest {
 			b.Level = o.level // for the run's intervals (Interval.Level)
@@ -477,6 +443,32 @@ func (c *chain) advance() {
 		}
 		return
 	}
+}
+
+// construct builds the batch of a divide, base or combine op, CPU or device,
+// over [lo, hi) of level. A device op's batch is the algorithm's own kernel
+// when it declares DeviceKernels (dk) and the CPU constructor's otherwise:
+// the paper's Algorithm 3 kernel is Algorithm 2's per-task body.
+func construct(alg Alg, dk DeviceKernels, kind opKind, level, lo, hi int) Batch {
+	own := dk != nil && kind >= opGPUDivide
+	switch kind {
+	case opDivide, opGPUDivide:
+		if own {
+			return dk.GPUDivideBatch(level, lo, hi)
+		}
+		return alg.DivideBatch(level, lo, hi)
+	case opBase, opGPUBase:
+		if own {
+			return dk.GPUBaseBatch(lo, hi)
+		}
+		return alg.BaseBatch(lo, hi)
+	case opCombine, opGPUCombine:
+		if own {
+			return dk.GPUCombineBatch(level, lo, hi)
+		}
+		return alg.CombineBatch(level, lo, hi)
+	}
+	panic(fmt.Sprintf("core: op kind %d has no constructor", kind))
 }
 
 // submitFolded runs a batch on a single core by folding it into one task
@@ -522,18 +514,14 @@ func since(stamp, ref float64) float64 {
 }
 
 // settle finalizes the reports of a finished run — a single tree's one, a
-// forest's one per tree: releases what is still leased, books the makespan,
-// runs the Finish hook (only for complete, fault-free runs — a partial
-// result is not valid data), builds the cancellation or device-fault error
-// and applies the observers. A device fault recorded by a Faulter layer
+// forest's one per tree: books the makespan, runs the Finish hook (only for
+// complete, fault-free runs — a partial result is not valid data), builds
+// the cancellation or device-fault error and applies the observers. A device fault recorded by a Faulter layer
 // takes precedence over cancellation: the fault is the more specific cause,
 // and its error already classifies under dcerr.ErrDeviceFault. Seconds is
 // the makespan unless the caller derived the report's own from its stamps,
 // which stands only in a complete run.
 func (r *run) settle(cfg *RunConfig, reps []Report) error {
-	for _, seg := range r.segs {
-		seg.Release()
-	}
 	makespan := r.be.Now() - r.start
 	if r.tap != nil {
 		r.tap.finish(makespan)

@@ -25,14 +25,13 @@ var updatePlans = flag.Bool("update", false, "rewrite testdata/{plans,fused,dyna
 // planRecorder is a backend decorator that writes down, in call order and
 // with the virtual time of the call, everything an executor asks of the
 // platform: every CPU and device Submit (unit, level, tasks, per-task ops),
-// every transfer (direction, bytes) and every segment lease. On the
+// and every transfer (direction, bytes). On the
 // single-goroutine simulator that stream is the run's whole schedule, so two
 // executors that produce the same stream are the same plan.
 type planRecorder struct {
 	inner Backend
 	cpu   recUnit
 	gpus  []LevelExecutor
-	segs  SegmentCache
 	lines []string
 }
 
@@ -78,10 +77,6 @@ func (r *planRecorder) TransferToGPU(n int64, done func()) {
 func (r *planRecorder) TransferToCPU(n int64, done func()) {
 	r.logf("down %d", n)
 	r.inner.TransferToCPU(n, done)
-}
-func (r *planRecorder) AllocSegment(n int64) *Segment {
-	r.logf("lease %d", n)
-	return r.segs.AllocSegment(n)
 }
 
 // permProbe is probeAlg with the §6.3 layout hooks, so WithCoalesce rows
@@ -260,6 +255,14 @@ func goldenRow(key string, v planVariant, p hpu.Platform, alg GPUAlg, out func()
 // mismatch logs the change side's full stream. The fused executor's rows
 // (fused_golden_test.go) live beside them in testdata/fused.golden, generated
 // on the commit before the fused run became a plan (PR 24).
+//
+// Both files were regenerated once more when the executors stopped leasing
+// device staging segments: the recorder had written a "lease" line per
+// lease, at the virtual time of the lease, which never moved the clock.
+// Regenerated on the commit before with that line not written, plans.golden
+// is the same file byte for byte, and fused.golden the same rows once its
+// probe rows' "seg=" key (with and without a segment allocator) is dropped:
+// the two halves were equal.
 func TestGoldenPlans(t *testing.T) {
 	var rows []goldenResult
 	add := func(row string, detail []string) { rows = append(rows, goldenResult{row, detail}) }
@@ -337,11 +340,9 @@ func TestGoldenPlans(t *testing.T) {
 // their hash, Seconds to 17 digits and the output hash, which must also be
 // the hash of the plain-Go result. testdata/dynamic.golden was generated,
 // on the commit before this division replaced it, from the same rows of
-// internal/sched's RunDynamicHybrid, a closure scheduler. Two things are
-// stripped from the stream before hashing, because that scheduler had
-// neither: the "lease" lines (the interpreter leases a device segment per
-// split level; leases take no virtual time) and the batches' "l=" labels
-// (it left Batch.Level at 0; no platform reads it).
+// internal/sched's RunDynamicHybrid, a closure scheduler. The batches' "l="
+// labels are stripped from the stream before hashing, because that
+// scheduler left Batch.Level at 0 (no platform reads it).
 func dynamicGoldenRows(t *testing.T) []goldenResult {
 	var rows []goldenResult
 	for _, name := range []string{"mergesort", "scan", "dcsum"} {
@@ -365,11 +366,9 @@ func dynamicGoldenRows(t *testing.T) []goldenResult {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var lines []string
-				for _, l := range rec.lines {
-					if !strings.HasPrefix(l, "lease ") {
-						lines = append(lines, levelLabel.ReplaceAllString(l, ""))
-					}
+				lines := make([]string, len(rec.lines))
+				for i, l := range rec.lines {
+					lines[i] = levelLabel.ReplaceAllString(l, "")
 				}
 				if out() != want {
 					t.Errorf("%s 2^%d %s: dynamic result differs from plain Go", name, logN, p.Name)

@@ -37,15 +37,13 @@ func (be *inlineBackend) TransferToCPU(_ int64, done func()) { done() }
 func (be *inlineBackend) Now() float64                       { be.clock++; return be.clock }
 func (be *inlineBackend) Wait()                              {}
 
-// tickBackend is an inlineBackend that pools device segments and counts the
-// platform calls an executor makes — every Submit, transfer, lease and clock
-// reading — calling fire inside call number at (never, for at < 0). Every op
-// of a chain but a fork or a release makes one such call, and so does a
-// chain's end, so cancelling in each call of a run in turn stops it at every
-// boundary of every chain.
+// tickBackend is an inlineBackend that counts the platform calls an executor
+// makes — every Submit, transfer and clock reading — calling fire inside
+// call number at (never, for at < 0). Every op of a chain but a fork makes
+// one such call, and so does a chain's end, so cancelling in each call of a
+// run in turn stops it at every boundary of every chain.
 type tickBackend struct {
 	inlineBackend
-	segs  SegmentCache
 	calls int
 	at    int
 	fire  func()
@@ -71,7 +69,6 @@ func (be *tickBackend) GPU() LevelExecutor                 { return tickUnit{be}
 func (be *tickBackend) TransferToGPU(_ int64, done func()) { be.tick(); done() }
 func (be *tickBackend) TransferToCPU(_ int64, done func()) { be.tick(); done() }
 func (be *tickBackend) Now() float64                       { be.tick(); return be.inlineBackend.Now() }
-func (be *tickBackend) AllocSegment(n int64) *Segment      { be.tick(); return be.segs.AllocSegment(n) }
 
 // planStub is a binary tree of the given depth. Recording, it logs every
 // batch constructor call ("new kind@level[lo,hi)") and every batch execution
@@ -217,11 +214,10 @@ func TestChainCancelAtBoundary(t *testing.T) {
 // join — the tail above the split never starts — and the report is Partial
 // under ErrCanceled. The fused rows cancel a three-member group of depths 4,
 // 3 and 2 — two chunk chains, the combine chain that is their join and the
-// three egress chains it forks, with leases and the layout switch — in every
-// platform call it makes, in turn: every report is Partial under one
-// ErrCanceled, no member is finished and every lease is given back, wherever
-// the run stopped; a cancellation that comes after the run's last boundary
-// finds a complete run instead.
+// three egress chains it forks, with the layout switch — in every platform
+// call it makes, in turn: every report is Partial under one ErrCanceled and
+// no member is finished, wherever the run stopped; a cancellation that comes
+// after the run's last boundary finds a complete run instead.
 func TestForkCancelEndsAtJoin(t *testing.T) {
 	type forkCase struct {
 		name      string
@@ -291,9 +287,6 @@ func TestForkCancelEndsAtJoin(t *testing.T) {
 				t.Errorf("%s: member %d Partial = %v beside err = %v", where, m, rep.Partial, err)
 			}
 		}
-		if st := be.segs.Stats(); st.LeasedBytes != 0 {
-			t.Errorf("%s: %d bytes still leased after the run", where, st.LeasedBytes)
-		}
 		joined := strings.Join(log, "\n")
 		for _, ev := range tc.must {
 			if !strings.Contains(joined, ev) {
@@ -336,14 +329,12 @@ func stubTrees(depths []int, hook func(event string)) []GPUAlg {
 // folds every level into one task through a body bound once per run, not a
 // closure per level. The counts are pinned too: the serving benchmark's
 // allocs_per_job rows sit near 30 with a 2 % bound, so one more allocation
-// per run is a regression there. (The device entry points allocate one more
-// on a backend that pools segments — the lease table; the inline backend
-// does not.) A fused run of one member is a plan like the others; with more
-// members a launch that fuses several batches still allocates (fuseBatches'
-// offsets and two closures), so those cases are held to what the closure
-// scheduler before them allocated — 90 / 125 / 130 at L = 4 and 234 / 353 /
-// 370 at L = 16 for 2 / 4 / 8 members, 55 and 127 for one — not to a
-// constant. A run with a listener — WithMetrics or an interval hook — adds
+// per run is a regression there. A fused run of one member is a plan like
+// the others; with more members a launch that fuses several batches still
+// allocates (fuseBatches' offsets and two closures), so those cases are held
+// to what the closure scheduler before them allocated — 90 / 125 / 130 at
+// L = 4 and 234 / 353 / 370 at L = 16 for 2 / 4 / 8 members, 55 and 127 for
+// one — not to a constant. A run with a listener — WithMetrics or an interval hook — adds
 // its tap and the tap's table of open intervals, one slot per chain: two
 // allocations whatever L is. (Three metering decorators allocated a closure
 // per batch before the interpreter measured its own ops.)
@@ -388,7 +379,7 @@ func TestPlanAllocsIndependentOfDepth(t *testing.T) {
 		{"advanced-hybrid with a hook", 1, single(func(be Backend, alg GPUAlg) (Report, error) {
 			return RunAdvancedHybridCtx(ctx, be, alg, 0.5, 3, WithSplit(2), withHook)
 		}), 10, 10},
-		{"fused x1", 1, fused, 15, 15},
+		{"fused x1", 1, fused, 14, 14},
 		{"fused x2", 2, fused, 90, 234},
 		{"fused x4", 4, fused, 125, 353},
 		{"fused x8", 8, fused, 130, 370},

@@ -17,7 +17,7 @@ import (
 
 // TestPlatformCallsOnlyInPlan keeps the invariant the one-interpreter design
 // rests on (DESIGN.md §11b): everything a scheduler asks of the platform —
-// a unit's Submit, TransferToGPU, TransferToCPU, AllocSegment — is issued in
+// a unit's Submit, TransferToGPU, TransferToCPU — is issued in
 // plan.go, by chain.advance, and nowhere else in the module; in this package
 // the cancellation check ctx.Err() and every Submit are held to it too.
 // Whatever is to see, stamp, cancel or fault-check every op of every
@@ -64,7 +64,7 @@ func TestPlatformCallsOnlyInPlan(t *testing.T) {
 					return true
 				}
 				switch sel.Sel.Name {
-				case "TransferToGPU", "TransferToCPU", "AllocSegment":
+				case "TransferToGPU", "TransferToCPU":
 				case "Submit":
 					if !inCore && !unitShaped(sel.X) {
 						return true

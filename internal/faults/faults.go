@@ -358,10 +358,6 @@ func (f *Backend) transfer(n int64, done func(), inner func(int64, func())) {
 // Now implements core.Backend.
 func (f *Backend) Now() float64 { return f.inner.Now() }
 
-// Unwrap implements core.Unwrapper so capability probes (segment
-// allocation) reach the wrapped backend.
-func (f *Backend) Unwrap() core.Backend { return f.inner }
-
 // Wait implements core.Backend.
 func (f *Backend) Wait() { f.inner.Wait() }
 

@@ -109,14 +109,6 @@ func (s *Sim) SetMetrics(reg *metrics.Registry) { s.gpu.SetMetrics(reg) }
 // their own probes).
 func (s *Sim) Engine() *vtime.Engine { return s.eng }
 
-// SimGPU returns the simulated GPU.
-func (s *Sim) SimGPU() *simgpu.GPU { return s.gpu }
-
-// AllocSegment implements core.SegmentAllocator: executors lease device
-// staging segments from the simulated GPU's cache, so repeated same-shape
-// runs reuse modeled device residency instead of re-staging per run.
-func (s *Sim) AllocSegment(n int64) *core.Segment { return s.gpu.Segments().AllocSegment(n) }
-
 // CPU implements core.Backend.
 func (s *Sim) CPU() core.LevelExecutor { return s.cpu }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/simgpu"
 )
 
 func TestMultiSimBasics(t *testing.T) {
@@ -90,10 +91,11 @@ func TestSimAccessors(t *testing.T) {
 	if s.Platform().Name != "HPU2" {
 		t.Errorf("Platform = %s", s.Platform().Name)
 	}
-	if s.Engine() == nil || s.SimCPU() == nil || s.SimGPU() == nil {
-		t.Error("nil accessors")
+	gpu, ok := s.GPU().(*simgpu.GPU)
+	if s.Engine() == nil || s.SimCPU() == nil || !ok || gpu == nil {
+		t.Fatal("nil accessors")
 	}
-	if s.SimGPU().Params().SatThreads != 1200 {
-		t.Errorf("SimGPU SatThreads = %d", s.SimGPU().Params().SatThreads)
+	if gpu.Params().SatThreads != 1200 {
+		t.Errorf("simulated GPU SatThreads = %d", gpu.Params().SatThreads)
 	}
 }

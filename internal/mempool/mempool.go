@@ -2,9 +2,9 @@
 // serving stack. The paper's HPU cost model charges λ + δ·w per transfer
 // and the scheduling layers above already minimize launches; what remains
 // on the profile is the allocate-copy-free tax paid per job by the
-// executors (per-level scratch), the backends (staging segments) and the
-// wire layer (encode/decode buffers). This package makes those buffers a
-// leased, measured resource instead of garbage.
+// algorithms (working and ping-pong buffers) and the wire layer
+// (encode/decode buffers). This package makes those buffers a leased,
+// measured resource instead of garbage.
 //
 // Design:
 //

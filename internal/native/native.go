@@ -78,11 +78,6 @@ type Backend struct {
 	pending sync.WaitGroup
 	closed  atomic.Bool
 
-	// segs models the device staging pool (core.SegmentAllocator):
-	// executors lease per-run segments so repeated same-shape runs reuse
-	// device residency instead of re-allocating.
-	segs core.SegmentCache
-
 	// Transfers run on one long-lived worker (in link order, matching the
 	// simulator's in-order copy queue) instead of one goroutine per
 	// crossing. transferMu fences enqueue against Close so no request is
@@ -114,7 +109,6 @@ func New(cfg Config) (*Backend, error) {
 		transferQ: make(chan func(), 64),
 		quit:      make(chan struct{}),
 	}
-	b.segs.SetMetrics("native", cfg.Metrics)
 	go b.transferWorker()
 	b.cpu = newEngine(cfg.CPUWorkers, &b.pending, cfg.Metrics, PoolCPU)
 	if cfg.DeviceLanes > 0 {
@@ -142,15 +136,8 @@ func (b *Backend) Close() error {
 	b.transferMu.Lock()
 	close(b.quit)
 	b.transferMu.Unlock()
-	b.segs.Trim()
 	return nil
 }
-
-// AllocSegment implements core.SegmentAllocator.
-func (b *Backend) AllocSegment(n int64) *core.Segment { return b.segs.AllocSegment(n) }
-
-// Segments exposes the device staging cache for tests and stats.
-func (b *Backend) Segments() *core.SegmentCache { return &b.segs }
 
 // Closed reports whether Close has been called. It implements core.Closer,
 // so executors and the serving layer refuse new work with ErrBackendClosed.

@@ -159,20 +159,9 @@ type GPU struct {
 	uncoalesced *metrics.Counter
 	occupancy   *metrics.Histogram
 	copies      *metrics.Counter
-
-	// segs models the device's staging allocator. Kernels execute on host
-	// memory (only time is virtual), so segments are pure accounting: the
-	// cache tracks residency and reuse exactly as a device memory pool
-	// would, letting executors exercise the lease discipline and metrics
-	// observe it.
-	segs core.SegmentCache
 }
 
 var _ core.LevelExecutor = (*GPU)(nil)
-
-// Segments exposes the device's staging cache so the owning backend can
-// serve core.SegmentAllocator and tests can assert reuse.
-func (g *GPU) Segments() *core.SegmentCache { return &g.segs }
 
 // New creates a GPU bound to the given engine.
 func New(eng *vtime.Engine, p Params) (*GPU, error) {
@@ -191,7 +180,6 @@ func New(eng *vtime.Engine, p Params) (*GPU, error) {
 // coalesced vs uncoalesced global-memory word traffic of §6.3. Call before
 // submitting work; a nil registry detaches.
 func (g *GPU) SetMetrics(reg *metrics.Registry) {
-	g.segs.SetMetrics("simgpu", reg)
 	g.launches = reg.Counter(MetricLaunches)
 	g.wavefronts = reg.Counter(MetricWavefronts)
 	g.workItems = reg.Counter(MetricWorkItems)
