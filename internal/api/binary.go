@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/dcerr"
 	"repro/internal/mempool"
@@ -47,8 +49,8 @@ const (
 	frameHeaderSize = 16
 )
 
-// bufPool recycles scratch buffers across responses: SSE event encoding,
-// /metrics scrapes, and client-side frame assembly all draw from it.
+// bufPool recycles scratch buffers: JSON submissions and results, SSE
+// event encoding and /metrics scrapes draw from it (the client has its own).
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // getBuf leases a reset scratch buffer.
@@ -62,15 +64,6 @@ func putBuf(b *bytes.Buffer) {
 	}
 	b.Reset()
 	bufPool.Put(b)
-}
-
-// frameHeader assembles the 16-byte header.
-func frameHeader(elemSize byte, count int) [frameHeaderSize]byte {
-	var hdr [frameHeaderSize]byte
-	copy(hdr[:4], frameMagic)
-	hdr[4] = elemSize
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(count))
-	return hdr
 }
 
 // readFrameHeader validates the magic and element size and returns the
@@ -102,64 +95,18 @@ func readFrameHeader(r io.Reader, elemSize byte, maxBytes int64) (int, error) {
 	return int(count), nil
 }
 
-// WriteInt32Frame writes data as one int32 little-endian frame. The
-// element conversion stages through a pooled buffer, so steady-state
-// encoding allocates nothing.
-func WriteInt32Frame(w io.Writer, data []int32) error {
-	hdr := frameHeader(4, len(data))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := mempool.Bytes.Get(4 * len(data))
-	defer mempool.Bytes.Put(buf)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
+// WriteInt32Frame writes data as one int32 little-endian frame.
+func WriteInt32Frame(w io.Writer, data []int32) error { return writeFrame(w, data) }
 
 // WriteInt64Frame writes data as one int64 little-endian frame.
-func WriteInt64Frame(w io.Writer, data []int64) error {
-	hdr := frameHeader(8, len(data))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := mempool.Bytes.Get(8 * len(data))
-	defer mempool.Bytes.Put(buf)
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	_, err := w.Write(buf)
-	return err
-}
+func WriteInt64Frame(w io.Writer, data []int64) error { return writeFrame(w, data) }
 
 // ReadInt32Frame decodes one int32 frame for a caller that keeps it: a
 // sorted result leaves with the API's caller for good, so the slice is
-// allocated, like ReadInt64Frame's.
+// allocated, like ReadInt64Frame's. (The server's request path leases its
+// payload from mempool.Int32s: the job owns it until it is evicted.)
 func ReadInt32Frame(r io.Reader, maxBytes int64) ([]int32, error) {
-	return readInt32Frame(r, maxBytes, func(n int) []int32 { return make([]int32, n) })
-}
-
-// readInt32Frame decodes one int32 frame into the slice dst hands it: the
-// server's request path passes mempool.Int32s.Get — the job owns the payload
-// and the server puts it back when the job is evicted.
-func readInt32Frame(r io.Reader, maxBytes int64, dst func(n int) []int32) ([]int32, error) {
-	n, err := readFrameHeader(r, 4, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	buf := mempool.Bytes.Get(4 * n)
-	defer mempool.Bytes.Put(buf)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		// Fewer payload bytes than the header promised: malformed frame.
-		return nil, fmt.Errorf("api: binary frame payload: %w: %w", err, dcerr.ErrBadParam)
-	}
-	out := dst(n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return out, nil
+	return readFrame[int32](r, maxBytes, nil)
 }
 
 // ReadInt64Frame decodes one int64 frame. Int64 frames carry results, which
@@ -167,19 +114,67 @@ func readInt32Frame(r io.Reader, maxBytes int64, dst func(n int) []int32) ([]int
 // lease that never comes back takes a vector from the jobs that do return
 // theirs (EXPERIMENTS.md, PR 23).
 func ReadInt64Frame(r io.Reader, maxBytes int64) ([]int64, error) {
-	n, err := readFrameHeader(r, 8, maxBytes)
+	return readFrame[int64](r, maxBytes, nil)
+}
+
+// A frame's payload is written from, and read into, the slice's own memory.
+// On a big-endian host the bytes of each element are reversed: through a
+// copy on the way out, in place on the way in.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// payload is the memory of data as bytes, and the size of one element.
+func payload[T int32 | int64](data []T) ([]byte, int) {
+	size := int(unsafe.Sizeof(T(0)))
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), size*len(data)), size
+}
+
+// swapElems reverses the bytes of each size-byte element of b.
+func swapElems(b []byte, size int) {
+	for i := 0; i < len(b); i += size {
+		slices.Reverse(b[i : i+size])
+	}
+}
+
+func writeFrame[T int32 | int64](w io.Writer, data []T) error {
+	b, size := payload(data)
+	hdr := [frameHeaderSize]byte{4: byte(size)}
+	copy(hdr[:], frameMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(data)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	if bigEndian {
+		b = slices.Clone(b)
+		swapElems(b, size)
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// readFrame decodes one frame into a slice leased from pool, or allocated
+// when pool is nil. A payload shorter than its header says puts the lease
+// back.
+func readFrame[T int32 | int64](r io.Reader, maxBytes int64, pool *mempool.Pool[T]) ([]T, error) {
+	n, err := readFrameHeader(r, byte(unsafe.Sizeof(T(0))), maxBytes)
 	if err != nil {
 		return nil, err
 	}
-	buf := mempool.Bytes.Get(8 * n)
-	defer mempool.Bytes.Put(buf)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	var out []T
+	if pool != nil {
+		out = pool.Get(n)
+	} else {
+		out = make([]T, n)
+	}
+	b, size := payload(out)
+	if _, err := io.ReadFull(r, b); err != nil {
+		if pool != nil {
+			pool.Put(out)
+		}
 		// Fewer payload bytes than the header promised: malformed frame.
 		return nil, fmt.Errorf("api: binary frame payload: %w: %w", err, dcerr.ErrBadParam)
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
+	if bigEndian {
+		swapElems(b, size)
 	}
 	return out, nil
 }
@@ -235,30 +230,6 @@ func RequestFromQuery(q url.Values) (JobRequest, error) {
 		Strategy:  q.Get("strategy"),
 		Coalesce:  q.Get("coalesce") == "1" || strings.EqualFold(q.Get("coalesce"), "true"),
 	}
-	geti := func(key string, dst *int) error {
-		v := q.Get(key)
-		if v == "" {
-			return nil
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("api: bad query %s=%q: %w", key, v, dcerr.ErrBadParam)
-		}
-		*dst = n
-		return nil
-	}
-	get64 := func(key string, dst *int64) error {
-		v := q.Get(key)
-		if v == "" {
-			return nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("api: bad query %s=%q: %w", key, v, dcerr.ErrBadParam)
-		}
-		*dst = n
-		return nil
-	}
 	if v := q.Get("alpha"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
@@ -266,32 +237,46 @@ func RequestFromQuery(q url.Values) (JobRequest, error) {
 		}
 		req.Alpha = f
 	}
-	if err := geti("y", &req.Y); err != nil {
+	if err := queryInt(q, "y", &req.Y); err != nil {
 		return req, err
 	}
-	if err := geti("crossover", &req.Crossover); err != nil {
+	if err := queryInt(q, "crossover", &req.Crossover); err != nil {
 		return req, err
 	}
-	if err := geti("priority", &req.Priority); err != nil {
+	if err := queryInt(q, "priority", &req.Priority); err != nil {
 		return req, err
 	}
 	rel := Reliability{Fallback: q.Get("fallback")}
-	if err := geti("max_retries", &rel.MaxRetries); err != nil {
+	if err := queryInt(q, "max_retries", &rel.MaxRetries); err != nil {
 		return req, err
 	}
-	if err := get64("backoff_ms", &rel.BackoffMS); err != nil {
+	if err := queryInt(q, "backoff_ms", &rel.BackoffMS); err != nil {
 		return req, err
 	}
-	if err := get64("deadline_ms", &rel.DeadlineMS); err != nil {
+	if err := queryInt(q, "deadline_ms", &rel.DeadlineMS); err != nil {
 		return req, err
 	}
-	if err := get64("hedge_ms", &rel.HedgeMS); err != nil {
+	if err := queryInt(q, "hedge_ms", &rel.HedgeMS); err != nil {
 		return req, err
 	}
 	if rel != (Reliability{}) {
 		req.Reliability = &rel
 	}
 	return req, nil
+}
+
+// queryInt parses the query parameter key into dst when it is present.
+func queryInt[T int | int64](q url.Values, key string, dst *T) error {
+	v := q.Get(key)
+	if v == "" {
+		return nil
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || int64(T(n)) != n {
+		return fmt.Errorf("api: bad query %s=%q: %w", key, v, dcerr.ErrBadParam)
+	}
+	*dst = T(n)
+	return nil
 }
 
 // acceptsType reports whether the Accept header lists the content type.

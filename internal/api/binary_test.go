@@ -3,12 +3,15 @@ package api_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 
 	"repro/internal/api"
 	"repro/internal/api/client"
+	"repro/internal/dcerr"
 	"repro/internal/mempool"
 	"repro/internal/workload"
 )
@@ -56,6 +59,49 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 				t.Fatalf("int64 frame n=%d differs at %d: %d != %d", n, i, got64[i], d64[i])
 			}
 		}
+	}
+}
+
+// TestBinaryFrameSwappedBytes runs the codec's big-endian branch on this
+// host: with each element's bytes reversed on the way out and back in, a
+// frame round-trips, and its payload is the plain frame's with every
+// element's bytes reversed.
+func TestBinaryFrameSwappedBytes(t *testing.T) {
+	d32, d64 := []int32{1, -2, 0x01020304}, []int64{1, -2, 0x0102030405060708}
+	var plain32, plain64 bytes.Buffer
+	if err := api.WriteInt32Frame(&plain32, d32); err != nil {
+		t.Fatal(err)
+	}
+	if err := api.WriteInt64Frame(&plain64, d64); err != nil {
+		t.Fatal(err)
+	}
+	defer api.SwapFrameBytes()()
+	var sw32, sw64 bytes.Buffer
+	if err := api.WriteInt32Frame(&sw32, d32); err != nil {
+		t.Fatal(err)
+	}
+	if err := api.WriteInt64Frame(&sw64, d64); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		plain, swapped []byte
+		size           int
+	}{{plain32.Bytes(), sw32.Bytes(), 4}, {plain64.Bytes(), sw64.Bytes(), 8}} {
+		want := append([]byte{}, f.plain...)
+		for i := 16; i < len(want); i += f.size {
+			slices.Reverse(want[i : i+f.size])
+		}
+		if !bytes.Equal(f.swapped, want) {
+			t.Errorf("%d-byte frame: % x, want % x", f.size, f.swapped, want)
+		}
+	}
+	got32, err := api.ReadInt32Frame(&sw32, 0)
+	if err != nil || !slices.Equal(got32, d32) {
+		t.Errorf("int32 round trip: %v, %v", got32, err)
+	}
+	got64, err := api.ReadInt64Frame(&sw64, 0)
+	if err != nil || !slices.Equal(got64, d64) {
+		t.Errorf("int64 round trip: %v, %v", got64, err)
 	}
 }
 
@@ -136,6 +182,40 @@ func TestBinaryFrameRejects(t *testing.T) {
 	if _, err := api.ReadInt32Frame(bytes.NewReader(frame[:10]), 0); err == nil {
 		t.Error("truncated header accepted")
 	}
+
+	// A payload shorter than its header says: the server's decoder, which
+	// leases the payload's vector before it reads, puts the lease back.
+	const n = 1 << 10
+	var long bytes.Buffer
+	if err := api.WriteInt32Frame(&long, make([]int32, n)); err != nil {
+		t.Fatal(err)
+	}
+	short := long.Bytes()[:long.Len()-1]
+	if _, err := api.ReadInt32Frame(bytes.NewReader(short), 0); !errors.Is(err, dcerr.ErrBadParam) {
+		t.Errorf("truncated payload: %v, want ErrBadParam", err)
+	}
+	mempool.Int32s.Put(mempool.Int32s.Get(n))
+	before := retainedInt32s(n)
+	if before == 0 {
+		t.Fatal("the pool did not keep the returned vector")
+	}
+	if _, err := api.ReadLeasedInt32Frame(bytes.NewReader(short), 0); !errors.Is(err, dcerr.ErrBadParam) {
+		t.Errorf("truncated payload, leased: %v, want ErrBadParam", err)
+	}
+	if after := retainedInt32s(n); after != before {
+		t.Errorf("a truncated payload left %d pooled vectors of %d elements, want %d", after, n, before)
+	}
+}
+
+// retainedInt32s is how many vectors mempool.Int32s keeps in the class of
+// n elements.
+func retainedInt32s(n int) int {
+	for _, c := range mempool.Int32s.Stats().Classes {
+		if c.Elems == n {
+			return c.Retained
+		}
+	}
+	return 0
 }
 
 // TestQueryParamsRoundTrip pins the query-parameter encoding of a binary

@@ -78,7 +78,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) uint64 {
 			writeErr(w, err)
 			return 0
 		}
-		pooled, err = readInt32Frame(r.Body, MaxBodyBytes, mempool.Int32s.Get)
+		pooled, err = readFrame(r.Body, MaxBodyBytes, mempool.Int32s)
 		if err != nil {
 			writeBodyErr(w, err, "api: malformed binary frame: ")
 			return 0

@@ -508,8 +508,9 @@ func (c *Calibration) UnitsFor(sp Spec, strategy string, crossover int, alpha fl
 	num := t.num
 	switch strategy {
 	case "seq-1cpu":
-		// The sequential run folds every batch onto one core, so the
-		// unscaled sequential time is the consistent unit count.
+		// The sequential run is one core's work: one blocked walk on an
+		// autonomous backend, every level folded onto one core on the
+		// simulator. The unscaled sequential time is its unit count.
 		return num.SequentialTime(), 0, nil
 	case ChoiceCPU:
 		return num.PredictBreadthFirstCPU(), 0, nil

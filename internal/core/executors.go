@@ -134,10 +134,12 @@ func finish(alg Alg) {
 	}
 }
 
-// open resolves a run's options and refuses a closed backend: the prologue
-// of every executor.
-func open(be Backend, opts []Option) (RunConfig, error) {
-	return NewRunConfig(opts...), checkOpen(be)
+// open is every executor's prologue: a new run with its options resolved in
+// place (a RunConfig that Options write to escapes anyway), on an open backend.
+func open(be Backend, opts []Option) (*run, error) {
+	r := &run{be: be}
+	r.cfg.resolve(opts)
+	return r, checkOpen(be)
 }
 
 // RunSequentialCtx executes the algorithm on a single CPU core (the paper's
@@ -150,7 +152,7 @@ func open(be Backend, opts []Option) (RunConfig, error) {
 // partial Report and an error wrapping dcerr.ErrCanceled. WithGrain is
 // accepted but has no effect — the run is already one core's walk.
 func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -158,19 +160,19 @@ func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) 
 	if autonomous(be) {
 		d = division{cpu: 1, grain: math.MaxInt} // collapses every level
 	}
-	return execute(ctx, be, &cfg, alg, nil, SequentialStrategy, d).report(&cfg)
+	return r.execute(ctx, alg, nil, SequentialStrategy, d).report()
 }
 
 // RunBreadthFirstCPUCtx executes the algorithm breadth-first on the CPU
 // only, using all p cores per level (the multi-core baseline), checking ctx
-// at every level boundary. With WithGrain the bottom levels collapse into
-// depth-first coarse chunks (grain.go); the result is bit-identical.
+// at every level boundary. The bottom levels collapse into depth-first
+// coarse chunks (grain.go, WithGrain); the result is bit-identical.
 func RunBreadthFirstCPUCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
-	return execute(ctx, be, &cfg, alg, nil, BreadthFirstCPUStrategy, division{cpu: 1, grain: cfg.Grain}).report(&cfg)
+	return r.execute(ctx, alg, nil, BreadthFirstCPUStrategy, division{cpu: 1, grain: r.cfg.Grain}).report()
 }
 
 // RunBasicHybridCtx executes the §5.1 basic work division: levels above the
@@ -183,7 +185,7 @@ func RunBreadthFirstCPUCtx(ctx context.Context, be Backend, alg Alg, opts ...Opt
 // effect: the CPU portion holds only the levels above the crossover, never
 // a leaf-adjacent phase that coarsening could collapse.
 func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover int, opts ...Option) (Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -193,10 +195,10 @@ func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover in
 	if be.GPU() == nil {
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
-	r := execute(ctx, be, &cfg, alg, alg, BasicHybridStrategy,
+	r.execute(ctx, alg, alg, BasicHybridStrategy,
 		division{s: crossover, y: crossover, devs: []LevelExecutor{be.GPU()}})
 	r.rep[0].GPUPortionSeconds = since(r.devs()[0].stamps[stampHome], r.start)
-	return r.report(&cfg)
+	return r.report()
 }
 
 // RunGPUOnlyCtx executes the whole algorithm breadth-first on the device
@@ -204,16 +206,16 @@ func RunBasicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, crossover in
 // GPUPortionSeconds excludes the two host↔device transfers ("sort only" in
 // the paper); Seconds includes them.
 func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) (Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
 	if be.GPU() == nil {
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
-	r := execute(ctx, be, &cfg, alg, alg, GPUOnlyStrategy, division{devs: []LevelExecutor{be.GPU()}})
+	r.execute(ctx, alg, alg, GPUOnlyStrategy, division{devs: []LevelExecutor{be.GPU()}})
 	r.rep[0].GPUPortionSeconds = since(r.devs()[0].stamps[stampRoot], r.devs()[0].stamps[stampResident])
-	return r.report(&cfg)
+	return r.report()
 }
 
 // RunDynamicHybridCtx executes the ablation's dynamic per-level baseline, a
@@ -230,14 +232,14 @@ func RunGPUOnlyCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) 
 // one level, and no CPU share spans the leaf-adjacent levels coarsening
 // collapses.
 func RunDynamicHybridCtx(ctx context.Context, be Backend, alg GPUAlg, opts ...Option) (Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
 	if be.GPU() == nil {
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
-	return ladder(ctx, be, &cfg, alg).report(&cfg)
+	return r.ladder(ctx, alg).report()
 }
 
 // checkAlphaY validates the advanced division's CPU share and transfer
@@ -279,7 +281,7 @@ func splitDivision(be Backend, cfg *RunConfig, alg Alg, alpha float64, y int, de
 // implementation. The split level defaults to DefaultSplit; override it with
 // WithSplit. ctx is checked at every level boundary of all three chains.
 func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha float64, y int, opts ...Option) (Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -289,14 +291,14 @@ func RunAdvancedHybridCtx(ctx context.Context, be Backend, alg GPUAlg, alpha flo
 	if be.GPU() == nil {
 		return Report{}, fmt.Errorf("core: %w", dcerr.ErrNoGPU)
 	}
-	d, err := splitDivision(be, &cfg, alg, alpha, y, []LevelExecutor{be.GPU()})
+	d, err := splitDivision(be, &r.cfg, alg, alpha, y, []LevelExecutor{be.GPU()})
 	if err != nil {
 		return Report{}, err
 	}
-	r := execute(ctx, be, &cfg, alg, alg, AdvancedHybridStrategy, d)
+	r.execute(ctx, alg, alg, AdvancedHybridStrategy, d)
 	r.rep[0].CPUPortionSeconds = since(r.chains[chCPU].end, r.forkAt())
 	if len(r.devs()) > 0 {
 		r.rep[0].GPUPortionSeconds = since(r.devs()[0].stamps[stampHome], r.forkAt())
 	}
-	return r.report(&cfg)
+	return r.report()
 }

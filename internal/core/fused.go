@@ -55,7 +55,7 @@ const FusedStrategy = "fused-gpu"
 // switch fused too: one permute launch before the base phase per chunk, and
 // one permute-back launch per group of members finishing the same step.
 func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Option) ([]Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -98,10 +98,10 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 			groups++
 		}
 	}
-	r := newRun(ctx, be, &cfg, f, f)
+	r.init(ctx, f, f)
 	r.forest = true
 	gpu := be.GPU()
-	r.chains = make([]chain, chunks+1+groups)
+	r.chains = r.newChains(chunks + 1 + groups)
 	combine := &r.chains[chunks]
 	// A chunk is its upload, a stamp and a fork, at most L divides, a
 	// permute and the leaves; an egress chain three ops.
@@ -160,7 +160,7 @@ func RunFusedGPUCtx(ctx context.Context, be Backend, algs []GPUAlg, opts ...Opti
 		reports[m].Seconds = since(eg.stamps[stampHome], r.start)
 		reports[m].GPUPortionSeconds = since(eg.stamps[stampRoot], r.chains[chunkOf[m]].stamps[stampResident])
 	}
-	return reports, r.settle(&cfg, reports)
+	return reports, r.settle(reports)
 }
 
 // forest presents k independent recursion trees as one GPUAlg (and

@@ -29,19 +29,19 @@ const autoGrainSlack = 4
 
 // WithGrain sets the leaf-coarsening grain for the run's CPU portion: the
 // bottom ⌊log_a(n)⌋ breadth-first levels collapse into one depth-first
-// coarse chunk per subtree (at most n leaves each). 0 or 1 disables
-// coarsening (the default); GrainAuto picks the largest grain that keeps
-// all CPU workers busy. Results are bit-identical for any grain. The
-// executors with a CPU leaf phase honour it — breadth-first CPU, and the
+// coarse chunk per subtree (at most n leaves each). 0 or 1 runs every level;
+// GrainAuto, the default on an autonomous backend, picks the largest grain
+// that keeps all CPU workers busy. Results are bit-identical for any grain.
+// The executors with a CPU leaf phase honour it — breadth-first CPU, and the
 // CPU portion of the advanced hybrid and of its multi-device form, floored
 // at the split level; the others (sequential, basic hybrid, GPU-only,
 // fused) accept and ignore the option.
 func WithGrain(n int) Option {
 	return func(c *RunConfig) {
+		c.Grain = max(n, 1) // 0 is "unset"
 		if n < 0 {
-			n = GrainAuto
+			c.Grain = GrainAuto
 		}
-		c.Grain = n
 	}
 }
 

@@ -35,7 +35,7 @@ type MultiGPUBackend interface {
 // ctx is checked at every level boundary of every chain; on cancellation the
 // partial Report's error wraps dcerr.ErrCanceled.
 func RunMultiGPUCtx(ctx context.Context, be MultiGPUBackend, alg GPUAlg, alpha float64, y int, opts ...Option) (Report, error) {
-	cfg, err := open(be, opts)
+	r, err := open(be, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -46,14 +46,14 @@ func RunMultiGPUCtx(ctx context.Context, be MultiGPUBackend, alg GPUAlg, alpha f
 	if err := checkAlphaY(alg, alpha, y); err != nil {
 		return Report{}, err
 	}
-	d, err := splitDivision(be, &cfg, alg, alpha, y, devices)
+	d, err := splitDivision(be, &r.cfg, alg, alpha, y, devices)
 	if err != nil {
 		return Report{}, err
 	}
-	r := execute(ctx, be, &cfg, alg, alg, fmt.Sprintf("advanced-%dgpu", len(d.devs)), d)
+	r.execute(ctx, alg, alg, fmt.Sprintf("advanced-%dgpu", len(d.devs)), d)
 	r.rep[0].CPUPortionSeconds = since(r.chains[chCPU].end, r.forkAt())
 	for i := range r.devs() {
 		r.rep[0].GPUPortionSeconds = max(r.rep[0].GPUPortionSeconds, r.devs()[i].end-r.forkAt())
 	}
-	return r.report(&cfg)
+	return r.report()
 }

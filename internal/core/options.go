@@ -52,13 +52,13 @@ func (r Reliability) Reexecutes() bool {
 // shared by every executor. Construct it with NewRunConfig; zero values mean
 // "default".
 type RunConfig struct {
-	// Coalesce applies the §6.3 memory-layout transformation around the
-	// GPU-resident phase when the algorithm implements Transformable.
-	Coalesce bool
 	// Split is the advanced division's split level; meaningful only when
 	// SplitSet is true, otherwise DefaultSplit is used.
 	Split    int
 	SplitSet bool
+	// Coalesce applies the §6.3 memory-layout transformation around the
+	// GPU-resident phase when the algorithm implements Transformable.
+	Coalesce bool
 	// Priority is the scheduling weight used by serving layers (higher is
 	// dispatched sooner under contention). Direct executors ignore it.
 	Priority int
@@ -72,9 +72,9 @@ type RunConfig struct {
 	// latencies, busy/idle time, transfer traffic; names in DESIGN.md §9).
 	Metrics *metrics.Registry
 	// Grain is the leaf-coarsening grain for the CPU portion (DESIGN.md
-	// §11): 0 or 1 disables coarsening, GrainAuto selects it from the CPU
-	// parallelism, n > 1 collapses the bottom ⌊log_a(n)⌋ levels. Set with
-	// WithGrain.
+	// §11): 1 disables coarsening, GrainAuto selects it from the CPU
+	// parallelism, n > 1 collapses the bottom ⌊log_a(n)⌋ levels, 0 is unset
+	// (execute resolves it). Set with WithGrain.
 	Grain int
 	// Reliability is the job's fault-handling policy, used by serving
 	// layers (retry, deadline, hedge, CPU fallback; see serve.WithRetry and
@@ -92,14 +92,19 @@ type RunConfig struct {
 type Option func(*RunConfig)
 
 // NewRunConfig resolves a list of options. Nil options are ignored.
-func NewRunConfig(opts ...Option) RunConfig {
-	c := RunConfig{Priority: 1}
+func NewRunConfig(opts ...Option) (c RunConfig) {
+	c.resolve(opts)
+	return c
+}
+
+// resolve sets c to the defaults with opts applied in order.
+func (c *RunConfig) resolve(opts []Option) {
+	*c = RunConfig{Priority: 1}
 	for _, o := range opts {
 		if o != nil {
-			o(&c)
+			o(c)
 		}
 	}
-	return c
 }
 
 // WithCoalesce enables the §6.3 coalescing layout transformation around the

@@ -63,8 +63,7 @@ type op struct {
 // of the chains that end in it.
 type chain struct {
 	run   *run
-	ops   []op
-	pc    int
+	ops   []op   // the ops not yet started: advance consumes them from the front
 	next  func() // c.advance, bound at the first op that completes later: the chain's only completion callback
 	end   float64
 	waits atomic.Int32 // its join: how many chains have yet to end before it starts
@@ -82,6 +81,7 @@ type chain struct {
 // portions — the CPU's and one per device stripe — and the tail, which is
 // their join; a forest's are listed in fused.go.
 type run struct {
+	cfg        RunConfig // the run's options (open)
 	ctx        context.Context
 	cancelable bool
 	forest     bool // galg is a forest, whose launches span levels and come stamped
@@ -96,6 +96,7 @@ type run struct {
 
 	ops    []op // backing store of all chains
 	chains []chain
+	inline [chDev]chain // the chains when there are this few (newChains)
 
 	rep     [1]Report // a single tree's report; a forest's are its caller's
 	start   float64
@@ -142,28 +143,36 @@ type division struct {
 	fold  bool            // every CPU batch folded onto one core (the sequential baseline on an event-loop backend)
 }
 
-// newRun is a run with nothing planned yet.
-func newRun(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAlg) *run {
-	r := &run{
-		ctx: ctx, cancelable: ctx.Done() != nil,
-		be: be, alg: alg, galg: galg, a: alg.Arity(), L: alg.Levels(),
-		tap: newTap(cfg, be),
-	}
+// init readies an opened run, with nothing planned yet, to run alg.
+func (r *run) init(ctx context.Context, alg Alg, galg GPUAlg) {
+	r.ctx, r.cancelable = ctx, ctx.Done() != nil
+	r.alg, r.galg, r.a, r.L = alg, galg, alg.Arity(), alg.Levels()
+	r.tap = newTap(&r.cfg, r.be)
 	r.dk, _ = galg.(DeviceKernels)
-	if cfg.Coalesce {
+	if r.cfg.Coalesce {
 		r.tr, _ = alg.(Transformable)
 	}
-	return r
+}
+
+// newChains is a run's n chains, inline when a single tree has no device.
+func (r *run) newChains(n int) []chain {
+	if n <= len(r.inline) {
+		return r.inline[:n]
+	}
+	return make([]chain, n)
 }
 
 // execute plans the division, runs it to completion (or to the level
 // boundary where ctx stopped it) and returns the run for the caller to
 // derive its portion times from and settle.
-func execute(ctx context.Context, be Backend, cfg *RunConfig, alg Alg, galg GPUAlg, strategy string, d division) *run {
-	k := len(d.devs)
-	r := newRun(ctx, be, cfg, alg, galg)
+func (r *run) execute(ctx context.Context, alg Alg, galg GPUAlg, strategy string, d division) *run {
+	k, be := len(d.devs), r.be
+	r.init(ctx, alg, galg)
 	r.rep[0] = Report{Algorithm: alg.Name(), Strategy: strategy}
-	r.chains = make([]chain, chDev+k)
+	r.chains = r.newChains(chDev + k)
+	if d.grain == 0 && autonomous(be) { // unset: coarse where it is free (WithGrain)
+		d.grain = GrainAuto
+	}
 	// The CPU portion's coarse root, L when nothing collapses.
 	cl := r.L - coarseLevels(d.grain, r.a, r.L, d.s, be.CPU().Parallelism(),
 		func(cl int) int { return d.cpu * TasksAtLevel(r.a, cl-d.s) })
@@ -305,17 +314,17 @@ func (r *run) descend(from, s, c0, c1 int) {
 // ships [kc, k) over, solves it and brings it home, the two meeting in the
 // next level's join. Chains, in index order: the top, then per split
 // level its CPU chain, its device chain and its join.
-func ladder(ctx context.Context, be Backend, cfg *RunConfig, alg GPUAlg) *run {
-	r := newRun(ctx, be, cfg, alg, alg)
+func (r *run) ladder(ctx context.Context, alg GPUAlg) *run {
+	r.init(ctx, alg, alg)
 	r.rep[0] = Report{Algorithm: alg.Name(), Strategy: "dynamic-hybrid"}
-	p, g, gamma := float64(be.CPU().Parallelism()), float64(be.GPU().Parallelism()), be.GPUGamma()
+	p, g, gamma := float64(r.be.CPU().Parallelism()), float64(r.be.GPU().Parallelism()), r.be.GPUGamma()
 	splits := 0
 	for l := 0; l <= r.L; l++ {
 		if k := TasksAtLevel(r.a, l); split(p, g, gamma, k) < k {
 			splits++
 		}
 	}
-	r.chains = make([]chain, 1+3*splits)
+	r.chains = r.newChains(1 + 3*splits)
 	// L divides, one CPU op per level, and per split level a fork and three
 	// device ops.
 	r.ops = make([]op, 0, 2*r.L+1+4*splits)
@@ -344,7 +353,7 @@ func ladder(ctx context.Context, be Backend, cfg *RunConfig, alg GPUAlg) *run {
 		r.ops = append(r.ops, op{cpuKind, l, 0, kc})
 		cpu.ops = r.ops[at:]
 		at = len(r.ops)
-		dev.dev, dev.bytes = be.GPU(), alg.GPUBytes(l, kc, k)
+		dev.dev, dev.bytes = r.be.GPU(), alg.GPUBytes(l, kc, k)
 		r.ops = append(r.ops, op{kind: opUpload}, op{gpuKind, l, kc, k}, op{kind: opDownload})
 		dev.ops = r.ops[at:]
 		at = len(r.ops)
@@ -390,12 +399,12 @@ func (c *chain) advance() {
 			c.ended()
 			return
 		}
-		if c.pc == len(c.ops) {
+		if len(c.ops) == 0 {
 			c.ended()
 			return
 		}
-		o := c.ops[c.pc]
-		c.pc++
+		o := c.ops[0]
+		c.ops = c.ops[1:]
 		switch o.kind { // the ops that are done when they return
 		case opStamp:
 			c.stamps[o.level] = r.be.Now()
@@ -521,7 +530,7 @@ func since(stamp, ref float64) float64 {
 // and its error already classifies under dcerr.ErrDeviceFault. Seconds is
 // the makespan unless the caller derived the report's own from its stamps,
 // which stands only in a complete run.
-func (r *run) settle(cfg *RunConfig, reps []Report) error {
+func (r *run) settle(reps []Report) error {
 	makespan := r.be.Now() - r.start
 	if r.tap != nil {
 		r.tap.finish(makespan)
@@ -537,20 +546,20 @@ func (r *run) settle(cfg *RunConfig, reps []Report) error {
 	}
 	for i := range reps {
 		rep := &reps[i]
-		rep.AutoStrategy = cfg.AutoStrategy
+		rep.AutoStrategy = r.cfg.AutoStrategy
 		rep.Partial = err != nil
 		if rep.Partial || rep.Seconds == 0 {
 			rep.Seconds = makespan
 		}
-		if cfg.Observe != nil {
-			cfg.Observe(rep)
+		if r.cfg.Observe != nil {
+			r.cfg.Observe(rep)
 		}
 	}
 	return err
 }
 
 // report settles a single tree's run.
-func (r *run) report(cfg *RunConfig) (Report, error) {
-	err := r.settle(cfg, r.rep[:])
+func (r *run) report() (Report, error) {
+	err := r.settle(r.rep[:])
 	return r.rep[0], err
 }

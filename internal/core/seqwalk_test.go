@@ -9,9 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/algos/dcsum"
-	"repro/internal/algos/mergesort"
-	"repro/internal/algos/scan"
 	. "repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/hpu"
@@ -102,22 +99,7 @@ func TestSequentialAllocs(t *testing.T) {
 		{22, "scan", 29, 3240},
 		{22, "dcsum", 29, 3248},
 	} {
-		data := make([]int32, 1<<c.logn)
-		for i := range data {
-			data[i] = int32((i*7919)%4099 - 2000)
-		}
-		var alg Alg
-		switch c.name {
-		case "mergesort":
-			alg, err = mergesort.New(data)
-		case "scan":
-			alg, err = scan.New(data)
-		case "dcsum":
-			alg, err = dcsum.New(data)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		alg := buildCPUAlg(t, c.name, 1<<c.logn)
 		run := func() {
 			if _, err := RunSequentialCtx(context.Background(), nb, alg); err != nil {
 				t.Fatal(err)

@@ -96,9 +96,9 @@ type class[T Scalar] struct {
 }
 
 // Pool is a size-classed freelist of []T buffers. The zero value is not
-// usable; construct with New. Package-level typed pools (Bytes, Int32s,
-// Int64s) cover every element type used on the hot path
-// and share the global enable/poison switches.
+// usable; construct with New. Package-level typed pools (Int32s, Int64s)
+// cover every element type used on the hot path and share the global
+// enable/poison switches.
 type Pool[T Scalar] struct {
 	name     string
 	classes  [classes]class[T]
@@ -114,7 +114,6 @@ func New[T Scalar](name string) *Pool[T] {
 // constructing their own so the budget, stats and leak tests see one
 // global picture.
 var (
-	Bytes  = New[byte]("byte")
 	Int32s = New[int32]("int32")
 	Int64s = New[int64]("int64")
 )
@@ -290,7 +289,7 @@ func (p *Pool[T]) Reset() {
 // Stats snapshots every package-level typed pool.
 func Stats() []PoolStats {
 	return []PoolStats{
-		Bytes.Stats(), Int32s.Stats(), Int64s.Stats(),
+		Int32s.Stats(), Int64s.Stats(),
 	}
 }
 
@@ -300,7 +299,6 @@ func TotalRetainedBytes() int64 { return retainedBytes.Load() }
 
 // ResetAll drops every retained buffer in the package-level typed pools.
 func ResetAll() {
-	Bytes.Reset()
 	Int32s.Reset()
 	Int64s.Reset()
 }

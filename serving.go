@@ -57,9 +57,9 @@ const GrainAuto = core.GrainAuto
 
 // WithGrain sets the leaf-coarsening grain for the run's CPU portion: the
 // bottom ⌊log_a(n)⌋ breadth-first levels collapse into one cache-friendly
-// depth-first chunk per subtree (at most n leaves each). 0 or 1 disables
-// coarsening (the default); GrainAuto picks the largest grain that keeps
-// all CPU workers busy. Results are bit-identical for any grain.
+// depth-first chunk per subtree (at most n leaves each). 0 or 1 runs every
+// level; GrainAuto, the default on the native backend (the simulator runs
+// level by level), keeps all CPU workers busy. Results are bit-identical.
 func WithGrain(n int) Option { return core.WithGrain(n) }
 
 // WithTrace records the execution's timeline and, when the run finishes
