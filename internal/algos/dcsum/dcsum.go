@@ -24,8 +24,8 @@ import (
 )
 
 // Summer is a breadth-first divide-and-conquer sum over a power-of-two
-// input. It implements core.GPUAlg, core.DeviceKernels and
-// core.Transformable. Partial sums are held as int64 to avoid overflow.
+// input. It implements core.GPUAlg, core.DeviceKernels, core.Transformable
+// and core.Solver. Partial sums are held as int64 to avoid overflow.
 // Single-use, like mergesort.Sorter.
 type Summer struct {
 	n int
@@ -45,6 +45,7 @@ var (
 	_ core.GPUAlg        = (*Summer)(nil)
 	_ core.DeviceKernels = (*Summer)(nil)
 	_ core.Transformable = (*Summer)(nil)
+	_ core.Solver        = (*Summer)(nil)
 )
 
 // New builds a Summer over a copy of data; len(data) must be a power of two
@@ -121,6 +122,20 @@ func (s *Summer) CombineBatch(level, lo, hi int) core.Batch {
 				v[off] += v[off+sz/2]
 			}
 		},
+	}
+}
+
+// Solve implements core.Solver: the combines of subtree idx of the level
+// leave in each slot r of it (relative to the subtree) the sum of the
+// lowbit(r) elements from r, and at slot 0 the subtree's sum. One backward
+// pass does it: a slot has all of its sum when the pass reaches it, since
+// every slot that adds into it lies to its right. One pass: it does not
+// poll stop.
+func (s *Summer) Solve(level, idx int, _ <-chan struct{}) {
+	sz := s.n >> level
+	v := s.v[idx*sz : (idx+1)*sz]
+	for r := len(v) - 1; r > 0; r-- {
+		v[r-(r&-r)] += v[r]
 	}
 }
 

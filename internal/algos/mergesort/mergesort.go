@@ -22,9 +22,9 @@ import (
 )
 
 // Sorter is a breadth-first mergesort instance over a power-of-two input.
-// It implements core.GPUAlg, core.DeviceKernels and core.Transformable. A
-// Sorter is single-use: run it through exactly one executor, then read
-// Result.
+// It implements core.GPUAlg, core.DeviceKernels, core.Transformable and
+// core.Solver. A Sorter is single-use: run it through exactly one executor,
+// then read Result.
 type Sorter struct {
 	n int
 	l int // log2 n
@@ -52,6 +52,7 @@ var (
 	_ core.GPUAlg        = (*Sorter)(nil)
 	_ core.DeviceKernels = (*Sorter)(nil)
 	_ core.Transformable = (*Sorter)(nil)
+	_ core.Solver        = (*Sorter)(nil)
 )
 
 // New builds a Sorter over a copy of data. len(data) must be a power of two
@@ -134,15 +135,17 @@ func (s *Sorter) CombineBatch(level, lo, hi int) core.Batch {
 	}
 	sz := s.runSize(level)
 	src, dst := s.src(level), s.dst(level)
-	run := func(i int) {
-		off := (lo + i) * sz
-		mergeRuns(dst[off:off+sz], src[off:off+sz/2], src[off+sz/2:off+sz])
-	}
+	var run func(i int)
 	if sz == 2 {
 		// The widest level: n/2 pairs, each one compare-exchange.
 		run = func(i int) {
 			off := (lo + i) * 2
 			dst[off], dst[off+1] = ordered(src[off], src[off+1])
+		}
+	} else {
+		run = func(i int) {
+			off := (lo + i) * sz
+			mergeRuns(dst[off:off+sz], src[off:off+sz/2], src[off+sz/2:off+sz])
 		}
 	}
 	return core.Batch{
@@ -150,6 +153,52 @@ func (s *Sorter) CombineBatch(level, lo, hi int) core.Batch {
 		Cost:  mergeCost(sz, hi-lo, false),
 		Run:   run,
 	}
+}
+
+// Solve implements core.Solver: subtree idx of the level's merge passes,
+// run directly in the walk's blocked order — in each block of B elements
+// the passes that produce runs of 2..B, then the passes above B over the
+// whole subtree, with B from core.BlockDepth of the subtree's working set
+// (src + dst, 8 bytes per element, as mergeCost declares) — with the
+// combine's kernels and parity buffers, so that both buffers end as the
+// walk leaves them. It polls stop before every pass.
+func (s *Sorter) Solve(level, idx int, stop <-chan struct{}) {
+	sz, K := s.runSize(level), s.l-level
+	d := core.BlockDepth(int64(sz)*8, 2, K)
+	off, block := idx*sz, sz>>d
+	for b := off; b < off+sz; b += block {
+		if !s.passes(b, block, 1, K-d, stop) {
+			return
+		}
+	}
+	s.passes(off, sz, K-d+1, K, stop)
+}
+
+// passes runs merge passes from..to over the span elements at off, and
+// reports whether stop stayed open. Pass p is the combine that produces
+// runs of 2^p elements: it reads buf[(p−1)%2] and writes buf[p%2].
+func (s *Sorter) passes(off, span, from, to int, stop <-chan struct{}) bool {
+	for p := from; p <= to; p++ {
+		if stop != nil {
+			select {
+			case <-stop:
+				return false
+			default:
+			}
+		}
+		src, dst := s.buf[(p-1)%2][off:off+span], s.buf[p%2][off:off+span]
+		if p == 1 {
+			for i := 0; i+1 < len(dst); i += 2 {
+				dst[i], dst[i+1] = ordered(src[i], src[i+1])
+			}
+			continue
+		}
+		r := 1 << p
+		for i := 0; i < len(dst); i += r {
+			mergeRuns(dst[i:i+r], src[i:i+r/2], src[i+r/2:i+r])
+		}
+	}
+	return true
 }
 
 // GPUDivideBatch implements core.DeviceKernels.

@@ -124,8 +124,8 @@ func (s *Scanner) CombineBatch(level, lo, hi int) core.Batch {
 
 // Solve implements core.Solver: the combines of a subtree leave its local
 // inclusive prefix sums, which one running sum computes in Θ(S) where the
-// level walk takes Θ(S log S).
-func (s *Scanner) Solve(level, idx int) {
+// level walk takes Θ(S log S). One pass: it does not poll stop.
+func (s *Scanner) Solve(level, idx int, _ <-chan struct{}) {
 	sz := s.n >> level
 	sub := s.v[idx*sz : (idx+1)*sz]
 	var acc int64

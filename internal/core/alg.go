@@ -21,7 +21,8 @@ import "sync/atomic"
 // independently, so the CPU portion's constructors run beside the device
 // chains' — including a Transformable's, which do mutate layout state.
 // And CoarseBatch (grain.go) constructs every level of a subtree up front,
-// before any of them has run. All effects belong in the batch's body.
+// before any of them has run (a Solver's, only to price them). All effects
+// belong in the batch's body.
 type Alg interface {
 	// Name identifies the algorithm in traces and reports.
 	Name() string
@@ -78,15 +79,20 @@ type DeviceKernels interface {
 }
 
 // Solver is implemented by algorithms with a direct kernel for a whole
-// subtree — the paper's §7 truncated recursion. Solve(level, idx) solves
-// subtree idx of level in place: afterwards every slot holds exactly what
-// that subtree's divide, base and combine batches would have left there.
-// It touches only the subtree's data, so concurrent calls on distinct
-// subtrees are safe. A coarse task (CoarseBatch) calls it instead of
-// walking the levels; its Cost still prices the levels, so the simulated
-// clock and every plan are the same with or without it.
+// subtree — the paper's §7 truncated recursion. Solve(level, idx, stop)
+// solves subtree idx of level in place: afterwards every slot holds exactly
+// what that subtree's divide, base and combine batches would have left
+// there. It touches only the subtree's data, so concurrent calls on distinct
+// subtrees are safe. A kernel of several passes polls stop between them, as
+// a walk does between its phases, and returns once it is closed (a nil stop
+// never closes), leaving the subtree incomplete; a single-pass kernel may
+// ignore it. A coarse task (CoarseBatch) calls Solve instead of walking the
+// levels. Where a clock reads the batch (an event-loop backend), its Cost
+// still prices the levels, so the simulated clock and every plan are the
+// same with or without a Solver; an autonomous backend reads no Cost, and
+// there the levels are not built at all.
 type Solver interface {
-	Solve(level, idx int)
+	Solve(level, idx int, stop <-chan struct{})
 }
 
 // Modeled is implemented by algorithms that export the paper's cost model

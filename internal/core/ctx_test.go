@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/algos/mergesort"
 	. "repro/internal/core"
 	"repro/internal/dcerr"
 	"repro/internal/hpu"
@@ -58,6 +60,35 @@ func (c *cancelAlg) record(phase string, level, lo, hi int) Batch {
 			}
 		},
 	}
+}
+
+// solveProbe is a mergesort whose Solve records itself in probe and fires
+// probe's hook from another goroutine as it starts, so that a cancellation
+// the hook makes lands while the Solve runs its passes. Once the Solve has
+// returned, it records "solved" if the subtree came out sorted: a Solve that
+// ignored stop.
+type solveProbe struct {
+	*mergesort.Sorter
+	probe *cancelAlg
+}
+
+func (p solveProbe) Solve(level, idx int, stop <-chan struct{}) {
+	p.probe.note(probeEvent{"solve", level, idx, idx + 1})
+	if p.probe.hook != nil {
+		go p.probe.hook("solve", level)
+	}
+	p.Sorter.Solve(level, idx, stop)
+	p.Sorter.Finish() // an even depth: the last pass wrote buf[0], and Finish moves nothing
+	if slices.IsSorted(p.Sorter.Result()) {
+		p.probe.note(probeEvent{"solved", level, idx, idx + 1})
+	}
+}
+
+// note records an event that is not a batch's.
+func (c *cancelAlg) note(e probeEvent) {
+	c.mu.Lock()
+	c.events = append(c.events, e)
+	c.mu.Unlock()
 }
 
 func (c *cancelAlg) snapshot() []probeEvent {
@@ -137,8 +168,9 @@ func TestCancellationMatrix(t *testing.T) {
 		// forbidden reports events that must not appear once the context was
 		// canceled at the trigger point.
 		forbidden func(e probeEvent) bool
-		// A row with a working set runs on the native backend only, with
-		// cancelAlg's workingSet set to it.
+		// A native row runs on the native backend only; a working set is
+		// cancelAlg's workingSet.
+		native     bool
 		workingSet int64
 	}{
 		{
@@ -187,12 +219,35 @@ func TestCancellationMatrix(t *testing.T) {
 			// 3: the phase in flight completes (level 3's tasks 0 and 1), and
 			// no later phase of any block runs.
 			name: "sequential-walk-mid-block", phase: "divide", level: 3,
-			workingSet: 128 << 10,
+			native: true, workingSet: 128 << 10,
 			run: func(ctx context.Context, be Backend, alg *cancelAlg) (Report, error) {
 				return RunSequentialCtx(ctx, be, alg)
 			},
 			forbidden: func(e probeEvent) bool {
 				return e.phase != "divide" || e.level > 3 || e.level >= 2 && e.lo >= TasksAtLevel(2, e.level-2)
+			},
+		},
+		{
+			// The native sequential run of a mergesort is one Solve of the
+			// whole tree, 2^20 elements in 20 passes. The cancellation
+			// reaches it while it merges, it returns at its next pass
+			// boundary, and the array stays unsorted.
+			name: "sequential-solve-mid-pass", phase: "solve", level: 0,
+			native: true,
+			run: func(ctx context.Context, be Backend, alg *cancelAlg) (Report, error) {
+				data := make([]int32, 1<<20)
+				for i := range data {
+					data[i] = int32(i * 7919 % 65521)
+				}
+				s, err := mergesort.New(data)
+				if err != nil {
+					return Report{}, err
+				}
+				defer s.Release()
+				return RunSequentialCtx(ctx, be, solveProbe{s, alg})
+			},
+			forbidden: func(e probeEvent) bool {
+				return e.phase == "solved"
 			},
 		},
 		{
@@ -246,7 +301,7 @@ func TestCancellationMatrix(t *testing.T) {
 		t.Run(bk.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			for _, tc := range cases {
-				if tc.workingSet > 0 && bk.name != "native" {
+				if tc.native && bk.name != "native" {
 					continue // the simulator folds the sequential baseline level by level
 				}
 				t.Run(tc.name, func(t *testing.T) {

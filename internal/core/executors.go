@@ -138,7 +138,7 @@ func finish(alg Alg) {
 // place (a RunConfig that Options write to escapes anyway), on an open backend.
 func open(be Backend, opts []Option) (*run, error) {
 	r := &run{be: be}
-	r.cfg.resolve(opts)
+	r.cfg.Resolve(opts)
 	return r, checkOpen(be)
 }
 
@@ -146,11 +146,12 @@ func open(be Backend, opts []Option) (*run, error) {
 // recursive baseline). On an autonomous backend the run is one coarse task
 // rooted at level 0 (CoarseBatch): the whole tree walked depth-first in
 // cache blocks, or one Solve for a Solver. ctx is checked at every phase
-// boundary of the walk, a Solve being one granule. On an event-loop backend
-// every level is folded into one task, priced by the simulated core, and
-// ctx is checked at every level boundary. On cancellation it returns a
-// partial Report and an error wrapping dcerr.ErrCanceled. WithGrain is
-// accepted but has no effect — the run is already one core's walk.
+// boundary of the walk, and by a Solve of several passes between them. On
+// an event-loop backend every level is folded into one task, priced by the
+// simulated core, and ctx is checked at every level boundary. On
+// cancellation it returns a partial Report and an error wrapping
+// dcerr.ErrCanceled. WithGrain is accepted but has no effect — the run is
+// already one core's walk.
 func RunSequentialCtx(ctx context.Context, be Backend, alg Alg, opts ...Option) (Report, error) {
 	r, err := open(be, opts)
 	if err != nil {

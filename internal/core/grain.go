@@ -79,6 +79,19 @@ func coarseLevels(grain, a, L, floor, p int, tasksAt func(cl int) int) int {
 // the sweep in EXPERIMENTS.md (PR 23); not an option.
 const blockBytes = 32 << 10
 
+// BlockDepth is the depth d of a coarse task's cache blocks: the first depth
+// at which a sub-subtree's bytes — a subtree's working set ws, divided by
+// shrink per level — fit blockBytes, and at most K, the subtree's depth. A
+// Solver whose kernel runs in blocks derives them here too, so that a Solve
+// touches memory in the order the walk it replaces would.
+func BlockDepth(ws int64, shrink, K int) int {
+	d := 0
+	for ; ws > blockBytes && d < K; ws /= int64(shrink) {
+		d++
+	}
+	return d
+}
+
 // CoarseBatch builds the coarse batch for subtrees [lo, hi) rooted at level
 // cl of alg's recursion tree: task j executes subtree lo+j completely and in
 // place — divide levels cl..Levels()−1, the base case, then combine levels
@@ -87,10 +100,9 @@ const blockBytes = 32 << 10
 // are all constructed here, before any of them runs, which the Alg contract
 // allows: CPU batch constructors are pure.
 //
-// Inside one task the order is blocked: with d the first depth at which a
-// sub-subtree's bytes — the subtree's declared WorkingSet, divided by
-// Shrink() per level — fit blockBytes, the task runs the divides of depths
-// < d over the whole subtree, then its a^d sub-subtrees in index order, each
+// Inside one task the order is blocked: with d the BlockDepth of the
+// subtree's declared WorkingSet, the task runs the divides of depths < d
+// over the whole subtree, then its a^d sub-subtrees in index order, each
 // from its divides to its combines, then the combines of depths < d. A
 // subtree that fits a block, or declares no WorkingSet, is one block: the
 // level-by-level order.
@@ -98,13 +110,20 @@ const blockBytes = 32 << 10
 // A walk stops at its next phase boundary once stop is closed (a nil stop
 // never closes), which leaves the subtree incomplete: the run it belongs to
 // is then partial. An alg that is a Solver is not walked: task j is
-// Solve(cl, lo+j), one granule, and the level batches only price it.
-func CoarseBatch(alg Alg, cl, lo, hi int, stop <-chan struct{}) Batch {
+// Solve(cl, lo+j, stop), and the level batches only price it — when priced
+// says a clock reads the batch's Cost. Unpriced (an autonomous backend),
+// a Solver's batch is built without its levels and its Cost is zero, which
+// its Interval shows as Ops 0.
+func CoarseBatch(alg Alg, cl, lo, hi int, stop <-chan struct{}, priced bool) Batch {
 	L := alg.Levels()
 	a := alg.Arity()
 	w := hi - lo
 	if w <= 0 {
 		return Batch{}
+	}
+	solver, direct := alg.(Solver)
+	if direct && !priced {
+		return Batch{Tasks: w, Level: cl, Run: func(j int) { solver.Solve(cl, lo+j, stop) }}
 	}
 	// A phase is the (range-relative) body of one level's batch over the
 	// coarse range, nil for a level without work. In execution order:
@@ -115,7 +134,6 @@ func CoarseBatch(alg Alg, cl, lo, hi int, stop <-chan struct{}) Batch {
 		rng func(lo, hi int)
 	}
 	K := L - cl
-	solver, direct := alg.(Solver)
 	var phases []phase
 	if !direct {
 		phases = make([]phase, 0, 2*K+1)
@@ -145,13 +163,10 @@ func CoarseBatch(alg Alg, cl, lo, hi int, stop <-chan struct{}) Batch {
 		add(alg.CombineBatch(l, lo*f, hi*f), f)
 	}
 	if direct {
-		return Batch{Tasks: w, Cost: perTask, Level: cl, Run: func(j int) { solver.Solve(cl, lo+j) }}
+		return Batch{Tasks: w, Cost: perTask, Level: cl, Run: func(j int) { solver.Solve(cl, lo+j, stop) }}
 	}
-	d, blocks := 0, 1
-	for bytes := perTask.WorkingSet / int64(w); bytes > blockBytes && d < K; bytes /= int64(alg.Shrink()) {
-		d++
-		blocks *= a
-	}
+	d := BlockDepth(perTask.WorkingSet/int64(w), alg.Shrink(), K)
+	blocks := TasksAtLevel(a, d)
 	return Batch{
 		Tasks: w,
 		Cost:  perTask,

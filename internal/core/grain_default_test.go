@@ -116,14 +116,15 @@ func TestBreadthFirstGrainDefault(t *testing.T) {
 }
 
 // TestBreadthFirstDefaultAllocs pins what a native breadth-first CPU run
-// with no grain option allocates on two workers. The per-level run, the
-// default before, measured 16 / 15 / 15 (mergesort / scan / dcsum) at 2^10,
-// 18 / 17 / 17 at 2^12 and 26 / 25 / 25 at 2^20 with testing.AllocsPerRun on
-// a 2-vCPU x86-64 host, and GrainAuto two more (scan one: its Solve closure;
-// the others their phase table and walk body). The run now resolves its
-// options inside itself and, with no device, keeps its chains there, two
-// allocations fewer, so the coarse default costs nothing: the pins are its
-// counts, none above the per-level run's.
+// with no grain option, which coarsens at GrainAuto, allocates on two
+// workers, measured with testing.AllocsPerRun on a 2-vCPU x86-64 host: 7 at
+// every size, since all three algorithms are Solvers and on native a
+// Solver's coarse task builds no level batch: what is left is the run's own
+// and the levels above the coarse root, which the worker count fixes. The
+// per-level
+// run measured 16 / 15 / 15 (mergesort / scan / dcsum) at 2^10, 18 / 17 / 17
+// at 2^12 and 26 / 25 / 25 at 2^20, and the coarse walk that priced its
+// levels 16 / 14 / 15, 18 / 16 / 17 and 26 / 24 / 25.
 func TestBreadthFirstDefaultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -138,9 +139,9 @@ func TestBreadthFirstDefaultAllocs(t *testing.T) {
 		name   string
 		allocs float64
 	}{
-		{10, "mergesort", 16}, {10, "scan", 14}, {10, "dcsum", 15},
-		{12, "mergesort", 18}, {12, "scan", 16}, {12, "dcsum", 17},
-		{20, "mergesort", 26}, {20, "scan", 24}, {20, "dcsum", 25},
+		{10, "mergesort", 7}, {10, "scan", 7}, {10, "dcsum", 7},
+		{12, "mergesort", 7}, {12, "scan", 7}, {12, "dcsum", 7},
+		{20, "mergesort", 7}, {20, "scan", 7}, {20, "dcsum", 7},
 	} {
 		alg := buildCPUAlg(t, c.name, 1<<c.logn)
 		allocs := testing.AllocsPerRun(5, func() {

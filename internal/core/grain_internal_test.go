@@ -107,7 +107,7 @@ func TestCoarseBatchCoversSubtreeExactly(t *testing.T) {
 	for l := 0; l < cl; l++ {
 		runAll(got.DivideBatch(l, 0, TasksAtLevel(2, l)))
 	}
-	cb := CoarseBatch(got, cl, 0, TasksAtLevel(2, cl), nil)
+	cb := CoarseBatch(got, cl, 0, TasksAtLevel(2, cl), nil, true)
 	if cb.Tasks != TasksAtLevel(2, cl) {
 		t.Fatalf("coarse batch has %d tasks, want %d", cb.Tasks, TasksAtLevel(2, cl))
 	}
@@ -240,7 +240,7 @@ func TestCoarseBatchBlockedOrder(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			o := &orderAlg{a: c.a, b: c.b, L: c.L, bytes: c.subtree * int64(TasksAtLevel(c.b, c.cl))}
 			w := TasksAtLevel(c.a, c.cl)
-			cb := CoarseBatch(o, c.cl, 0, w, nil)
+			cb := CoarseBatch(o, c.cl, 0, w, nil, true)
 			if len(o.log) != 0 {
 				t.Fatal("constructing the coarse batch ran tasks")
 			}

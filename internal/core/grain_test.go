@@ -2,10 +2,8 @@ package core_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/algos/dcsum"
@@ -17,6 +15,7 @@ import (
 	"repro/internal/algos/scan"
 	"repro/internal/algos/strassen"
 	. "repro/internal/core"
+	"repro/internal/core/solvetest"
 	"repro/internal/hpu"
 	"repro/internal/native"
 )
@@ -345,89 +344,35 @@ func TestGrainAdvancedHybridBitIdentical(t *testing.T) {
 	}
 }
 
-// walked hides an algorithm's Solve, so CoarseBatch walks its levels.
-type walked struct{ Alg }
-
-// TestSolveMatchesLevelWalk pins the Solver contract on scan: for every
-// coarse root level and a whole, a single and a random range of subtrees,
-// the direct coarse batch has the walked one's Tasks, Cost and Level and
-// leaves the same data. A Solve that carried its running sum from one
-// subtree into the next would differ on every whole range below the root.
-// The native subtest runs whole breadth-first runs, whose coarse tasks
-// solve disjoint subtrees concurrently.
+// TestSolveMatchesLevelWalk pins the Solver contract on scan
+// (solvetest.MatchesWalk); mergesort and dcsum pin theirs in their own
+// packages.
 func TestSolveMatchesLevelWalk(t *testing.T) {
-	const L = 10
 	rng := rand.New(rand.NewSource(5))
-	data := make([]int32, 1<<L)
+	data := make([]int32, 1<<10)
 	for i := range data {
 		data[i] = int32(rng.Intn(2001) - 1000)
 	}
-	build := func(t *testing.T) *scan.Scanner {
+	solvetest.MatchesWalk(t, func(t *testing.T) Alg {
 		s, err := scan.New(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Release)
 		return s
-	}
-	result := func(s *scan.Scanner) []int64 {
+	}, func(a Alg) [][]int64 {
+		s := a.(*scan.Scanner)
 		s.Finish() // the walked wrapper hides the executors' hook too
-		return s.Result()
-	}
-	for cl := 0; cl <= L; cl++ {
-		w := TasksAtLevel(2, cl)
-		one := rng.Intn(w)
-		lo := rng.Intn(w)
-		hi := lo + 1 + rng.Intn(w-lo)
-		for _, r := range []struct {
-			name   string
-			lo, hi int
-		}{{"whole", 0, w}, {"single", one, one + 1}, {"random", lo, hi}} {
-			t.Run(fmt.Sprintf("cl=%d/%s", cl, r.name), func(t *testing.T) {
-				direct, walk := build(t), build(t)
-				db := CoarseBatch(direct, cl, r.lo, r.hi, nil)
-				wb := CoarseBatch(walked{walk}, cl, r.lo, r.hi, nil)
-				if db.Tasks != wb.Tasks || db.Cost != wb.Cost || db.Level != wb.Level {
-					t.Fatalf("direct batch {%d %+v %d}, walked {%d %+v %d}",
-						db.Tasks, db.Cost, db.Level, wb.Tasks, wb.Cost, wb.Level)
-				}
-				db.Each(0, db.Tasks)
-				wb.Each(0, wb.Tasks)
-				if got, want := result(direct), result(walk); !slices.Equal(got, want) {
-					i := 0
-					for got[i] == want[i] {
-						i++
-					}
-					t.Fatalf("subtrees [%d, %d) of level %d: slot %d = %d solved, %d walked",
-						r.lo, r.hi, cl, i, got[i], want[i])
-				}
-			})
-		}
-	}
-	t.Run("native", func(t *testing.T) {
-		nb, err := native.New(native.Config{CPUWorkers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nb.Close()
-		want := scan.Prefix(data)
-		for _, g := range []int{2, 16, 64, GrainAuto} {
-			direct, walk := build(t), build(t)
-			for _, alg := range []Alg{direct, walked{walk}} {
-				if _, err := RunBreadthFirstCPUCtx(context.Background(), nb, alg, WithGrain(g)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !slices.Equal(direct.Result(), want) || !slices.Equal(result(walk), want) {
-				t.Fatalf("grain %d: a native run differs from the prefix sums", g)
-			}
-		}
+		return [][]int64{s.Result()}
 	})
 }
 
-// TestSolveAllocs pins what Solve saves in allocations: a native GrainAuto
-// scan run builds no phases slice, one allocation fewer than the level walk
-// (22 at 2^14 on two workers).
+// TestSolveAllocs pins what a Solver's coarse task costs on native: a
+// GrainAuto run on two workers, its instance built inside the measured
+// function, allocates 8 times at 2^14 and at 2^20 for each of the three
+// Solvers, on a 2-vCPU x86-64 host. Before native stopped building a
+// Solver's level batches to price it, scan's read 21 at 2^14 (its level
+// walk 22), and mergesort and dcsum walked their levels.
 func TestSolveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -437,21 +382,32 @@ func TestSolveAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nb.Close()
-	data := make([]int32, 1<<14)
-	for i := range data {
-		data[i] = int32(i%7 - 3)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		s, err := scan.New(data)
-		if err != nil {
-			t.Fatal(err)
+	for _, logn := range []int{14, 20} {
+		data := make([]int32, 1<<logn)
+		for i := range data {
+			data[i] = int32(i%7 - 3)
 		}
-		if _, err := RunBreadthFirstCPUCtx(context.Background(), nb, s, WithGrain(GrainAuto)); err != nil {
-			t.Fatal(err)
+		for _, c := range []struct {
+			name  string
+			build func([]int32) (Alg, error)
+		}{
+			{"mergesort", func(d []int32) (Alg, error) { return mergesort.New(d) }},
+			{"scan", func(d []int32) (Alg, error) { return scan.New(d) }},
+			{"dcsum", func(d []int32) (Alg, error) { return dcsum.New(d) }},
+		} {
+			allocs := testing.AllocsPerRun(20, func() {
+				alg, err := c.build(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := RunBreadthFirstCPUCtx(context.Background(), nb, alg, WithGrain(GrainAuto)); err != nil {
+					t.Fatal(err)
+				}
+				alg.(Releaser).Release()
+			})
+			if allocs > 8 {
+				t.Errorf("a GrainAuto %s run at 2^%d allocated %g times, want at most 8", c.name, logn, allocs)
+			}
 		}
-		s.Release()
-	})
-	if allocs > 21 {
-		t.Errorf("a GrainAuto scan run allocated %g times, want at most 21", allocs)
 	}
 }

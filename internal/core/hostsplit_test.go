@@ -16,14 +16,16 @@ import (
 	"repro/internal/native"
 )
 
-// countedCombines counts the calls of its combine bodies.
+// countedCombines counts the calls of its combine bodies. It embeds the
+// bare Alg, hiding the Sorter's Solve, so that a coarse task walks the
+// levels it counts.
 type countedCombines struct {
-	*mergesort.Sorter
+	Alg
 	calls *atomic.Int32
 }
 
 func (c countedCombines) CombineBatch(level, lo, hi int) Batch {
-	b := c.Sorter.CombineBatch(level, lo, hi)
+	b := c.Alg.CombineBatch(level, lo, hi)
 	body := b
 	b.Run, b.RunRange = nil, func(lo, hi int) {
 		c.calls.Add(1)

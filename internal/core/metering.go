@@ -38,7 +38,9 @@ const (
 type Interval struct {
 	Unit Unit
 	// Level, Tasks and Ops describe a batch: its recursion level
-	// (Batch.Level), task count and per-task op count.
+	// (Batch.Level), task count and per-task op count. A Solver's coarse
+	// batch on an autonomous backend is not priced (CoarseBatch): its Ops
+	// is 0.
 	Level int
 	Tasks int
 	Ops   float64

@@ -49,7 +49,7 @@ func (r Reliability) Reexecutes() bool {
 }
 
 // RunConfig is the resolved form of a list of Options: the per-run knobs
-// shared by every executor. Construct it with NewRunConfig; zero values mean
+// shared by every executor. Construct it with Resolve; zero values mean
 // "default".
 type RunConfig struct {
 	// Split is the advanced division's split level; meaningful only when
@@ -91,14 +91,11 @@ type RunConfig struct {
 // RunAdvancedHybridCtx, RunGPUOnlyCtx) and by the serving layer's Submit.
 type Option func(*RunConfig)
 
-// NewRunConfig resolves a list of options. Nil options are ignored.
-func NewRunConfig(opts ...Option) (c RunConfig) {
-	c.resolve(opts)
-	return c
-}
-
-// resolve sets c to the defaults with opts applied in order.
-func (c *RunConfig) resolve(opts []Option) {
+// Resolve sets c to the defaults with opts applied in order; nil options are
+// ignored. An Option writes through its pointer, so c escapes wherever it
+// lives: a serving layer resolves a job's options into the job's own heap
+// record, an executor into its run's.
+func (c *RunConfig) Resolve(opts []Option) {
 	*c = RunConfig{Priority: 1}
 	for _, o := range opts {
 		if o != nil {

@@ -429,7 +429,9 @@ func (c *chain) advance() {
 			r.be.TransferToCPU(c.bytes, c.next)
 			return
 		case opCoarse:
-			b = CoarseBatch(r.alg, o.level, o.lo, o.hi, r.ctx.Done()) // nil unless cancelable: nothing polls
+			// stop is nil unless cancelable: nothing polls. Only an
+			// event-loop backend's clock reads a Solver's Cost.
+			b = CoarseBatch(r.alg, o.level, o.lo, o.hi, r.ctx.Done(), !autonomous(r.be))
 		case opPermute:
 			b = r.tr.PermuteForGPU(o.level, o.lo, o.hi)
 		case opPermuteBack:

@@ -69,14 +69,15 @@ func TestSequentialWalkMatchesFold(t *testing.T) {
 }
 
 // TestSequentialAllocs pins what one sequential run allocates on the native
-// backend, in count and in bytes, at most at what the level-by-level fold
-// the walk replaced allocated: the figures are the fold's, measured by this
-// test (the count with testing.AllocsPerRun, the bytes as the least of three
-// rounds) on a 2-vCPU x86-64 host. The walk constructs the same level
-// batches; its phase table and body take the place of the fold's state and
-// bound task, and its plan of two ops the fold's 2L+2. It measured 3008,
-// 1560, 2176 bytes at 2^16 and 3680, 1752, 2560 at 2^22, one allocation
-// fewer for scan, whose walk is one Solve and keeps no phase table.
+// backend, in count and in bytes (the count with testing.AllocsPerRun, the
+// bytes as the least of three rounds), measured on a 2-vCPU x86-64 host.
+// All three algorithms are Solvers, and on native a Solver's coarse task
+// builds no level batch: a run is its run record, its plan, its one batch's
+// body and the body's completion, 4 allocations and 896 bytes whatever the
+// depth (at 2^22 a round reads up to 944 now and then). The level walk this
+// replaced allocated 24 / 23 / 23 times and 3504 / 2664 / 2672 bytes at
+// 2^16, 30 / 29 / 29 and 4368 / 3240 / 3248 at 2^22 (mergesort / scan /
+// dcsum), the level-by-level fold's figures, which it stayed under.
 func TestSequentialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -92,12 +93,12 @@ func TestSequentialAllocs(t *testing.T) {
 		allocs float64
 		bytes  uint64
 	}{
-		{16, "mergesort", 24, 3504},
-		{16, "scan", 23, 2664},
-		{16, "dcsum", 23, 2672},
-		{22, "mergesort", 30, 4368},
-		{22, "scan", 29, 3240},
-		{22, "dcsum", 29, 3248},
+		{16, "mergesort", 4, 896},
+		{16, "scan", 4, 896},
+		{16, "dcsum", 4, 896},
+		{22, "mergesort", 4, 1024},
+		{22, "scan", 4, 1024},
+		{22, "dcsum", 4, 1024},
 	} {
 		alg := buildCPUAlg(t, c.name, 1<<c.logn)
 		run := func() {

@@ -50,7 +50,7 @@ import (
 // cannot be attributed to one member of a shared launch. The key
 // groups jobs by algorithm kind and coalesce setting, because one fused run
 // executes under one RunConfig.
-func (s *Server) fuseClass(job Job, rc core.RunConfig) string {
+func (s *Server) fuseClass(job Job, rc *core.RunConfig) string {
 	if s.cfg.MaxFusedJobs < 2 || job.Strategy != GPUOnly {
 		return ""
 	}

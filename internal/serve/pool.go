@@ -184,7 +184,7 @@ func (s *Server) placeHeadLocked() bool {
 			return false // capacity wait: the head keeps its heap position
 		}
 		// GPU-bound head with every breaker open: degrade, as Submit would.
-		if q.pol.Fallback == core.FallbackCPUOnly {
+		if q.rc.Reliability.Fallback == core.FallbackCPUOnly {
 			q.forceCPU = true
 			return true // re-place as a CPU-path job
 		}

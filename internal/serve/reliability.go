@@ -282,9 +282,9 @@ var errRequeued = errors.New("serve: requeue on healthier device")
 func (s *Server) executeReliable(d *device, q *queued) (core.Report, error) {
 	be := d.be
 	ctx := q.ctx
-	if q.pol.Deadline > 0 {
+	if q.rc.Reliability.Deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, q.pol.Deadline)
+		ctx, cancel = context.WithTimeout(ctx, q.rc.Reliability.Deadline)
 		defer cancel()
 	}
 	var scope *trace.Scope
@@ -343,7 +343,7 @@ func (s *Server) shouldRequeue(d *device) bool {
 // after device faults; then the CPU fallback, if configured, gets the last
 // word. GPU-bound verdicts feed the device's circuit breaker.
 func (s *Server) policyLoop(ctx context.Context, d *device, q *queued, scope *trace.Scope) (core.Report, error) {
-	pol := q.pol
+	pol := q.rc.Reliability
 	gpu := gpuBound(q.plan.strat)
 	forceCPU := q.forceCPU
 
@@ -487,7 +487,7 @@ func (s *Server) hedgedAttempt(ctx context.Context, d *device, q *queued, scope 
 	}()
 	inFlight := 1
 	hedged := false
-	timer := time.NewTimer(q.pol.Hedge)
+	timer := time.NewTimer(q.rc.Reliability.Hedge)
 	defer timer.Stop()
 
 	var won, primary *outcome

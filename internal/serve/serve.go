@@ -323,19 +323,20 @@ type queued struct {
 	ctx     context.Context
 	job     Job
 	opts    []core.Option
-	weight  int
+	own     [2]core.Option // opts when Submit's own list is short
 	vfinish float64
 	wallIn  time.Time
+	// rc is opts resolved once, at admission: its Priority is the job's
+	// weight and its Reliability the job's policy.
+	rc core.RunConfig
 	// fuseKey is the fusion compatibility class ("" when the job cannot
 	// fuse); cost is the modeled work placement weighs. Both computed at
 	// admission.
 	fuseKey string
 	cost    float64
-	// pol is the job's reliability policy; probe marks it as a circuit
-	// breaker's half-open probe (it must report its verdict exactly once);
-	// forceCPU routes it straight to the CPU fallback path (admitted or
-	// placed while every breaker was open).
-	pol      core.Reliability
+	// probe marks the job as a circuit breaker's half-open probe (it must
+	// report its verdict exactly once); forceCPU routes it straight to the
+	// CPU fallback path (admitted or placed while every breaker was open).
 	probe    bool
 	forceCPU bool
 	// plan is what the job runs on its device, set at placement and reset
@@ -543,11 +544,14 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	merged := make([]core.Option, 0, len(job.Opts)+len(opts))
-	merged = append(merged, job.Opts...)
-	merged = append(merged, opts...)
-	rc := core.NewRunConfig(merged...)
-	pol := rc.Reliability
+	// The job's options come first. The caller's list is copied, into the
+	// record itself when both fit, so that it need not escape.
+	q := &queued{ctx: ctx, job: job, opts: job.Opts}
+	if len(opts) > 0 {
+		q.opts = append(append(q.own[:0], job.Opts...), opts...)
+	}
+	q.rc.Resolve(q.opts)
+	pol := q.rc.Reliability
 	if pol.MaxRetries < 0 || pol.Backoff < 0 || pol.Deadline < 0 || pol.Hedge < 0 {
 		return nil, fmt.Errorf("serve: negative reliability policy %+v: %w", pol, dcerr.ErrBadParam)
 	}
@@ -558,9 +562,8 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 		// From here on, attempts feed the calibration.
 		s.autoActive.Store(true)
 	}
-	weight := rc.Priority
-	fuseKey := s.fuseClass(job, rc)
-	cost := modeledCost(job.Alg)
+	q.fuseKey = s.fuseClass(job, &q.rc)
+	q.cost = modeledCost(job.Alg)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -583,19 +586,10 @@ func (s *Server) Submit(ctx context.Context, job Job, opts ...core.Option) (*Han
 	}
 	s.seq++
 	h := &Handle{ID: s.seq, done: make(chan struct{}), resultAlg: job.Alg}
-	q := &queued{
-		h:        h,
-		ctx:      ctx,
-		job:      job,
-		opts:     merged,
-		weight:   weight,
-		vfinish:  s.pass + 1/float64(weight),
-		wallIn:   time.Now(),
-		fuseKey:  fuseKey,
-		cost:     cost,
-		pol:      pol,
-		forceCPU: forceCPU,
-	}
+	q.h = h
+	q.vfinish = s.pass + 1/float64(q.rc.Priority)
+	q.wallIn = time.Now()
+	q.forceCPU = forceCPU
 	heap.Push(&s.queue, q)
 	s.stats.Submitted++
 	s.mSubmitted.Inc()
@@ -793,7 +787,7 @@ func (s *Server) settleLocked(jobs ...*queued) {
 			s.stats.Failed++
 			s.mFailed.Inc()
 		}
-		wait, turnaround := s.latencyHists(q.weight)
+		wait, turnaround := s.latencyHists(q.rc.Priority)
 		wait.Observe(q.h.queueWait)
 		turnaround.Observe(time.Since(q.wallIn).Seconds())
 	}
