@@ -1,14 +1,16 @@
 // Command hpubench regenerates every table and figure of the paper's
-// evaluation on the simulated HPU platforms.
+// evaluation on the simulated HPU platforms, and the paper-vs-measured table
+// that heads EXPERIMENTS.md (-exp report).
 //
 // Usage:
 //
-//	hpubench [-exp all|table1|table2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10]
-//	         [-platform HPU1|HPU2] [-logn N] [-quick] [-points]
+//	hpubench [-exp all|NAME[,NAME...]] [-platform HPU1|HPU2] [-logn N]
+//	         [-quick] [-points] [-outdir DIR]
 //
-// By default paper-scale inputs are used (n up to 2^24 for mergesort
-// figures); -quick caps sizes at 2^18 for a fast smoke run. -points prints
-// raw (x, y) series data after each chart, suitable for re-plotting.
+// hpubench -h lists the experiment names. By default paper-scale inputs are
+// used (n up to 2^24 for mergesort figures); -quick caps sizes at 2^18 for a
+// fast smoke run. -points prints raw (x, y) series data after each chart,
+// suitable for re-plotting. Tables print as Markdown.
 package main
 
 import (
@@ -17,6 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/ascii"
@@ -26,11 +29,36 @@ import (
 	"repro/internal/stats"
 )
 
+// experiments are the -exp names, in the order -exp all runs them.
+var experiments = []struct {
+	name string
+	run  func(*runner) error
+}{
+	{"table1", (*runner).table1},
+	{"table2", (*runner).table2},
+	{"fig3", (*runner).fig3},
+	{"fig4", (*runner).fig4},
+	{"fig5", (*runner).fig5},
+	{"fig6", (*runner).fig6},
+	{"fig7", (*runner).fig7},
+	{"fig8", (*runner).fig8},
+	{"fig9", (*runner).fig9},
+	{"fig10", (*runner).fig10},
+	{"ablation", (*runner).ablation},
+	{"multigpu", (*runner).multigpu},
+	{"report", (*runner).report},
+}
+
 func main() {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	list := strings.Join(names, ", ")
 	var (
-		expName  = flag.String("exp", "all", "experiment to run (all, table1, table2, fig3..fig10)")
+		expName  = flag.String("exp", "all", "comma-separated experiments to run: all, or any of "+list)
 		platform = flag.String("platform", "HPU1", "platform for single-platform figures (HPU1 or HPU2)")
-		logN     = flag.Int("logn", 0, "override input size exponent for fig3/fig4/fig7")
+		logN     = flag.Int("logn", 0, "override input size exponent for fig3, fig4, fig7, ablation and the report's sweeps")
 		quick    = flag.Bool("quick", false, "cap sweep sizes at 2^18 for a fast run")
 		points   = flag.Bool("points", false, "print raw series points after each figure")
 		outDir   = flag.String("outdir", "", "also write each artifact as CSV and JSON into this directory")
@@ -50,36 +78,18 @@ func main() {
 	}
 	r := &runner{platform: pl, logN: *logN, quick: *quick, points: *points, outDir: *outDir}
 
-	known := map[string]func() error{
-		"table1":   r.table1,
-		"table2":   r.table2,
-		"fig3":     r.fig3,
-		"fig4":     r.fig4,
-		"fig5":     r.fig5,
-		"fig6":     r.fig6,
-		"fig7":     r.fig7,
-		"fig8":     r.fig8,
-		"fig9":     r.fig9,
-		"fig10":    r.fig10,
-		"ablation": r.ablation,
-		"multigpu": r.multigpu,
+	toRun := names
+	if *expName != "all" {
+		toRun = strings.Split(*expName, ",")
 	}
-	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "ablation", "multigpu"}
-
-	var toRun []string
-	if *expName == "all" {
-		toRun = order
-	} else {
-		for _, name := range strings.Split(*expName, ",") {
-			if _, ok := known[name]; !ok {
-				fmt.Fprintf(os.Stderr, "hpubench: unknown experiment %q\n", name)
-				os.Exit(2)
-			}
-			toRun = append(toRun, name)
+	for _, name := range toRun {
+		if !slices.Contains(names, name) {
+			fmt.Fprintf(os.Stderr, "hpubench: unknown experiment %q (want all or any of %s)\n", name, list)
+			os.Exit(2)
 		}
 	}
 	for _, name := range toRun {
-		if err := known[name](); err != nil {
+		if err := experiments[slices.Index(names, name)].run(r); err != nil {
 			fmt.Fprintf(os.Stderr, "hpubench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
@@ -315,5 +325,14 @@ func (r *runner) fig10() error {
 	}
 	r.printFigure(alphaFig)
 	r.printFigure(levelFig)
+	return nil
+}
+
+func (r *runner) report() error {
+	t, err := exp.Report(r.size(24))
+	if err != nil {
+		return err
+	}
+	r.printTable(t)
 	return nil
 }

@@ -1,4 +1,4 @@
-// Package ascii renders simple line charts and aligned tables as text, so
+// Package ascii renders simple line charts and Markdown tables as text, so
 // the cmd tools can show reproduced figures directly in a terminal.
 package ascii
 
@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 )
@@ -124,35 +125,30 @@ func (c Chart) RenderSeries(names []string, pts [][]stats.Point) string {
 	return c.render(series)
 }
 
-// RenderTable formats rows with aligned columns.
+// RenderTable formats rows as a Markdown pipe table, each column padded to
+// its widest cell in runes, so cells such as 1/γ keep the columns aligned.
 func RenderTable(columns []string, rows [][]string) string {
 	widths := make([]int, len(columns))
-	for i, c := range columns {
-		widths[i] = len(c)
-	}
-	for _, r := range rows {
+	for _, r := range append([][]string{columns}, rows...) {
 		for i, cell := range r {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
 	var b strings.Builder
 	writeRow := func(cells []string) {
 		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			// fmt pads to a width in runes.
+			fmt.Fprintf(&b, "| %-*s ", widths[i], cell)
 		}
-		b.WriteByte('\n')
+		b.WriteString("|\n")
 	}
 	writeRow(columns)
-	sep := make([]string, len(columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for _, w := range widths {
+		b.WriteString("|" + strings.Repeat("-", w+2))
 	}
-	writeRow(sep)
+	b.WriteString("|\n")
 	for _, r := range rows {
 		writeRow(r)
 	}

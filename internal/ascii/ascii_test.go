@@ -60,20 +60,18 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 }
 
+// TestRenderTable pins the Markdown form and that columns align by runes:
+// the 1/γ header is 4 bytes but 3 runes wide.
 func TestRenderTable(t *testing.T) {
-	out := RenderTable([]string{"name", "value"}, [][]string{
-		{"alpha", "0.16"},
-		{"longer-name", "10"},
+	out := RenderTable([]string{"name", "1/γ"}, [][]string{
+		{"alpha", "65"},
+		{"longer-name", "160"},
 	})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table has %d lines, want 4", len(lines))
-	}
-	if !strings.Contains(lines[0], "name") || !strings.Contains(lines[1], "---") {
-		t.Errorf("header malformed:\n%s", out)
-	}
-	// Columns align: every row starts "name-column" padded to same width.
-	if len(lines[2]) < len("longer-name") {
-		t.Error("column not padded to widest cell")
+	want := "| name        | 1/γ |\n" +
+		"|-------------|-----|\n" +
+		"| alpha       | 65  |\n" +
+		"| longer-name | 160 |\n"
+	if out != want {
+		t.Errorf("table:\n%s\nwant:\n%s", out, want)
 	}
 }

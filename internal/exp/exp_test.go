@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/hpu"
@@ -87,6 +88,13 @@ func TestFig4(t *testing.T) {
 	}
 	if len(tab.Rows) != 1 || len(tab.Rows[0]) != 5 {
 		t.Fatalf("Fig4 shape = %dx%d, want 1x5", len(tab.Rows), len(tab.Rows[0]))
+	}
+	// The model's two numbers the division table has no cell for.
+	notes := strings.Join(tab.Notes, "\n")
+	for _, want := range []string{"levels 0..9 on the CPU, 10 and below on the GPU", "at (α*, y=9): 6.11x over one core"} {
+		if !strings.Contains(notes, want) {
+			t.Errorf("Fig4 notes lack %q:\n%s", want, notes)
+		}
 	}
 }
 
@@ -179,6 +187,24 @@ func TestFig8Small(t *testing.T) {
 	if measured[0].Y > measured[len(measured)-1].Y {
 		t.Errorf("speedup not growing: %.2f at small vs %.2f at large",
 			measured[0].Y, measured[len(measured)-1].Y)
+	}
+}
+
+// TestFig8IDPerPlatform pins that the per-platform Fig 8 panels have their
+// own IDs, so -outdir writes one file each.
+func TestFig8IDPerPlatform(t *testing.T) {
+	ids := map[string]bool{}
+	for _, pl := range hpu.Platforms() {
+		cfg := DefaultSweepConfig(pl)
+		cfg.LogNs, cfg.AlphaFactors, cfg.YOffsets = []int{10}, []float64{1}, []int{0}
+		fig, err := Fig8(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[fig.ID] = true
+	}
+	if len(ids) != len(hpu.Platforms()) {
+		t.Errorf("Fig8 IDs %v, want one per platform", ids)
 	}
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/algos/mergesort"
 	"repro/internal/core"
@@ -208,7 +209,7 @@ func Fig8(cfg SweepConfig) (Figure, error) {
 		}
 	}
 	return Figure{
-		ID:     "fig8",
+		ID:     "fig8-" + strings.ToLower(cfg.Platform.Name),
 		Title:  fmt.Sprintf("Hybrid mergesort speedups on %s", cfg.Platform.Name),
 		XLabel: "input size",
 		YLabel: "speedup",

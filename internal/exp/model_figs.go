@@ -68,6 +68,21 @@ func Fig4(cfg Fig3Config) (Table, error) {
 	}
 	alpha, y, frac := poly.Optimum()
 	m := machineOf(cfg.Platform)
+	basic := "basic division (§5.1): γ·g < p, the GPU never wins; stay on the CPU"
+	if x, ok := model.BasicCrossover(2, m); ok {
+		basic = fmt.Sprintf("basic division (§5.1): levels 0..%d on the CPU, %d and below on the GPU", x-1, x)
+	}
+	// The numeric model at (α*, round(y)), with level cost f(size) = size and
+	// unit leaves, as the closed form counts work.
+	num, err := model.NewNumeric(2, 2, cfg.LogN, func(size float64) float64 { return size }, 1, m)
+	if err != nil {
+		return Table{}, err
+	}
+	yi := clampY(int(y+0.5), cfg.LogN)
+	pred, err := num.PredictAdvanced(alpha, yi, num.DefaultSplit(alpha, yi))
+	if err != nil {
+		return Table{}, err
+	}
 	return Table{
 		ID:    "fig4",
 		Title: fmt.Sprintf("Advanced hybrid work division for mergesort on %s, n=2^%d", cfg.Platform.Name, cfg.LogN),
@@ -84,6 +99,8 @@ func Fig4(cfg Fig3Config) (Table, error) {
 		}},
 		Notes: []string{
 			fmt.Sprintf("machine: p=%d, g=%d, 1/γ=%.0f", m.P, m.G, 1/m.Gamma),
+			basic,
+			fmt.Sprintf("numeric model at (α*, y=%d): %.2fx over one core", yi, num.SequentialTime()/pred.Makespan),
 			"paper (Fig 4): α≈0.16 (0.16n | 0.84n), transfer level 10",
 		},
 	}, nil
