@@ -15,24 +15,25 @@ import (
 	"repro/internal/dcerr"
 )
 
-// opPair is one node's operands: two polynomials of equal length given by
-// their coefficient slices.
-type opPair struct {
-	a, b []int64
-}
-
 // Multiplier is a breadth-first Karatsuba instance computing the product of
 // two polynomials with n coefficients each (n a power of two). It implements
 // core.GPUAlg. Single-use.
+//
+// Its storage is one slab per level per role, and a node finds its part by
+// offset arithmetic, so New allocates O(levels) objects and no per-node
+// slice headers.
 type Multiplier struct {
 	n int
 	l int
-	// ops[l] holds the 3^l operand pairs of level l, each of size n>>l.
-	// Children 0 and 1 alias their parent's halves; child 2 owns storage
-	// for the half-sums, filled by the divide batch.
-	ops [][]opPair
-	// prods[l] holds the 3^l products of level l, each of size 2·(n>>l).
-	prods    [][][]int64
+	// ops[l] holds the operands that level l owns: the root's pair at
+	// level 0 and, at level l ≥ 1, the half-sums of child 2 of every node
+	// of level l-1, which the divide batch fills. Slot s holds the pair's
+	// a then its b, each n>>l long. Children 0 and 1 own nothing: they are
+	// their parent's halves (see operands).
+	ops [][]int64
+	// prods[l] holds the 3^l products of level l, each 2·(n>>l)
+	// coefficients long, node idx's at idx·2·(n>>l).
+	prods    [][]int64
 	finished bool
 }
 
@@ -49,30 +50,47 @@ func New(a, b []int32) (*Multiplier, error) {
 		return nil, fmt.Errorf("karatsuba: operand length %d: %w", n, dcerr.ErrNotPowerOfTwo)
 	}
 	m := &Multiplier{n: n, l: bits.TrailingZeros(uint(n))}
-	m.ops = make([][]opPair, m.l+1)
-	m.prods = make([][][]int64, m.l+1)
+	m.ops = make([][]int64, m.l+1)
+	m.prods = make([][]int64, m.l+1)
 	nodes := 1
 	for lvl := 0; lvl <= m.l; lvl++ {
-		m.ops[lvl] = make([]opPair, nodes)
-		m.prods[lvl] = make([][]int64, nodes)
 		sz := n >> lvl
-		for idx := range m.prods[lvl] {
-			m.prods[lvl][idx] = make([]int64, 2*sz)
-			// Child 2 of every node needs its own operand storage; other
-			// children alias parent halves during the divide phase.
-			if lvl > 0 && idx%3 == 2 {
-				m.ops[lvl][idx] = opPair{make([]int64, sz), make([]int64, sz)}
-			}
+		m.prods[lvl] = make([]int64, nodes*2*sz)
+		if lvl > 0 {
+			m.ops[lvl] = make([]int64, nodes/3*2*sz)
 		}
 		nodes *= 3
 	}
-	root := opPair{make([]int64, n), make([]int64, n)}
+	root := make([]int64, 2*n)
 	for i := 0; i < n; i++ {
-		root.a[i] = int64(a[i])
-		root.b[i] = int64(b[i])
+		root[i] = int64(a[i])
+		root[n+i] = int64(b[i])
 	}
-	m.ops[0][0] = root
+	m.ops[0] = root
 	return m, nil
+}
+
+// operands returns the operand pair of node idx of the level. A child 0
+// or 1 is the low or high half of its parent's pair, so the walk climbs to
+// the nearest ancestor that owns its storage — the root or a child 2 —
+// adding each half's offset on the way.
+func (m *Multiplier) operands(level, idx int) (a, b []int64) {
+	sz := m.n >> level
+	off := 0
+	for level > 0 && idx%3 != 2 {
+		off += idx % 3 * (m.n >> level)
+		idx /= 3
+		level--
+	}
+	own := m.n >> level
+	slot := m.ops[level][idx/3*2*own:]
+	return slot[off : off+sz : off+sz], slot[own+off : own+off+sz : own+off+sz]
+}
+
+// product returns node idx's product at the level: 2·sz coefficients cut
+// from the level's slab p, where sz is the level's operand size.
+func product(p []int64, idx, sz int) []int64 {
+	return p[2*sz*idx : 2*sz*(idx+1) : 2*sz*(idx+1)]
 }
 
 // Name implements core.Alg.
@@ -109,19 +127,19 @@ func (m *Multiplier) DivideBatch(level, lo, hi int) core.Batch {
 	}
 	sz := m.n >> level
 	half := sz / 2
-	cur, next := m.ops[level], m.ops[level+1]
+	next := m.ops[level+1]
 	return core.Batch{
 		Tasks: hi - lo,
 		Cost:  divideCost(sz, false),
 		Run: func(i int) {
 			idx := lo + i
-			p := cur[idx]
-			next[3*idx] = opPair{p.a[:half], p.b[:half]}
-			next[3*idx+1] = opPair{p.a[half:], p.b[half:]}
-			mid := next[3*idx+2]
+			pa, pb := m.operands(level, idx)
+			// Children 0 and 1 are pa's and pb's halves; child 2's pair
+			// is slot idx of the next level.
+			mid := next[idx*sz : (idx+1)*sz : (idx+1)*sz]
 			for j := 0; j < half; j++ {
-				mid.a[j] = p.a[j] + p.a[half+j]
-				mid.b[j] = p.b[j] + p.b[half+j]
+				mid[j] = pa[j] + pa[half+j]
+				mid[half+j] = pb[j] + pb[half+j]
 			}
 		},
 	}
@@ -132,7 +150,7 @@ func (m *Multiplier) BaseBatch(lo, hi int) core.Batch {
 	if hi <= lo {
 		return core.Batch{}
 	}
-	leafOps, leafProds := m.ops[m.l], m.prods[m.l]
+	leafProds := m.prods[m.l]
 	return core.Batch{
 		Tasks: hi - lo,
 		Cost: core.Cost{
@@ -141,8 +159,9 @@ func (m *Multiplier) BaseBatch(lo, hi int) core.Batch {
 		},
 		Run: func(i int) {
 			idx := lo + i
-			leafProds[idx][0] = leafOps[idx].a[0] * leafOps[idx].b[0]
-			leafProds[idx][1] = 0
+			a, b := m.operands(m.l, idx)
+			leafProds[2*idx] = a[0] * b[0]
+			leafProds[2*idx+1] = 0
 		},
 	}
 }
@@ -172,8 +191,8 @@ func (m *Multiplier) CombineBatch(level, lo, hi int) core.Batch {
 		Cost:  combineCost(sz, false),
 		Run: func(i int) {
 			idx := lo + i
-			r := cur[idx]
-			p0, p1, p2 := child[3*idx], child[3*idx+1], child[3*idx+2]
+			r := product(cur, idx, sz)
+			p0, p1, p2 := product(child, 3*idx, half), product(child, 3*idx+1, half), product(child, 3*idx+2, half)
 			for j := range r {
 				r[j] = 0
 			}
@@ -200,7 +219,7 @@ func (m *Multiplier) Result() []int64 {
 	if !m.finished {
 		panic("karatsuba: Result before execution finished")
 	}
-	return m.prods[0][0]
+	return m.prods[0]
 }
 
 // ModelF returns the model-level per-node divide+combine cost.

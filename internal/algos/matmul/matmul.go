@@ -21,7 +21,12 @@ type block struct {
 	v   []float64
 }
 
-func newBlock(dim int) block { return block{dim: dim, v: make([]float64, dim*dim)} }
+// node returns node idx's block of dimension dim, cut from the level slab s
+// that holds the level's blocks back to back.
+func node(s []float64, idx, dim int) block {
+	e := dim * dim
+	return block{dim: dim, v: s[idx*e : (idx+1)*e : (idx+1)*e]}
+}
 
 func (b block) at(r, c int) float64     { return b.v[r*b.dim+c] }
 func (b block) set(r, c int, x float64) { b.v[r*b.dim+c] = x }
@@ -85,10 +90,11 @@ var children = [8]struct{ ar, ac, br, bc, cr, cc int }{
 type Multiplier struct {
 	n     int // matrix dimension
 	depth int // recursion depth; leaves are (n>>depth)-dim block products
-	// ops[l] and prods[l] hold the 8^l operand pairs and products of
-	// level l, each of dimension n>>l.
-	opsA, opsB [][]block
-	prods      [][]block
+	// opsA[l], opsB[l] and prods[l] are level l's slabs: its 8^l operand
+	// blocks and products of dimension n>>l, back to back (see node), so
+	// New allocates O(depth) objects, not one per tree node.
+	opsA, opsB [][]float64
+	prods      [][]float64
 	finished   bool
 }
 
@@ -109,26 +115,20 @@ func New(a, b []float64, n, depth int) (*Multiplier, error) {
 		return nil, fmt.Errorf("matmul: depth %d out of range for n=%d: %w", depth, n, dcerr.ErrBadShape)
 	}
 	m := &Multiplier{n: n, depth: depth}
+	m.opsA = make([][]float64, depth+1)
+	m.opsB = make([][]float64, depth+1)
+	m.prods = make([][]float64, depth+1)
+	m.opsA[0] = append([]float64(nil), a...)
+	m.opsB[0] = append([]float64(nil), b...)
+	m.prods[0] = make([]float64, n*n)
 	nodes := 1
-	m.opsA = make([][]block, depth+1)
-	m.opsB = make([][]block, depth+1)
-	m.prods = make([][]block, depth+1)
-	for l := 0; l <= depth; l++ {
-		dim := n >> l
-		m.opsA[l] = make([]block, nodes)
-		m.opsB[l] = make([]block, nodes)
-		m.prods[l] = make([]block, nodes)
-		for i := 0; i < nodes; i++ {
-			if l > 0 {
-				m.opsA[l][i] = newBlock(dim)
-				m.opsB[l][i] = newBlock(dim)
-			}
-			m.prods[l][i] = newBlock(dim)
-		}
+	for l := 1; l <= depth; l++ {
 		nodes *= 8
+		dim := n >> l
+		m.opsA[l] = make([]float64, nodes*dim*dim)
+		m.opsB[l] = make([]float64, nodes*dim*dim)
+		m.prods[l] = make([]float64, nodes*dim*dim)
 	}
-	m.opsA[0][0] = block{dim: n, v: append([]float64(nil), a...)}
-	m.opsB[0][0] = block{dim: n, v: append([]float64(nil), b...)}
 	return m, nil
 }
 
@@ -165,10 +165,11 @@ func (m *Multiplier) DivideBatch(level, lo, hi int) core.Batch {
 		},
 		Run: func(i int) {
 			idx := lo + i
+			pa, pb := node(a, idx, dim), node(b, idx, dim)
 			for q, ch := range children {
 				c := 8*idx + q
-				quadrant(ca[c], a[idx], ch.ar, ch.ac)
-				quadrant(cb[c], b[idx], ch.br, ch.bc)
+				quadrant(node(ca, c, dim/2), pa, ch.ar, ch.ac)
+				quadrant(node(cb, c, dim/2), pb, ch.br, ch.bc)
 			}
 		},
 	}
@@ -190,7 +191,7 @@ func (m *Multiplier) BaseBatch(lo, hi int) core.Batch {
 		},
 		Run: func(i int) {
 			idx := lo + i
-			mulInto(p[idx], a[idx], b[idx])
+			mulInto(node(p, idx, dim), node(a, idx, dim), node(b, idx, dim))
 		},
 	}
 }
@@ -212,12 +213,12 @@ func (m *Multiplier) CombineBatch(level, lo, hi int) core.Batch {
 		},
 		Run: func(i int) {
 			idx := lo + i
-			out := p[idx]
+			out := node(p, idx, dim)
 			for j := range out.v {
 				out.v[j] = 0
 			}
 			for q, ch := range children {
-				addInto(out, cp[8*idx+q], ch.cr, ch.cc)
+				addInto(out, node(cp, 8*idx+q, dim/2), ch.cr, ch.cc)
 			}
 		},
 	}
@@ -237,7 +238,7 @@ func (m *Multiplier) Result() []float64 {
 	if !m.finished {
 		panic("matmul: Result before execution finished")
 	}
-	return m.prods[0][0].v
+	return m.prods[0]
 }
 
 // ModelF returns the model-level per-node divide+combine cost Θ(size²),

@@ -19,7 +19,12 @@ type mat struct {
 	v   []float64
 }
 
-func newMat(dim int) mat { return mat{dim: dim, v: make([]float64, dim*dim)} }
+// node returns node idx's matrix of dimension dim, cut from the level slab
+// s that holds the level's matrices back to back.
+func node(s []float64, idx, dim int) mat {
+	e := dim * dim
+	return mat{dim: dim, v: s[idx*e : (idx+1)*e : (idx+1)*e]}
+}
 
 // quad returns a copy of quadrant (qr, qc) of m.
 func (m mat) quad(dst mat, qr, qc int) {
@@ -113,9 +118,12 @@ var combineTerms = [4][]struct {
 // Multiplier is a breadth-first Strassen instance. It implements
 // core.GPUAlg. Single-use.
 type Multiplier struct {
-	n, depth   int
-	opsA, opsB [][]mat
-	prods      [][]mat
+	n, depth int
+	// opsA[l], opsB[l] and prods[l] are level l's slabs: its 7^l operand
+	// matrices and products of dimension n>>l, back to back (see node), so
+	// New allocates O(depth) objects, not one per tree node.
+	opsA, opsB [][]float64
+	prods      [][]float64
 	finished   bool
 }
 
@@ -135,26 +143,20 @@ func New(a, b []float64, n, depth int) (*Multiplier, error) {
 		return nil, fmt.Errorf("strassen: depth %d out of range for n=%d: %w", depth, n, dcerr.ErrBadShape)
 	}
 	m := &Multiplier{n: n, depth: depth}
+	m.opsA = make([][]float64, depth+1)
+	m.opsB = make([][]float64, depth+1)
+	m.prods = make([][]float64, depth+1)
+	m.opsA[0] = append([]float64(nil), a...)
+	m.opsB[0] = append([]float64(nil), b...)
+	m.prods[0] = make([]float64, n*n)
 	nodes := 1
-	m.opsA = make([][]mat, depth+1)
-	m.opsB = make([][]mat, depth+1)
-	m.prods = make([][]mat, depth+1)
-	for l := 0; l <= depth; l++ {
-		dim := n >> l
-		m.opsA[l] = make([]mat, nodes)
-		m.opsB[l] = make([]mat, nodes)
-		m.prods[l] = make([]mat, nodes)
-		for i := 0; i < nodes; i++ {
-			if l > 0 {
-				m.opsA[l][i] = newMat(dim)
-				m.opsB[l][i] = newMat(dim)
-			}
-			m.prods[l][i] = newMat(dim)
-		}
+	for l := 1; l <= depth; l++ {
 		nodes *= 7
+		dim := n >> l
+		m.opsA[l] = make([]float64, nodes*dim*dim)
+		m.opsB[l] = make([]float64, nodes*dim*dim)
+		m.prods[l] = make([]float64, nodes*dim*dim)
 	}
-	m.opsA[0][0] = mat{dim: n, v: append([]float64(nil), a...)}
-	m.opsB[0][0] = mat{dim: n, v: append([]float64(nil), b...)}
 	return m, nil
 }
 
@@ -200,10 +202,11 @@ func (m *Multiplier) DivideBatch(level, lo, hi int) core.Batch {
 		},
 		Run: func(i int) {
 			idx := lo + i
+			pa, pb := node(a, idx, dim), node(bm, idx, dim)
 			for q, pr := range products {
 				c := 7*idx + q
-				buildOperand(ca[c], a[idx], pr.a)
-				buildOperand(cb[c], bm[idx], pr.b)
+				buildOperand(node(ca, c, dim/2), pa, pr.a)
+				buildOperand(node(cb, c, dim/2), pb, pr.b)
 			}
 		},
 	}
@@ -225,7 +228,7 @@ func (m *Multiplier) BaseBatch(lo, hi int) core.Batch {
 		},
 		Run: func(i int) {
 			idx := lo + i
-			mulInto(p[idx], a[idx], b[idx])
+			mulInto(node(p, idx, dim), node(a, idx, dim), node(b, idx, dim))
 		},
 	}
 }
@@ -247,13 +250,13 @@ func (m *Multiplier) CombineBatch(level, lo, hi int) core.Batch {
 		},
 		Run: func(i int) {
 			idx := lo + i
-			out := p[idx]
+			out := node(p, idx, dim)
 			for j := range out.v {
 				out.v[j] = 0
 			}
 			for quad, terms := range combineTerms {
 				for _, tm := range terms {
-					out.setQuadAdd(cp[7*idx+tm.m], quad/2, quad%2, tm.sign)
+					out.setQuadAdd(node(cp, 7*idx+tm.m, dim/2), quad/2, quad%2, tm.sign)
 				}
 			}
 		},
@@ -274,7 +277,7 @@ func (m *Multiplier) Result() []float64 {
 	if !m.finished {
 		panic("strassen: Result before execution finished")
 	}
-	return m.prods[0][0].v
+	return m.prods[0]
 }
 
 // ModelF returns the model-level per-node divide+combine cost Θ(size²).

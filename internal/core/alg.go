@@ -1,7 +1,5 @@
 package core
 
-import "sync/atomic"
-
 // Alg describes a regular divide-and-conquer algorithm after the paper's
 // Algorithm 2 rewrite: execution proceeds breadth-first over the recursion
 // tree, where level l (counted from the root, level 0) holds a^l independent
@@ -156,20 +154,4 @@ func TasksAtLevel(a, level int) int {
 		t *= a
 	}
 	return t
-}
-
-// Join returns a completion callback that invokes then after being called n
-// times. It is safe for concurrent use (the native backend calls completions
-// from multiple goroutines).
-func Join(n int, then func()) func() {
-	if n <= 0 {
-		panic("core: Join requires n > 0")
-	}
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
-	return func() {
-		if remaining.Add(-1) == 0 {
-			then()
-		}
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -46,52 +45,6 @@ func TestTasksAtLevel(t *testing.T) {
 			t.Errorf("TasksAtLevel(%d,%d) = %d, want %d", c.a, c.level, got, c.want)
 		}
 	}
-}
-
-func TestJoin(t *testing.T) {
-	fired := 0
-	done := Join(3, func() { fired++ })
-	done()
-	done()
-	if fired != 0 {
-		t.Fatal("Join fired early")
-	}
-	done()
-	if fired != 1 {
-		t.Fatalf("Join fired %d times, want 1", fired)
-	}
-}
-
-func TestJoinConcurrent(t *testing.T) {
-	const n = 64
-	fired := 0
-	var mu sync.Mutex
-	done := Join(n, func() {
-		mu.Lock()
-		fired++
-		mu.Unlock()
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			done()
-		}()
-	}
-	wg.Wait()
-	if fired != 1 {
-		t.Fatalf("concurrent Join fired %d times, want 1", fired)
-	}
-}
-
-func TestJoinValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Join(0) did not panic")
-		}
-	}()
-	Join(0, func() {})
 }
 
 // stubAlg is a minimal Alg for DefaultSplit testing.

@@ -83,7 +83,9 @@ func New(eng *vtime.Engine, p Params) (*CPU, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &CPU{params: p, cores: vtime.NewResource(eng, p.Cores)}, nil
+	c := &CPU{params: p}
+	c.cores = vtime.NewPricedResource(eng, p.Cores, c.chunkSeconds)
+	return c, nil
 }
 
 // Params returns the CPU's parameters.
@@ -113,12 +115,21 @@ func (c *CPU) rate(workingSet int64, active int) float64 {
 	return r
 }
 
+// chunkSeconds is the service time of a chunk of ops with the given batch
+// working set, priced when the chunk is dispatched to one of `active` busy
+// cores.
+func (c *CPU) chunkSeconds(ops float64, workingSet int64, active int) float64 {
+	return c.params.DispatchOverheadSec + ops/c.rate(workingSet, active)
+}
+
 // Submit implements core.LevelExecutor. The batch's functional work runs
 // eagerly on host memory, spread over the host's cores by core.EachSplit
 // (tasks are independent by contract, so the order and the host split are
 // invisible); its cost is then split into at most p chunks that occupy
 // cores under FIFO contention with any concurrently submitted batches. The
-// virtual time depends on Tasks and Cost alone, never on the host.
+// virtual time depends on Tasks and Cost alone, never on the host. A chunk
+// is a core request carrying its ops and the batch's working set, and the
+// chunks share one recycled join, so a Submit allocates nothing.
 func (c *CPU) Submit(b core.Batch, done func()) {
 	if b.Empty() {
 		if done != nil {
@@ -131,11 +142,7 @@ func (c *CPU) Submit(b core.Batch, done func()) {
 	if b.Tasks < chunks {
 		chunks = b.Tasks
 	}
-	join := done
-	if join == nil {
-		join = func() {}
-	}
-	finished := core.Join(chunks, join)
+	join := c.cores.Join(chunks, done)
 	perTask := taskCost(b.Cost, c.params.MemWeight)
 	memPerTask := b.Cost.MemWords * c.params.MemWeight
 	base, rem := b.Tasks/chunks, b.Tasks%chunks
@@ -155,9 +162,6 @@ func (c *CPU) Submit(b core.Batch, done func()) {
 			chunkOps = float64(n) * perTask
 		}
 		lo += n
-		ws := b.Cost.WorkingSet
-		c.cores.Request(func(active int) float64 {
-			return c.params.DispatchOverheadSec + chunkOps/c.rate(ws, active)
-		}, finished)
+		c.cores.Request(chunkOps, b.Cost.WorkingSet, join)
 	}
 }

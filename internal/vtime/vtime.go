@@ -17,14 +17,15 @@ import (
 // simulation.
 type Time = float64
 
-// event is a scheduled callback: fn, or call(fn) when call is set — a
-// resource's completion, bound once per resource, with the request's done
-// as its argument, so that completing a request allocates nothing.
+// event is a scheduled callback: fn, or, when res is set, the completion
+// of one of res's requests, whose done is fn and whose group is join — so
+// that completing a request allocates nothing.
 type event struct {
 	at   Time
 	seq  uint64
 	fn   func()
-	call func(func())
+	res  *Resource
+	join int32
 }
 
 // eventHeap is a binary min-heap of events, held by value. Every (at, seq)
@@ -128,8 +129,8 @@ func (e *Engine) step() {
 	if e.MaxEvents != 0 && e.processed > e.MaxEvents {
 		panic(fmt.Sprintf("vtime: exceeded MaxEvents=%d (runaway event loop?)", e.MaxEvents))
 	}
-	if ev.call != nil {
-		ev.call(ev.fn)
+	if ev.res != nil {
+		ev.res.finish(ev.fn, ev.join)
 		return
 	}
 	ev.fn()

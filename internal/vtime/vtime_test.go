@@ -112,15 +112,18 @@ func TestResourceCapacityAndFIFO(t *testing.T) {
 	}
 }
 
+// TestResourceActiveCount checks that a priced request is priced at
+// dispatch with the number of busy servers, itself included.
 func TestResourceActiveCount(t *testing.T) {
 	e := New()
-	r := NewResource(e, 3)
 	var actives []int
+	r := NewPricedResource(e, 3, func(amount float64, ws int64, active int) float64 {
+		actives = append(actives, active)
+		return amount
+	})
+	join := r.Join(3, nil)
 	for i := 0; i < 3; i++ {
-		r.Request(func(active int) float64 {
-			actives = append(actives, active)
-			return 1
-		}, nil)
+		r.Request(1, 0, join)
 	}
 	e.Run()
 	if len(actives) != 3 || actives[0] != 1 || actives[1] != 2 || actives[2] != 3 {
@@ -128,32 +131,65 @@ func TestResourceActiveCount(t *testing.T) {
 	}
 }
 
-// TestRequestFixedAllocs pins that a fixed-duration request allocates no
-// more than a callback request whose callback already exists: RequestFixed
-// keeps its duration in the request, not in a closure. Queued behind each
-// other, the two kinds keep FIFO order and their own durations.
+// TestResourceJoin checks a group's completion: its done runs once, when
+// the last of its requests completes (not the last submitted: a longer
+// request submitted first finishes later), and a closed group's slot is
+// reused, so a steady stream of groups allocates nothing.
+func TestResourceJoin(t *testing.T) {
+	e := New()
+	r := NewPricedResource(e, 2, func(amount float64, ws int64, active int) float64 { return amount })
+	var fired []Time
+	done := func() { fired = append(fired, e.Now()) }
+	join := r.Join(3, done)
+	r.Request(3, 0, join)
+	r.Request(1, 0, join)
+	r.Request(1, 0, join)
+	e.Run()
+	if len(fired) != 1 || fired[0] != 3 {
+		t.Fatalf("group of 3 fired at %v, want once at 3", fired)
+	}
+	if again := r.Join(1, nil); again != join {
+		t.Errorf("a closed group's slot was not reused: handle %d, then %d", join, again)
+	} else {
+		r.Request(0, 0, again)
+		e.Run()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		join := r.Join(2, done)
+		r.Request(1, 0, join)
+		r.Request(2, 0, join)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("a group of two requests allocated %g times, want 0", allocs)
+	}
+}
+
+// TestRequestFixedAllocs pins that neither request form allocates: a
+// fixed request keeps its duration in the request, a priced one its amount
+// and working set, and the event heap holds both by value. Queued behind
+// each other, the two kinds keep FIFO order and their own durations.
 func TestRequestFixedAllocs(t *testing.T) {
 	e := New()
-	r := NewResource(e, 1)
-	dur := func(int) float64 { return 1 }
+	r := NewPricedResource(e, 1, func(amount float64, ws int64, active int) float64 { return amount })
 	done := func() {}
-	callback := testing.AllocsPerRun(100, func() {
-		r.Request(dur, done)
+	priced := testing.AllocsPerRun(100, func() {
+		r.Request(1, 0, r.Join(1, done))
 		e.Run()
 	})
 	fixed := testing.AllocsPerRun(100, func() {
 		r.RequestFixed(1, done)
 		e.Run()
 	})
-	if fixed > callback {
-		t.Errorf("RequestFixed allocated %g times, Request with a prebuilt callback %g", fixed, callback)
+	if priced != 0 || fixed != 0 {
+		t.Errorf("a priced request allocated %g times and a fixed one %g, want 0", priced, fixed)
 	}
 
 	start := e.Now()
 	var ends []Time
 	end := func() { ends = append(ends, e.Now()-start) }
 	r.RequestFixed(2, end)
-	r.Request(func(int) float64 { return 3 }, end)
+	r.Request(3, 0, r.Join(1, end))
 	r.RequestFixed(0.5, end)
 	e.Run()
 	if want := []Time{2, 5, 5.5}; len(ends) != 3 || ends[0] != want[0] || ends[1] != want[1] || ends[2] != want[2] {
@@ -164,12 +200,20 @@ func TestRequestFixedAllocs(t *testing.T) {
 func TestResourceValidation(t *testing.T) {
 	e := New()
 	assertPanics(t, "zero capacity", func() { NewResource(e, 0) })
+	assertPanics(t, "nil price", func() { NewPricedResource(e, 1, nil) })
 	r := NewResource(e, 1)
-	assertPanics(t, "nil duration", func() { r.Request(nil, nil) })
+	assertPanics(t, "unpriced Request", func() { r.Request(1, 0, r.Join(1, nil)) })
+	assertPanics(t, "empty group", func() { r.Join(0, nil) })
 	assertPanics(t, "negative duration", func() {
 		r.RequestFixed(-1, nil)
 		e.Run()
 	})
+	p := NewPricedResource(e, 1, func(amount float64, ws int64, active int) float64 { return amount })
+	assertPanics(t, "no group", func() { p.Request(1, 0, 0) })
+	join := p.Join(1, nil)
+	p.Request(1, 0, join)
+	e.Run()
+	assertPanics(t, "closed group", func() { p.Request(1, 0, join) })
 }
 
 // TestResourceConservation checks a queueing invariant with random jobs:
